@@ -13,37 +13,30 @@ registered method and measures, per configuration:
   kernel would do, so a crossover decision can never mask a batch-path
   regression), and
 * the logical cost counters — always from the forced batch run, so the
-  deterministic count metrics the regression gate compares do not
-  depend on which side of the crossover this machine landed on.  For
-  the tree methods, ``node_visits`` shows the path-sharing traversal
-  descending each distinct root-to-leaf path once, which is where the
-  clustered (zipf) workload wins big.
+  deterministic counts do not depend on which side of the crossover this
+  machine landed on.  For the tree methods, ``node_visits`` shows the
+  path-sharing traversal descending each distinct root-to-leaf path
+  once, which is where the clustered (zipf) workload wins big.
 
-Results are emitted both as the usual text table and as machine-readable
-JSON: ``benchmarks/results/batch_query_throughput.json`` plus the
-headline artifact ``BENCH_batch_queries.json`` at the repository root.
-
-Set ``REPRO_BENCH_SMOKE=1`` to run a tiny configuration (CI smoke).
+The end-to-end benchmark (``benchmarks/e2e/``) times batched reads for
+the ``vector`` method only; this table is the one place the other six
+methods' batch paths are timed.  It is a text table like every other
+paper-side bench: no JSON artifact, no baseline, no gate beyond the
+assertions below.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.artifacts import make_document
 from repro.methods import build_method, method_names
 from repro.workloads import clustered, query_stream
 
-from conftest import report, write_root_artifact
+from conftest import report
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-N = 32 if SMOKE else 256
+N = 256
 SHAPE = (N, N)
-# The largest batch must clear every method's batch_crossover so the
-# smoke run still exercises (and asserts on) the shared-work batch path.
-BATCH_SIZES = [4, 256] if SMOKE else [16, 64, 256]
+BATCH_SIZES = [16, 64, 256]
 LOCALITIES = ["uniform", "zipf"]
-REPS = 1 if SMOKE else 3
+REPS = 3
 
 
 def test_batch_query_throughput(benchmark):
@@ -166,9 +159,7 @@ def test_batch_query_throughput(benchmark):
             f"{row['speedup']:>8.2f} {row['batch_path_speedup']:>8.2f} "
             f"{row['node_visits_batch']:>10,} {row['node_visits_scalar']:>10,}"
         )
-    document = make_document("batch_queries", rows)
-    report("batch_query_throughput", "\n".join(lines), data=document)
-    write_root_artifact("BENCH_batch_queries.json", document)
+    report("batch_query_throughput", "\n".join(lines))
 
     by_key = {(r["method"], r["locality"], r["batch"]): r for r in rows}
     largest = BATCH_SIZES[-1]
@@ -189,13 +180,12 @@ def test_batch_query_throughput(benchmark):
         if row["path"] == "scalar":
             assert row["speedup"] == 1.0
         assert row["batch_path_speedup"] is not None
-    if not SMOKE:
-        # Acceptance: at moderate batch sizes the batch path itself wins
-        # for every method — no kernel hides behind the scalar fallback.
-        for row in rows:
-            if row["batch"] >= 64:
-                assert row["batch_path_speedup"] >= 1.0, (
-                    f"{row['method']} {row['locality']} batch={row['batch']}: "
-                    f"forced batch path is a slowdown "
-                    f"({row['batch_path_speedup']:.2f}x)"
-                )
+    # Acceptance: at moderate batch sizes the batch path itself wins
+    # for every method — no kernel hides behind the scalar fallback.
+    for row in rows:
+        if row["batch"] >= 64:
+            assert row["batch_path_speedup"] >= 1.0, (
+                f"{row['method']} {row['locality']} batch={row['batch']}: "
+                f"forced batch path is a slowdown "
+                f"({row['batch_path_speedup']:.2f}x)"
+            )

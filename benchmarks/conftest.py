@@ -5,49 +5,28 @@ Every bench module regenerates one of the paper's evaluation artifacts
 :func:`report`, which persists them under ``benchmarks/results/`` and
 queues them for the end-of-session terminal summary, so a plain
 ``pytest benchmarks/ --benchmark-only`` run prints every experiment
-table after the timing table regardless of output capturing.  A bench
-that also has machine-readable results passes ``data=`` to
-:func:`report` (a JSON sidecar lands next to the text table), and
-headline artifacts go to the repository root via
-:func:`write_root_artifact`.
+table after the timing table regardless of output capturing.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 _SESSION_REPORTS: list[str] = []
 
 
-def report(experiment: str, text: str, data: object = None) -> None:
-    """Persist a result table and queue it for the terminal summary.
-
-    With ``data`` given, a machine-readable JSON sidecar
-    (``results/<experiment>.json``) is written alongside the text table
-    so downstream tooling never has to parse the human-oriented output.
-    """
+def report(experiment: str, text: str) -> None:
+    """Persist a result table and queue it for the terminal summary."""
     banner = f"\n{'=' * 72}\n[{experiment}]\n{'=' * 72}\n"
     _SESSION_REPORTS.append(banner + text)
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{experiment}.txt"
     with open(path, "a") as handle:
         handle.write(banner + text + "\n")
-    if data is not None:
-        sidecar = RESULTS_DIR / f"{experiment}.json"
-        sidecar.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def write_root_artifact(filename: str, data: object) -> pathlib.Path:
-    """Write a headline JSON artifact at the repository root."""
-    path = REPO_ROOT / filename
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return path
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -55,8 +34,6 @@ def _fresh_results() -> None:
     """Start every benchmark session with a clean results directory."""
     if RESULTS_DIR.exists():
         for stale in RESULTS_DIR.glob("*.txt"):
-            stale.unlink()
-        for stale in RESULTS_DIR.glob("*.json"):
             stale.unlink()
 
 

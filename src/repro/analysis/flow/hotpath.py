@@ -1,7 +1,8 @@
 """Hot-path allocation analysis: per-query descent loops stay lean (REP012).
 
-The batch benchmarks (``BENCH_batch_queries.json``, ``BENCH_engine.json``)
-live and die on the scalar descent loops — the per-level ``while`` walks
+Scalar query latency (``benchmarks/e2e``: ``ddc_mixed_2d``
+``read_p50_us``, ``methods.query_us``) lives and dies on the scalar
+descent loops — the per-level ``while`` walks
 in ``DynamicDataCube._prefix_walk``, the B^c-tree descents, the Fenwick
 index loops.  A comprehension, generator expression, or closure created
 *inside* one of those loops allocates on every level of every query; at

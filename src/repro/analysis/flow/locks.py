@@ -3,15 +3,15 @@
 Two rules ride on one forward *must* analysis over the CFG of every
 function in the engine package:
 
-* **REP009 unguarded-write-dataflow** — the dataflow successor of lint
-  rule REP007.  The analysis tracks, at every program point, the set of
-  locks that are held on **every** path reaching it (``with ..._lock:``
-  adds, leaving the block removes, joins intersect) together with the
-  local names that *must-alias* a guarded shared attribute.  A mutation
-  of guarded state — directly (``self._epochs[i] += 1``) or through an
-  alias (``c = self._cache; c[key] = value``, invisible to REP007's
-  lexical scan) — reachable with an **empty** lock set is a data race
-  with the executor's reader threads and is flagged.
+* **REP009 unguarded-write-dataflow** — the analysis tracks, at every
+  program point, the set of locks that are held on **every** path
+  reaching it (``with ..._lock:`` adds, leaving the block removes, joins
+  intersect) together with the local names that *must-alias* a guarded
+  shared attribute.  A mutation of guarded state — directly
+  (``self._epochs[i] += 1``) or through an alias (``c = self._cache;
+  c[key] = value``, invisible to a lexical scan) — reachable with an
+  **empty** lock set is a data race with the executor's reader threads
+  and is flagged.
 * **REP010 lock-order-cycle** — every lock acquisition observed while
   other locks are held contributes ``held -> acquired`` edges to a
   cross-function acquisition-order graph; ``self.method()`` calls
@@ -40,8 +40,8 @@ from .findings import FlowFinding
 
 __all__ = ["GUARDED_ATTRS", "LockState", "LockAnalyzer"]
 
-#: Attributes holding shared mutable serving state (same set REP007
-#: guards) — including the process executor's worker-lane table.
+#: Attributes holding shared mutable serving state, including the
+#: process executor's worker-lane table.
 GUARDED_ATTRS = frozenset({"_epochs", "_cache", "_breakers", "_lanes"})
 
 #: Synthetic lock representing "the caller holds the engine lock" for

@@ -36,23 +36,6 @@ Rules (suppress a line with ``# noqa: REPxxx``):
   adaptive-crossover contract choosing the scalar path deliberately.
   Fallbacks taken through any other condition carry an explanatory
   ``noqa``.
-* **REP007 unguarded-engine-state** — inside ``src/repro/engine/``, the
-  shared mutable serving state (the ``_epochs`` list, the ``_cache``,
-  and the ``_breakers`` circuit-breaker list) must only be mutated —
-  assigned, aug-assigned, deleted, or driven through a method call like
-  ``.put()`` / ``.get()`` / ``.clear()`` / ``.record_failure()``,
-  including through a subscript (``self._breakers[i].allow(...)``) —
-  lexically inside a ``with ..._lock:`` block, or inside a helper whose
-  name starts with ``_locked_`` (documented as called with the lock
-  held), or in ``__init__`` (construction precedes sharing).  Writes
-  driven through a local alias (``c = self._cache; c[key] = value``)
-  count as mutations of the aliased attribute.  An unguarded mutation
-  is a data race with the executor's reader threads and can serve a
-  stale cached sum or a torn breaker state; plain attribute reads
-  (``.capacity``, iteration) are not flagged.  This is a fast lexical
-  pre-pass: when the CFG/dataflow analyzer (``repro analyze``) runs in
-  the same gate, pass ``defer_to_flow=True`` and its path-sensitive
-  REP009 supersedes it.
 * **REP008 direct-clock** — hot-path modules (``src/repro/core/``,
   ``src/repro/methods/``, ``src/repro/engine/``, plus
   ``src/repro/obs/remote.py``, which runs inside pool workers) must
@@ -119,7 +102,6 @@ RULES = {
     "REP004": "assert statement in library code",
     "REP005": "public module does not define __all__",
     "REP006": "*_many batch method loops over its own scalar operation",
-    "REP007": "shared engine state mutated outside the epoch/lock helpers",
     "REP008": "hot-path module reads the wall clock directly",
 }
 
@@ -423,158 +405,6 @@ def _check_batch_loops(
                     break
 
 
-# -- REP007: engine shared state only mutates under the lock ------------
-
-#: Attributes holding the engine's shared mutable serving state.  The
-#: process-pool entries (``_lanes``: worker/pipe lanes, each guarded by
-#: its per-lane lock) joined the set with the process executor.
-_GUARDED_ATTRS = frozenset({"_epochs", "_cache", "_breakers", "_lanes"})
-
-#: Function names allowed to touch guarded state without a lexical lock:
-#: construction (nothing is shared yet) and helpers whose naming contract
-#: says "caller holds the lock".
-_LOCK_EXEMPT_PREFIXES = ("_locked_",)
-
-
-def _guarded_attr(node: ast.AST) -> str | None:
-    """Attribute name when ``node`` is ``<expr>.<guarded attr>``."""
-    if isinstance(node, ast.Attribute) and node.attr in _GUARDED_ATTRS:
-        return node.attr
-    return None
-
-
-def _is_lock_with(node: ast.With) -> bool:
-    """True for ``with <expr>._lock:`` (or any ``*_lock`` attribute)."""
-    for item in node.items:
-        expr = item.context_expr
-        if isinstance(expr, ast.Call):
-            expr = expr.func
-        if isinstance(expr, ast.Attribute) and expr.attr.endswith("_lock"):
-            return True
-        if isinstance(expr, ast.Name) and expr.id.endswith("_lock"):
-            return True
-    return False
-
-
-def _access_root(node: ast.AST) -> ast.AST:
-    """Root expression of a subscript/attribute/star access chain."""
-    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
-        node = node.value
-    return node
-
-
-def _collect_aliases(
-    function: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> dict[str, str]:
-    """Local names bound to a guarded attribute (``c = self._cache``).
-
-    Lexical, not flow-sensitive: one pre-pass sweep over the function.
-    The flow analyzer's REP009 redoes this with real must-alias
-    tracking; this keeps the fast pre-pass from missing the plain
-    alias-then-mutate spelling entirely.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(function):
-        if not isinstance(node, ast.Assign):
-            continue
-        attr = _guarded_attr(node.value)
-        if attr is None:
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                aliases[target.id] = attr
-    return aliases
-
-
-def _iter_state_mutations(
-    node: ast.AST, aliases: dict[str, str] | None = None
-) -> Iterable[tuple[int, str]]:
-    """Yield ``(lineno, description)`` for guarded-state mutations in node.
-
-    A *mutation* is an assignment / aug-assignment / deletion whose
-    target involves a guarded attribute (``self._epochs[i] += 1``,
-    ``self._cache = ...``), or a method call driven through one
-    (``self._cache.put(...)`` — the LRU reorders on ``get`` too, so all
-    guarded-object method calls count).  With ``aliases``, writes driven
-    through a local alias of a guarded attribute (``c = self._cache;
-    c[key] = value`` / ``c.put(...)``) count too.  Plain loads and bare
-    rebinds of the alias name itself are not mutations.
-    """
-    aliases = aliases or {}
-    targets: list[ast.AST] = []
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-    elif isinstance(node, ast.Delete):
-        targets = list(node.targets)
-    for target in targets:
-        reported = False
-        for sub in ast.walk(target):
-            attr = _guarded_attr(sub)
-            if attr is not None:
-                yield (node.lineno, f"assignment to {attr}")
-                reported = True
-                break
-        if reported:
-            continue
-        root = _access_root(target)
-        if (
-            root is not target  # bare `c = ...` rebinds, doesn't mutate
-            and isinstance(root, ast.Name)
-            and root.id in aliases
-        ):
-            yield (
-                node.lineno,
-                f"assignment through alias {root.id!r} of {aliases[root.id]}",
-            )
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        receiver = node.func.value
-        # See through one subscript so an element-wise drive like
-        # ``self._breakers[i].record_failure(...)`` is still guarded.
-        if isinstance(receiver, ast.Subscript):
-            receiver = receiver.value
-        attr = _guarded_attr(receiver)
-        if attr is not None:
-            yield (node.lineno, f"{attr}.{node.func.attr}() call")
-        elif isinstance(receiver, ast.Name) and receiver.id in aliases:
-            yield (
-                node.lineno,
-                f"{receiver.id}.{node.func.attr}() call through an alias "
-                f"of {aliases[receiver.id]}",
-            )
-
-
-def _check_engine_state(
-    tree: ast.Module, module_path: Path
-) -> Iterable[tuple[int, str, str]]:
-    if "engine" not in module_path.parts:
-        return
-    for function in ast.walk(tree):
-        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if function.name == "__init__" or function.name.startswith(
-            _LOCK_EXEMPT_PREFIXES
-        ):
-            continue
-        locked_lines: set[int] = set()
-        for with_node in ast.walk(function):
-            if isinstance(with_node, ast.With) and _is_lock_with(with_node):
-                for inner in ast.walk(with_node):
-                    if hasattr(inner, "lineno"):
-                        locked_lines.add(id(inner))
-        aliases = _collect_aliases(function)
-        for node in ast.walk(function):
-            if id(node) in locked_lines:
-                continue
-            for line, description in _iter_state_mutations(node, aliases):
-                yield (
-                    line,
-                    "REP007",
-                    f"{description} in {function.name}() outside "
-                    f"'with ..._lock:' — shared engine state must only "
-                    f"mutate under the lock or in a _locked_* helper",
-                )
-
-
 # -- REP008: hot paths read time only through the injected clock ---------
 
 #: Wall/monotonic clock readers that hot-path modules must not call.
@@ -650,16 +480,8 @@ def _check_direct_clock(
 # ----------------------------------------------------------------------
 
 
-def lint_source(
-    source: str, path: str | Path, *, defer_to_flow: bool = False
-) -> list[LintFinding]:
-    """Lint one module's source text; returns sorted findings.
-
-    ``defer_to_flow=True`` drops the REP007 engine-state pre-pass: when
-    the CFG/dataflow analyzer (:mod:`repro.analysis.flow`) runs in the
-    same gate, its path-sensitive REP009 supersedes the lexical check —
-    reporting both would double-flag every genuine site.
-    """
+def lint_source(source: str, path: str | Path) -> list[LintFinding]:
+    """Lint one module's source text; returns sorted findings."""
     module_path = Path(path)
     try:
         tree = ast.parse(source, filename=str(module_path))
@@ -683,8 +505,6 @@ def lint_source(
         _check_batch_loops(tree, module_path),
         _check_direct_clock(tree, module_path),
     ]
-    if not defer_to_flow:
-        checks.append(_check_engine_state(tree, module_path))
     for check in checks:
         for line, rule, message in check:
             if not _suppressed(source_lines, line, rule):
@@ -702,9 +522,7 @@ def _iter_python_files(paths: Sequence[str | Path]) -> Iterable[Path]:
             yield path
 
 
-def lint_paths(
-    paths: Sequence[str | Path], *, defer_to_flow: bool = False
-) -> list[LintFinding]:
+def lint_paths(paths: Sequence[str | Path]) -> list[LintFinding]:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
     The result is globally sorted by ``(path, line, rule)`` — not just
@@ -713,13 +531,7 @@ def lint_paths(
     """
     findings: list[LintFinding] = []
     for module_path in _iter_python_files(paths):
-        findings.extend(
-            lint_source(
-                module_path.read_text(),
-                module_path,
-                defer_to_flow=defer_to_flow,
-            )
-        )
+        findings.extend(lint_source(module_path.read_text(), module_path))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

@@ -389,7 +389,7 @@ def attach_engine(engine: Any, sanitizer: LockSanitizer) -> Any:
     """Wire a sanitizer onto a live engine's lock and shared state.
 
     Replaces ``engine._lock`` with a :class:`SanitizedLock` and wraps
-    the REP007/REP009 guarded attributes (``_epochs``, ``_cache``,
+    the REP009 guarded attributes (``_epochs``, ``_cache``,
     ``_breakers``) in checking proxies.  Returns the engine for
     chaining.  Safe to call once per engine; a second call would wrap
     the wrappers and double-count acquisitions.

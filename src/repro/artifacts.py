@@ -1,11 +1,9 @@
-"""One schema for every benchmark JSON artifact.
+"""One schema for every JSON artifact the CLI writes.
 
-Three headline artifacts live at the repository root —
-``BENCH_batch_queries.json``, ``BENCH_engine.json``, and
-``BENCH_obs_overhead.json`` — and each is written by two producers: the
-benchmark suite regenerates it wholesale, the CLI upserts single rows
-into it.  This module is the single definition of the document shape
-both sides use::
+``repro chaos --json`` upserts soak rows into one, ``repro analyze``
+writes its findings and its committed baseline
+(``benchmarks/baselines/analyze.json``) as others.  This module is the
+single definition of the document shape they share::
 
     {
       "schema_version": 1,

@@ -22,18 +22,9 @@ Examples::
     python -m repro table2
     python -m repro figure1
 
-    # batch-query throughput for one method, with a JSON artifact
-    python -m repro bench-batch --method ddc --shape 256 256 --batch 256
-
-    # sharded-engine serving throughput vs the unsharded scalar baseline
-    python -m repro bench-engine --shape 256 256 --shards 4 --mix 0.9
-
-    # same measurement over the process executor: shards served from
-    # shared-memory prefix slabs by a persistent worker-process pool
-    python -m repro bench-engine --shards 4 --executor process
-
     # replay a serving workload and print per-shard/cache statistics
-    # (including p50/p95/p99 shard latency from the live histograms)
+    # (including p50/p95/p99 shard latency from the live histograms);
+    # --executor process serves the shards from shared-memory slabs
     python -m repro serve-stats --shape 128 128 --shards 4 --events 500
 
     # same replay, dumping the metrics registry instead
@@ -48,6 +39,10 @@ Examples::
     # the pool's shared-memory metric shards + the SLO verdict
     python -m repro top --executor process --iterations 3
     python -m repro top --executor process --once   # CI smoke mode
+
+    # serve a seeded clustered cube over HTTP (/query /update /metrics
+    # /healthz) until SIGINT/SIGTERM
+    python -m repro serve --shape 256 256 --port 8734
 
     # deterministic fault-injection soak: inject transient faults into
     # >= 20% of shard sub-operations and cross-check every answer
@@ -64,6 +59,10 @@ Examples::
 
     # CFG/dataflow analyses (REP009-REP012) against the committed baseline
     python -m repro analyze src/ --baseline benchmarks/baselines/analyze.json
+
+Those are all fifteen subcommands.  None of them measures performance:
+the one benchmark command is ``python benchmarks/e2e/run.py`` (declared
+in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ def _merge_artifact_row(
     Rows agreeing with ``row`` on every ``key_fields`` entry are
     replaced, so repeated CLI runs refresh instead of duplicating.  The
     document shape (and its ``schema_version``) comes from
-    :mod:`repro.artifacts` — the same schema the benchmark suite writes.
+    :mod:`repro.artifacts`.
     """
     from .artifacts import load_document, upsert_row, write_document
 
@@ -220,333 +219,58 @@ def _merge_artifact_row(
     print(f"wrote {path}")
 
 
-def _command_bench_batch(args) -> int:
-    import time
-
-    from .methods.registry import build_method
-    from .workloads import clustered, query_stream
-
-    shape = tuple(args.shape)
-    data = clustered(shape, seed=args.seed)
-    method = build_method(args.method, data)
-    cells = query_stream(
-        shape, args.batch, locality=args.locality, seed=args.seed + 1
-    )
-
-    method.stats.reset()
-    start = time.perf_counter()
-    batch_results = method.prefix_sum_many(cells)
-    batch_seconds = time.perf_counter() - start
-    batch_stats = method.stats.snapshot()
-    path = method.last_batch_path
-
-    method.stats.reset()
-    start = time.perf_counter()
-    scalar_results = [method.prefix_sum(cell) for cell in cells]
-    scalar_seconds = time.perf_counter() - start
-    scalar_stats = method.stats.snapshot()
-
-    if [int(v) for v in batch_results] != [int(v) for v in scalar_results]:
-        raise SystemExit(
-            f"batch/scalar mismatch for method {args.method!r} — "
-            "prefix_sum_many disagrees with prefix_sum"
-        )
-
-    # Below the method's adaptive crossover the "batch" call *is* the
-    # scalar loop, so any measured difference is pure timing noise; the
-    # speedup is 1.0 by construction (raw timings are still recorded).
-    speedup = (
-        1.0
-        if path == "scalar"
-        else (scalar_seconds / batch_seconds if batch_seconds else None)
-    )
-    row = {
-        "method": args.method,
-        "shape": list(shape),
-        "locality": args.locality,
-        "batch": args.batch,
-        "path": path,
-        "batch_seconds": batch_seconds,
-        "scalar_seconds": scalar_seconds,
-        "queries_per_second": args.batch / batch_seconds if batch_seconds else None,
-        "speedup": speedup,
-        "node_visits_batch": batch_stats.node_visits,
-        "node_visits_scalar": scalar_stats.node_visits,
-        "cell_reads_batch": batch_stats.cell_reads,
-        "cell_reads_scalar": scalar_stats.cell_reads,
-    }
-
-    print(
-        f"{'method':<10} {'shape':<12} {'locality':<8} {'batch':>6} "
-        f"{'path':<6} {'batch s':>10} {'scalar s':>10} {'speedup':>8} "
-        f"{'visits(b)':>10} {'visits(s)':>10}"
-    )
-    print(
-        f"{row['method']:<10} {'x'.join(map(str, shape)):<12} "
-        f"{row['locality']:<8} {row['batch']:>6} {row['path']:<6} "
-        f"{row['batch_seconds']:>10.4f} {row['scalar_seconds']:>10.4f} "
-        f"{row['speedup']:>8.2f} "
-        f"{row['node_visits_batch']:>10} {row['node_visits_scalar']:>10}"
-    )
-
-    _merge_artifact_row(
-        Path(args.json),
-        "batch_queries",
-        row,
-        ("method", "shape", "locality", "batch"),
-    )
-    return 0
-
-
-def _command_bench_descent(args) -> int:
-    import time
-
-    import numpy as np
-
-    from .core.slab_tree import expand_corners, kernel_backend
-    from .methods.registry import build_method
-    from .workloads import clustered, query_stream
-
-    shape = tuple(args.shape)
-    data = clustered(shape, seed=args.seed)
-    vector = build_method("vector", data)
-    vector.batch_crossover_override = 1
-    reference = build_method("ddc", data)
-    cells = query_stream(
-        shape, args.batch, locality=args.locality, seed=args.seed + 1
-    )
-    spans = [max(1, int(size * args.extent)) for size in shape]
-    ranges = [
-        (
-            low := tuple(
-                min(cell[axis], shape[axis] - spans[axis])
-                for axis in range(len(shape))
-            ),
-            tuple(low[axis] + spans[axis] - 1 for axis in range(len(shape))),
-        )
-        for cell in cells
-    ]
-
-    vector_results = vector.range_sum_many(ranges)
-    reference_results = reference.range_sum_many(ranges)
-    if [int(v) for v in vector_results] != [int(v) for v in reference_results]:
-        raise SystemExit(
-            "vector/reference mismatch — the slab-tree descent disagrees "
-            "with the pure-python DDC"
-        )
-    vector_seconds = ddc_seconds = None
-    for _ in range(args.reps):
-        start = time.perf_counter()
-        vector.range_sum_many(ranges)
-        elapsed = time.perf_counter() - start
-        if vector_seconds is None or elapsed < vector_seconds:
-            vector_seconds = elapsed
-        start = time.perf_counter()
-        reference.range_sum_many(ranges)
-        elapsed = time.perf_counter() - start
-        if ddc_seconds is None or elapsed < ddc_seconds:
-            ddc_seconds = elapsed
-
-    tree = vector.tree
-    lows = np.asarray([low for low, _ in ranges], dtype=np.int64)
-    highs = np.asarray([high for _, high in ranges], dtype=np.int64)
-    corners, _, _ = expand_corners(lows, highs)
-    print(
-        f"{'locality':<8} {'batch':>6} {'kernel':<7} {'vector s':>10} "
-        f"{'ddc s':>10} {'speedup':>8}"
-    )
-    print(
-        f"{args.locality:<8} {args.batch:>6} {kernel_backend():<7} "
-        f"{vector_seconds:>10.6f} {ddc_seconds:>10.6f} "
-        f"{ddc_seconds / vector_seconds:>8.1f}"
-    )
-    print(f"\nper-level gathers over {corners.shape[0]} corner coordinates:")
-    for index, layout in enumerate(tree.level_layout()):
-        best = None
-        for _ in range(args.reps):
-            start = time.perf_counter()
-            tree.gather_level(index, corners)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        print(
-            f"  level {index} combo={layout['combo']} "
-            f"cells={layout['cells']:,} gather={best:.7f}s"
-        )
-
-    row = {
-        "shape": list(shape),
-        "locality": args.locality,
-        "batch": args.batch,
-        "kernel": kernel_backend(),
-        "levels": tree.level_count,
-        "vector_seconds": vector_seconds,
-        "ddc_seconds": ddc_seconds,
-        "speedup_vs_ddc": (
-            ddc_seconds / vector_seconds if vector_seconds else None
-        ),
-        "queries_per_second": (
-            args.batch / vector_seconds if vector_seconds else None
-        ),
-    }
-    _merge_artifact_row(
-        Path(args.json),
-        "descent",
-        row,
-        ("shape", "locality", "batch"),
-    )
-    return 0
-
-
-def _run_serving_stream(target, events) -> list:
-    """Replay a read/write event stream against one serving target.
-
-    ``target`` is anything with the RangeSumMethod contract (a bare
-    structure or a ShardedEngine); returns the read results so callers
-    can cross-check equivalence between targets.
-    """
+def _run_serving_stream(engine, events) -> None:
+    """Replay a read/write event stream against a serving engine."""
     from .workloads import RangeQuery
 
-    reads = []
     for event in events:
         if isinstance(event, RangeQuery):
-            reads.append(target.range_sum(event.low, event.high))
+            engine.range_sum(event.low, event.high)
         else:
-            target.add(event.cell, event.delta)
-    return reads
+            engine.add(event.cell, event.delta)
 
 
-def _command_bench_engine(args) -> int:
-    import time
+def _replay_engine(args, obs):
+    """The instrumented engine the replay commands serve from.
 
-    from .engine import ShardedEngine
-    from .methods.registry import build_method
-    from .workloads import clustered, read_write_stream
-
-    shape = tuple(args.shape)
-    data = clustered(shape, seed=args.seed)
-    events = read_write_stream(
-        shape,
-        args.events,
-        mix=args.mix,
-        locality=args.locality,
-        pool=args.pool,
-        seed=args.seed + 1,
-    )
-
-    baseline = build_method(args.method, data)
-    start = time.perf_counter()
-    baseline_reads = _run_serving_stream(baseline, events)
-    baseline_seconds = time.perf_counter() - start
-
-    engine = ShardedEngine.from_array(
-        data,
-        shards=args.shards,
-        method=args.method,
-        workers=args.workers or None,
-        executor=args.executor,
-        cache_size=args.cache,
-    )
-    executor_kind = args.executor or (
-        "thread" if (args.workers or 0) > 1 and args.shards > 1 else "serial"
-    )
-    engine.reset_stats()
-    start = time.perf_counter()
-    engine_reads = _run_serving_stream(engine, events)
-    engine_seconds = time.perf_counter() - start
-    info = engine.cache_info()
-    engine.close()
-
-    if [int(v) for v in engine_reads] != [int(v) for v in baseline_reads]:
-        raise SystemExit(
-            f"engine/baseline mismatch for method {args.method!r} — "
-            "sharded cached serving disagrees with the scalar structure"
-        )
-
-    row = {
-        "shape": list(shape),
-        "method": args.method,
-        "shards": args.shards,
-        "workers": args.workers,
-        "executor": executor_kind,
-        "mix": args.mix,
-        "locality": args.locality,
-        "events": len(events),
-        "engine_seconds": engine_seconds,
-        "baseline_seconds": baseline_seconds,
-        "events_per_second": (
-            len(events) / engine_seconds if engine_seconds else None
-        ),
-        "baseline_events_per_second": (
-            len(events) / baseline_seconds if baseline_seconds else None
-        ),
-        "speedup_vs_scalar": (
-            baseline_seconds / engine_seconds if engine_seconds else None
-        ),
-        "cache_hits": info["hits"],
-        "cache_misses": info["misses"],
-        "cache_hit_rate": info["hit_rate"],
-    }
-    print(
-        f"{'shards':>6} {'executor':<8} {'workers':>7} {'mix':>5} "
-        f"{'locality':<8} "
-        f"{'engine s':>10} {'scalar s':>10} {'speedup':>8} {'hit rate':>9}"
-    )
-    print(
-        f"{row['shards']:>6} {row['executor']:<8} {row['workers']:>7} "
-        f"{row['mix']:>5.2f} "
-        f"{row['locality']:<8} {row['engine_seconds']:>10.4f} "
-        f"{row['baseline_seconds']:>10.4f} {row['speedup_vs_scalar']:>8.2f} "
-        f"{row['cache_hit_rate']:>9.2%}"
-    )
-    _merge_artifact_row(
-        Path(args.json),
-        "engine_throughput",
-        row,
-        (
-            "shape", "method", "shards", "workers", "executor",
-            "mix", "locality", "events",
-        ),
-    )
-    return 0
-
-
-def _traced_replay(args):
-    """Build an engine with observability wired and replay the workload.
-
-    Shared by ``serve-stats`` / ``metrics`` / ``trace``: one clustered
-    cube, one read/write stream, one instrumented engine.  Returns
-    ``(obs, engine, events, pool)`` with the engine already closed;
-    ``pool`` is the worker-pool snapshot captured *before* shutdown
-    (None outside process mode).
+    ``serve-stats`` / ``metrics`` / ``trace`` / ``top`` share one
+    argument block (``--shape``, ``--shards``, ``--executor``, ...) and
+    therefore one engine: a clustered cube of ``--shape`` sharded as
+    asked, with ``obs`` wired in.
     """
     from .engine import ShardedEngine
-    from .obs import Observability
-    from .workloads import clustered, read_write_stream
+    from .workloads import clustered
 
-    shape = tuple(args.shape)
-    data = clustered(shape, seed=args.seed)
-    events = read_write_stream(
-        shape,
-        args.events,
-        mix=args.mix,
-        locality=args.locality,
-        seed=args.seed + 1,
-    )
-    obs = Observability(
-        trace_sample_every=getattr(args, "sample_every", 1),
-        slow_query_seconds=getattr(args, "slow_ms", 0.0) / 1e3,
-    )
-    engine = ShardedEngine.from_array(
-        data,
+    return ShardedEngine.from_array(
+        clustered(tuple(args.shape), seed=args.seed),
         shards=args.shards,
         method=args.method,
         workers=args.workers or None,
         executor=args.executor,
         cache_size=args.cache,
         obs=obs,
-        ipc_reads=getattr(args, "ipc_reads", False),
+        ipc_reads=args.ipc_reads,
     )
+
+
+def _traced_replay(args, obs):
+    """Replay the workload once against an engine instrumented by ``obs``.
+
+    Shared by ``serve-stats`` / ``metrics`` / ``trace``.  Returns
+    ``(engine, events, pool)`` with the engine already closed; ``pool``
+    is the worker-pool snapshot captured *before* shutdown (None outside
+    process mode).
+    """
+    from .workloads import read_write_stream
+
+    events = read_write_stream(
+        tuple(args.shape),
+        args.events,
+        mix=args.mix,
+        locality=args.locality,
+        seed=args.seed + 1,
+    )
+    engine = _replay_engine(args, obs)
     engine.reset_stats()
     _run_serving_stream(engine, events)
     if engine.process_pool is not None:
@@ -557,11 +281,14 @@ def _traced_replay(args):
     engine.harvest_worker_metrics()
     pool = engine.pool_info()
     engine.close()
-    return obs, engine, events, pool
+    return engine, events, pool
 
 
 def _command_serve_stats(args) -> int:
-    obs, engine, events, pool = _traced_replay(args)
+    from .obs import Observability
+
+    obs = Observability()
+    engine, events, pool = _traced_replay(args, obs)
 
     print(f"engine:    {engine!r}")
     print(f"events:    {len(events)} ({args.mix:.0%} reads, {args.locality})")
@@ -617,7 +344,10 @@ def _command_serve_stats(args) -> int:
 def _command_metrics(args) -> int:
     import json
 
-    obs, _engine, _events, _pool = _traced_replay(args)
+    from .obs import Observability
+
+    obs = Observability()
+    _traced_replay(args, obs)
     if args.format == "prom":
         sys.stdout.write(obs.metrics.render_prometheus())
     else:
@@ -626,9 +356,18 @@ def _command_metrics(args) -> int:
 
 
 def _command_trace(args) -> int:
-    from .obs import render_span_tree, sorted_by_duration, write_chrome_trace
+    from .obs import (
+        Observability,
+        render_span_tree,
+        sorted_by_duration,
+        write_chrome_trace,
+    )
 
-    obs, _engine, events, _pool = _traced_replay(args)
+    obs = Observability(
+        trace_sample_every=args.sample_every,
+        slow_query_seconds=args.slow_ms / 1e3,
+    )
+    _engine, events, _pool = _traced_replay(args, obs)
     roots = sorted_by_duration(obs.tracer.finished_roots())[: args.slowest]
     print(
         f"{len(events)} events replayed, {len(obs.tracer.finished_roots())} "
@@ -741,23 +480,12 @@ def _command_top(args) -> int:
     """
     import time
 
-    from .engine import ShardedEngine
     from .obs import Observability, engine_watchdog, evaluate_health
-    from .workloads import clustered, read_write_stream
+    from .workloads import read_write_stream
 
     shape = tuple(args.shape)
-    data = clustered(shape, seed=args.seed)
     obs = Observability()
-    engine = ShardedEngine.from_array(
-        data,
-        shards=args.shards,
-        method=args.method,
-        workers=args.workers or None,
-        executor=args.executor,
-        cache_size=args.cache,
-        obs=obs,
-        ipc_reads=getattr(args, "ipc_reads", False),
-    )
+    engine = _replay_engine(args, obs)
     watchdog = engine_watchdog(obs, engine)
     frames = 1 if args.once else max(1, args.iterations)
     verdict = {"healthy": True}
@@ -1190,12 +918,13 @@ def _command_chaos(args) -> int:
             len(sanitizer.violations) if sanitizer is not None else 0
         ),
     }
-    _merge_artifact_row(
-        Path(args.json),
-        "chaos_soak",
-        row,
-        ("shape", "method", "shards", "mode", "executor", "seed", "events"),
-    )
+    if args.json:
+        _merge_artifact_row(
+            Path(args.json),
+            "chaos_soak",
+            row,
+            ("shape", "method", "shards", "mode", "executor", "seed", "events"),
+        )
     if mismatches:
         print(
             f"FAIL: {mismatches} non-degraded answers disagree with the "
@@ -1268,62 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("cube")
     audit.set_defaults(handler=_command_audit)
 
-    bench_batch = commands.add_parser(
-        "bench-batch",
-        help="measure batch vs scalar prefix-query throughput for one method",
-    )
-    bench_batch.add_argument("--method", default="ddc", choices=method_names())
-    bench_batch.add_argument(
-        "--shape", type=int, nargs="+", default=[128, 128], help="cube shape"
-    )
-    bench_batch.add_argument(
-        "--batch", type=int, default=256, help="queries per batch"
-    )
-    bench_batch.add_argument(
-        "--locality", default="zipf", choices=("uniform", "zipf")
-    )
-    bench_batch.add_argument("--seed", type=int, default=0)
-    bench_batch.add_argument(
-        "--json",
-        default="BENCH_batch_queries.json",
-        help="JSON artifact path (rows are merged per method/shape/locality/batch)",
-    )
-    bench_batch.set_defaults(handler=_command_bench_batch)
-
-    bench_descent = commands.add_parser(
-        "bench-descent",
-        help="measure the slab-tree batched descent vs the pure-python DDC",
-    )
-    bench_descent.add_argument(
-        "--shape", type=int, nargs="+", default=[256, 256], help="cube shape"
-    )
-    bench_descent.add_argument(
-        "--batch", type=int, default=64, help="range queries per batch"
-    )
-    bench_descent.add_argument(
-        "--locality", default="zipf", choices=("uniform", "zipf")
-    )
-    bench_descent.add_argument(
-        "--extent",
-        type=float,
-        default=0.125,
-        help="per-axis query span as a fraction of the cube side",
-    )
-    bench_descent.add_argument(
-        "--reps", type=int, default=5, help="timed repetitions (best kept)"
-    )
-    bench_descent.add_argument("--seed", type=int, default=0)
-    bench_descent.add_argument(
-        "--json",
-        default="BENCH_descent.json",
-        help="JSON artifact path (rows merged per shape/locality/batch)",
-    )
-    bench_descent.set_defaults(handler=_command_bench_descent)
-
-    bench_engine = commands.add_parser(
-        "bench-engine",
-        help="measure sharded-engine serving throughput vs the scalar baseline",
-    )
     serve_stats = commands.add_parser(
         "serve-stats",
         help="replay a serving workload and print shard/cache statistics",
@@ -1341,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live serving dashboard: replay, harvest worker metrics, "
         "render request/cache/worker tables and the SLO verdict",
     )
-    for sub in (bench_engine, serve_stats, metrics, trace, top):
+    for sub in (serve_stats, metrics, trace, top):
         sub.add_argument("--method", default="ddc", choices=method_names())
         sub.add_argument(
             "--shape", type=int, nargs="+", default=[256, 256], help="cube shape"
@@ -1374,7 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache", type=int, default=1024, help="result-cache capacity"
         )
         sub.add_argument("--seed", type=int, default=0)
-    for sub in (serve_stats, metrics, trace, top):
         sub.add_argument(
             "--ipc-reads",
             action="store_true",
@@ -1382,15 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="process executor only: route reads through the worker "
             "pipes (worker spans then appear in harvested traces)",
         )
-    bench_engine.add_argument(
-        "--pool", type=int, default=32, help="distinct read queries in the stream"
-    )
-    bench_engine.add_argument(
-        "--json",
-        default="BENCH_engine.json",
-        help="JSON artifact path (rows merged per configuration)",
-    )
-    bench_engine.set_defaults(handler=_command_bench_engine)
     serve_stats.set_defaults(handler=_command_serve_stats)
     metrics.add_argument(
         "--format",
@@ -1613,8 +1276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--json",
-        default="BENCH_chaos.json",
-        help="JSON artifact path (rows merged per configuration)",
+        default=None,
+        help="also merge the soak row into this JSON artifact "
+        "(rows keyed per configuration)",
     )
     chaos.add_argument(
         "--sanitize",

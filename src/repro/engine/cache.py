@@ -20,7 +20,7 @@ cached ranges over the *other* shards perfectly warm — the payoff of
 per-shard rather than global epochs.
 
 The cache itself is not thread-safe; the engine serialises access
-through its lock (lint rule REP007 enforces this at the AST level).
+through its lock (flow rule REP009 checks this on every path).
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ Concurrency model: public operations serialise on one reentrant lock;
 *within* a read, per-shard sub-queries run concurrently on the executor
 (they touch disjoint shards, and the lock keeps writers out for the
 duration).  Shared mutable state — the epoch list and the cache — is
-only touched under the lock or inside ``_locked_*`` helpers, which lint
-rule REP007 enforces mechanically.
+only touched under the lock or inside ``_locked_*`` helpers, which flow
+rule REP009 (``repro analyze``) enforces mechanically.
 """
 
 from __future__ import annotations

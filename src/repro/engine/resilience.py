@@ -27,7 +27,7 @@ All timing flows through the injected observability clock
 directly — which lint rule REP008 enforces and which makes a
 :class:`~repro.obs.clock.ManualClock` chaos soak fully deterministic.
 Breaker state only mutates while the engine holds its request lock
-(rule REP007 covers the engine's ``_breakers`` list).
+(rule REP009 covers the engine's ``_breakers`` list).
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class CircuitBreaker:
       failure re-opens it and re-arms the cooldown.
 
     The breaker is deliberately not thread-safe: the engine mutates it
-    only while holding the request lock (REP007 territory), and records
+    only while holding the request lock (REP009 territory), and records
     outcomes from the coordinating thread after the fan-out returns.
     """
 

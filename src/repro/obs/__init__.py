@@ -21,8 +21,9 @@ Design rules the whole layer obeys:
 * **Disabled means free.**  Every structure carries ``NULL_OBS`` until
   an :class:`Observability` is wired in; the instrumented hot paths
   check one ``obs.enabled`` predicate and otherwise run the exact PR 3
-  code.  ``benchmarks/bench_obs_overhead.py`` proves the disabled-mode
-  cost is within run-to-run noise.
+  code.  The end-to-end benchmark runs its bounded metrics with obs
+  disabled (``engine_hot_reads`` ``read_p50_us``) and reports the
+  enabled-mode cost as ``obs.read_overhead_us``.
 * **One clock.**  All timestamps come from the injected clock; hot-path
   modules never call ``time.perf_counter`` themselves (lint rule
   REP008 enforces this).

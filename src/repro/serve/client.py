@@ -1,13 +1,12 @@
 """A minimal asyncio client for :class:`~repro.serve.CubeServer`.
 
 Stdlib-only, persistent-connection HTTP/1.1 — the exact counterpart of
-the server's parser.  The load generator (``benchmarks/bench_serve.py``),
-the CI smoke job, and the serve tests all speak through this class, so
+the server's parser.  The serve tests all speak through this class, so
 wire-format regressions surface as test failures rather than silent
 drift between ad-hoc request builders.
 
-One :class:`ServeClient` is one connection driven from one event loop —
-the closed-loop bench opens N clients for N concurrent users.  The
+One :class:`ServeClient` is one connection driven from one event loop;
+N concurrent users are N clients.  The
 connection reopens transparently after a server-side close (idle
 timeout, drain, ``Connection: close``).
 """

