@@ -14,8 +14,11 @@ This module stores the b-ary descent of a d-dimensional cube as one
 contiguous buffer sliced into **level slabs**.  With branching factor
 ``b`` (a power of two) and per-axis heights ``H_k`` (``b**H_k`` covers
 axis ``k``), there is one slab per *level combination*
-``L = (l_1, ..., l_d)`` with ``l_k in range(H_k)``, shaped
-``(b**(l_1+1), ..., b**(l_d+1))``.  Along axis ``k``:
+``L = (l_1, ..., l_d)`` with ``l_k in range(H_k)``.  Along axis ``k`` it
+has ``ceil(n_k / b**(H_k-1-l_k))`` positions — one per node the cube's
+own ``n_k`` cells reach, the last sibling group of a level truncated as
+in Pibiri & Venturini's O(n) trees — so all slabs together hold about
+``prod(1 + 1/b + ...) * |A|`` cells.  Along axis ``k``:
 
 * at an **internal** level ``l_k < H_k - 1`` the slab holds the
   *exclusive* sibling block prefix — entry ``p`` sums the subtrees of
@@ -32,9 +35,9 @@ a branch-free sum of ``prod(H_k)`` gathers::
 where ``s_k = (H_k - 1 - l_k) * log2(b)`` — child selection is a shift,
 never a comparison.  Updates are the transpose: a point delta lands in
 every slab as one small axis-aligned rectangle ``+=`` (the sibling
-suffix on each axis), and a *batch* of updates is a vectorised scatter
-into a scratch plane followed by one blockwise ``cumsum`` per axis —
-the whole root-to-leaf scatter path, vectorised.
+suffix on each axis, cut at the slab edge), and a *batch* applies per
+slab whichever is less work: those rectangles, or a scatter into a
+scratch plane followed by one blockwise ``cumsum`` per axis.
 
 An optional :mod:`numba` kernel fuses the per-level gathers into one
 jitted loop; it is feature-detected at import and the numpy gather path
@@ -44,6 +47,7 @@ report which one is live).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Any, Callable, Sequence
 
@@ -163,6 +167,12 @@ def slab_range_many(slab: Array, lows: Array, highs: Array) -> Array:
     return (values.reshape(count, combos) * signs).sum(axis=1)
 
 
+#: One rectangle ``+=``'s interpreter and dispatch time, in swept cells
+#: (~2.4 us against ~3-4 ns a cell).  Hand-set from single-shot timings
+#: on one machine: no end-to-end workload batches enough to reach it.
+_RECT_CELLS = 512
+
+
 class _LevelSlab:
     """One level combination: a contiguous slab view plus its geometry."""
 
@@ -177,6 +187,9 @@ class _LevelSlab:
         "shift_arr",
         "stride_arr",
         "offset_arr",
+        "shape_arr",
+        "plane_shape",
+        "plane_cost",
         "offset",
     )
 
@@ -187,6 +200,7 @@ class _LevelSlab:
         shifts: tuple[int, ...],
         start_offsets: tuple[int, ...],
         offset: int,
+        branching: int,
     ) -> None:
         self.combo = combo
         self.shape = shape
@@ -200,6 +214,11 @@ class _LevelSlab:
         self.shift_arr = np.asarray(shifts, dtype=np.int64)
         self.stride_arr = np.asarray(self.strides, dtype=np.int64)
         self.offset_arr = np.asarray(start_offsets, dtype=np.int64)
+        self.shape_arr = np.asarray(shape, dtype=np.int64)
+        # The plane update's scratch is the slab padded to whole sibling
+        # groups; it is swept to zero it, per axis to cumsum it, to add it.
+        self.plane_shape = tuple(-(-n // branching) * branching for n in shape)
+        self.plane_cost = (len(shape) + 2) * math.prod(self.plane_shape)
         # ``flat`` / ``tensor`` are bound by SlabTree once the shared
         # buffer exists; declared here so __slots__ carries them.
         self.flat: Array | None = None
@@ -248,24 +267,26 @@ class SlabTree:
                 height += 1
             heights.append(height)
         self.heights: tuple[int, ...] = tuple(heights)
-        self.capacities: tuple[int, ...] = tuple(
-            self.branching**height for height in self.heights
-        )
         self._levels: list[_LevelSlab] = []
         offset = 0
         for combo in _level_combos(self.heights):
-            slab_shape = tuple(
-                self.branching ** (level + 1) for level in combo
-            )
             shifts = tuple(
                 (self.heights[axis] - 1 - combo[axis]) * self._log2b
                 for axis in range(self.dims)
+            )
+            # One position per node the cube's own cells reach: the slot
+            # of the last cell plus one, not the full ``b**(level+1)``.
+            slab_shape = tuple(
+                ((extent - 1) >> shift) + 1
+                for extent, shift in zip(self.shape, shifts)
             )
             start_offsets = tuple(
                 0 if combo[axis] == self.heights[axis] - 1 else 1
                 for axis in range(self.dims)
             )
-            level = _LevelSlab(combo, slab_shape, shifts, start_offsets, offset)
+            level = _LevelSlab(
+                combo, slab_shape, shifts, start_offsets, offset, self.branching
+            )
             offset += level.cells
             self._levels.append(level)
         self.buffer: Array = np.zeros(offset, dtype=self.dtype)
@@ -352,37 +373,40 @@ class SlabTree:
 
     def load_dense(self, array: Array) -> None:
         """Recompute every level slab from a dense cube (vectorised)."""
-        padded = np.zeros(self.capacities, dtype=self.dtype)
-        padded[tuple(slice(0, extent) for extent in self.shape)] = array
+        dense = np.asarray(array, dtype=self.dtype)
+        if dense.shape != self.shape:
+            raise ConfigurationError(
+                f"dense cube of shape {dense.shape} does not fit slab tree {self.shape}"
+            )
         for level in self._levels:
-            projected = padded
+            projected = dense
             for axis in range(self.dims):
-                projected = self._axis_project(
-                    projected, axis, level.combo[axis], self.heights[axis]
-                )
+                projected = self._axis_project(projected, axis, level)
             tensor = level.tensor
             if tensor is not None:
                 tensor[...] = projected
 
-    def _axis_project(
-        self, array: Array, axis: int, level: int, height: int
-    ) -> Array:
-        """Apply one axis's level-``level`` operator (see module docs)."""
-        branching = self.branching
-        positions = branching ** (level + 1)
-        block = array.shape[axis] // positions
+    def _axis_project(self, array: Array, axis: int, level: _LevelSlab) -> Array:
+        """Apply one axis's operator for ``level`` (see module docs).
+
+        Zero-pads only to the next whole block, then (one value per
+        block) to the next whole sibling group; crops back to the slab.
+        """
+        positions = level.shape[axis]
+        block = 1 << level.shifts[axis]
         moved = np.moveaxis(array, axis, -1)
-        lead = moved.shape[:-1]
         if block > 1:
-            moved = moved.reshape(lead + (positions, block)).sum(axis=-1)
-        grouped = np.cumsum(
-            moved.reshape(lead + (positions // branching, branching)), axis=-1
-        )
-        if level < height - 1:
-            shifted = np.zeros_like(grouped)
-            shifted[..., 1:] = grouped[..., :-1]
-            grouped = shifted
-        return np.moveaxis(grouped.reshape(lead + (positions,)), -1, axis)
+            moved = _pad_last(moved, positions * block)
+            moved = moved.reshape(moved.shape[:-1] + (positions, block)).sum(axis=-1)
+        moved = _pad_last(moved, level.plane_shape[axis])
+        if level.start_offsets[axis]:
+            # Exclusive: a slot sums the siblings before it, the first none.
+            shifted = np.zeros_like(moved)
+            shifted[..., 1:] = moved[..., :-1]
+            shifted[..., :: self.branching] = 0
+            moved = shifted
+        sums = _sibling_cumsum(moved, moved.ndim - 1, self.branching)
+        return np.moveaxis(sums[..., :positions], -1, axis)
 
     # ------------------------------------------------------------------
     # Queries
@@ -459,7 +483,7 @@ class SlabTree:
             empty = False
             for axis in range(self.dims):
                 slot = cell[axis] >> level.shifts[axis]
-                end = ((slot >> log2b) + 1) << log2b
+                end = min(((slot >> log2b) + 1) << log2b, level.shape[axis])
                 start = slot + level.start_offsets[axis]
                 if start >= end:
                     empty = True
@@ -477,58 +501,63 @@ class SlabTree:
     def add_batch(self, cells: Array, deltas: Array) -> int:
         """Batched point updates: vectorised scatter along every path.
 
-        Per level slab the batch either applies as per-update rectangle
-        ``+=`` (cheap when the batch is small next to the slab) or as a
-        single scatter into a scratch plane followed by one blockwise
-        ``cumsum`` per axis — the root-to-leaf scatter-add, vectorised.
-        Returns the number of cells written.
+        Per level slab the batch applies as per-update rectangle ``+=``
+        or, when those rectangles (their cells plus ``_RECT_CELLS``
+        each) cost more than the plane's ``d + 2`` sweeps of the slab,
+        as one scatter into a scratch plane followed by a blockwise
+        ``cumsum`` per axis.  Returns the number of cells written (the
+        rectangles' volume on either path).
         """
         written = 0
         log2b = self._log2b
-        branching = self.branching
-        fanout = branching**self.dims
-        scratch = self._slice_scratch
         for level in self._levels:
             tensor = level.tensor
             if tensor is None:  # pragma: no cover - defensive
                 continue
             slots = cells >> level.shift_arr
-            ends = ((slots >> log2b) + 1) << log2b
+            ends = np.minimum(((slots >> log2b) + 1) << log2b, level.shape_arr)
             starts = slots + level.offset_arr
-            lengths = ends - starts
-            valid = lengths.min(axis=1) > 0
-            hit = int(np.count_nonzero(valid))
-            if not hit:
+            # A last sibling has no suffix at an internal level: volume 0.
+            volumes = (ends - starts).prod(axis=1)
+            volume = int(volumes.sum())
+            written += volume
+            hit = volumes > 0
+            if volume + _RECT_CELLS * np.count_nonzero(hit) >= level.plane_cost:
+                self._add_plane(level, tensor, starts[hit], deltas[hit])
                 continue
-            written += int(lengths[valid].prod(axis=1).sum())
-            if hit * fanout < tensor.size:
-                valid_starts = starts[valid]
-                valid_ends = ends[valid]
-                valid_deltas = deltas[valid]
-                for row in range(hit):
-                    for axis in range(self.dims):
-                        scratch[axis] = slice(
-                            int(valid_starts[row, axis]),
-                            int(valid_ends[row, axis]),
-                        )
-                    tensor[tuple(scratch)] += valid_deltas[row]
-                continue
-            plane = np.zeros(level.shape, dtype=self.dtype)
-            index = tuple(starts[valid][:, axis] for axis in range(self.dims))
-            np.add.at(plane, index, deltas[valid])
-            for axis in range(self.dims):
-                positions = level.shape[axis]
-                moved = np.moveaxis(plane, axis, -1)
-                lead = moved.shape[:-1]
-                grouped = np.cumsum(
-                    moved.reshape(lead + (positions // branching, branching)),
-                    axis=-1,
-                )
-                plane = np.moveaxis(
-                    grouped.reshape(lead + (positions,)), -1, axis
-                )
-            tensor += plane
+            for low, high, delta, cells_hit in zip(
+                starts.tolist(), ends.tolist(), deltas, volumes.tolist()
+            ):
+                if cells_hit:
+                    tensor[tuple(map(slice, low, high))] += delta
         return written
+
+    def _add_plane(
+        self, level: _LevelSlab, tensor: Array, starts: Array, deltas: Array
+    ) -> None:
+        """Scatter ``deltas`` at the rectangles' low corners, then one
+        blockwise ``cumsum`` per axis spreads each over its sibling suffix."""
+        plane = np.zeros(level.plane_shape, dtype=self.dtype)
+        np.add.at(plane, tuple(starts.T), deltas)
+        for axis in range(self.dims):
+            plane = _sibling_cumsum(plane, axis, self.branching)
+        tensor += plane[tuple(map(slice, level.shape))]
+
+
+def _sibling_cumsum(array: Array, axis: int, branching: int) -> Array:
+    """Running sums along ``axis``, restarted at every group of ``b``."""
+    shape = array.shape
+    split = shape[:axis] + (shape[axis] // branching, branching) + shape[axis + 1 :]
+    return np.cumsum(array.reshape(split), axis=axis + 1).reshape(shape)
+
+
+def _pad_last(array: Array, size: int) -> Array:
+    """``array`` zero-padded along its last axis to ``size`` entries."""
+    if array.shape[-1] == size:
+        return array
+    padded = np.zeros(array.shape[:-1] + (size,), dtype=array.dtype)
+    padded[..., : array.shape[-1]] = array
+    return padded
 
 
 def _level_combos(heights: Sequence[int]) -> list[tuple[int, ...]]:

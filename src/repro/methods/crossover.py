@@ -6,11 +6,14 @@ loop — the per-call setup never amortises.  Earlier revisions pinned
 that threshold per class with hand-tuned constants measured on one
 machine; this module replaces them with a measured decision: the first
 time a method with ``batch_crossover = "auto"`` dispatches a batch, a
-small probe cube is built, both paths are timed at a few geometric
-batch sizes, and the smallest size where the batch path wins becomes
-the class's crossover on this machine.  The result is cached per
-``(class, dims)``, so the probe runs once per process — a few
-milliseconds, paid on the first batch call, never on the hot path.
+small probe cube is built, both paths are timed along a geometric
+ladder of batch sizes, and the crossover is where the lines fitted
+through those timings meet (see :func:`_probe`) — a fit, because a
+rung-by-rung comparison hinges on its closest rung, where one
+preempted repetition flips the answer for the life of the process.
+The result is cached per ``(class, dims)``, so the probe runs once per
+process — for ``vector`` a ~40k-cell tree and a few milliseconds, paid
+on the first batch call, never on the hot path.
 
 The probe is observable and overridable:
 
@@ -28,7 +31,9 @@ Timing uses the observability clock wrapper, never ``time.*`` directly
 
 from __future__ import annotations
 
+import math
 import os
+import statistics
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -52,6 +57,8 @@ PROBE_BATCH_SIZES = (4, 16, 64, 256)
 #: depth, small enough that the probe costs milliseconds.
 _PROBE_SIDE = 32
 
+#: Timings are the best of this many repetitions: noise only ever adds
+#: time, so one preempted repetition never reaches the fit.
 _REPS = 2
 
 _CACHE: dict[tuple[type, int], int] = {}
@@ -76,10 +83,10 @@ def calibration_report() -> dict[str, list[dict[str, Any]]]:
 def calibrated_crossover(cls: "type[RangeSumMethod]", dims: int) -> int:
     """The measured batch/scalar threshold for ``cls`` at ``dims`` axes.
 
-    Returns the smallest probed batch size whose batch path beat the
-    scalar loop (and every larger probed size also did); if the batch
-    path never won, one past the largest probed size — i.e. batches up
-    to 256 stay scalar, larger ones are trusted to amortise.
+    Returns the fitted batch size from which the batch path beats the
+    scalar loop, clamped to the ladder; if the batch path never
+    amortises, one past the largest rung — i.e. batches up to 256 stay
+    scalar, larger ones are trusted to amortise.
     """
     pinned = os.environ.get("REPRO_BATCH_CROSSOVER")
     if pinned:
@@ -103,14 +110,18 @@ def calibrated_crossover(cls: "type[RangeSumMethod]", dims: int) -> int:
 
 
 def _probe(cls: "type[RangeSumMethod]", dims: int) -> tuple[int, list[dict[str, Any]]]:
-    """Time both paths on a probe cube; returns (crossover, rows)."""
+    """Time both paths on a probe cube; returns (crossover, rows).
+
+    Fits the batch path as ``setup + slope * n`` (least squares over the
+    ladder) and the scalar loop as ``per_query * n``; they cross at
+    ``setup / (per_query - slope)``, clamped to the ladder.
+    """
     rng = np.random.default_rng(1729)
     shape = (_PROBE_SIDE,) * dims
     data = rng.integers(0, 10, size=shape)
     method = cls.from_array(data)
     rows: list[dict[str, Any]] = []
-    crossover = PROBE_BATCH_SIZES[-1] + 1
-    for size in reversed(PROBE_BATCH_SIZES):
+    for size in PROBE_BATCH_SIZES:
         cells = [
             tuple(int(value) for value in row)
             for row in rng.integers(0, _PROBE_SIDE, size=(size, dims))
@@ -125,36 +136,36 @@ def _probe(cls: "type[RangeSumMethod]", dims: int) -> tuple[int, list[dict[str, 
                 "batch_wins": batch_seconds <= scalar_seconds,
             }
         )
-        if batch_seconds <= scalar_seconds:
-            crossover = size
-        else:
-            # Sizes below a loss would only be noisier; stop descending.
-            break
-    rows.reverse()
-    return crossover, rows
+    slope, setup = statistics.linear_regression(
+        PROBE_BATCH_SIZES, [row["batch_seconds"] for row in rows]
+    )
+    per_query = sum(row["scalar_seconds"] for row in rows) / sum(PROBE_BATCH_SIZES)
+    low, high = PROBE_BATCH_SIZES[0], PROBE_BATCH_SIZES[-1] + 1
+    if per_query <= slope:
+        return high, rows
+    return min(max(math.ceil(setup / (per_query - slope)), low), high), rows
 
 
 def _time_path(
     method: "RangeSumMethod", cells: list[tuple[int, ...]], force_batch: bool
 ) -> float:
     """Best-of-reps wall time for one path over one probe batch."""
+
+    def run() -> None:
+        if force_batch:
+            method.prefix_sum_many(cells)
+        else:
+            for cell in cells:
+                method.prefix_sum(cell)
+
     best = float("inf")
-    if force_batch:
-        method.batch_crossover_override = 1
-        try:
-            method.prefix_sum_many(cells)  # warm-up: first-touch setup
-            for _ in range(_REPS):
-                start = _CLOCK.now()
-                method.prefix_sum_many(cells)
-                best = min(best, _CLOCK.now() - start)
-        finally:
-            method.batch_crossover_override = None
-        return best
-    for cell in cells:
-        method.prefix_sum(cell)
-    for _ in range(_REPS):
-        start = _CLOCK.now()
-        for cell in cells:
-            method.prefix_sum(cell)
-        best = min(best, _CLOCK.now() - start)
+    method.batch_crossover_override = 1 if force_batch else None
+    try:
+        run()  # warm-up: first-touch setup
+        for _ in range(_REPS):
+            start = _CLOCK.now()
+            run()
+            best = min(best, _CLOCK.now() - start)
+    finally:
+        method.batch_crossover_override = None
     return best

@@ -336,6 +336,90 @@ class TestVectorDifferentialFuzz:
         assert int(vector.total()) == int(oracle.sum())
         assert dims == len(vector.shape)
 
+    @settings(max_examples=30 * _SCALE, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**31),
+        branching=st.sampled_from([2, 4, 16]),
+        dims=st.integers(1, 3),
+        plane=st.sampled_from(["by-volume", "always", "never"]),
+        steps=st.lists(
+            st.sampled_from(["add", "add_many", "range_many", "prefix_many"]),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_awkward_extents_track_dense_oracle(
+        self, data, seed, branching, dims, plane, steps
+    ):
+        """Slabs sized to the cube, not to ``b**H``: extents one off a
+        block or a sibling group on either side, both update branches."""
+        from repro.methods.vector import VectorSlabCube
+
+        b = branching
+        extents = sorted({1, 2, b - 1, b, b + 1, b * b - 1, b * b, b * b + 1, 100, 37})
+        shape = tuple(
+            data.draw(st.sampled_from(extents), label=f"extent {axis}")
+            for axis in range(dims)
+        )
+        if int(np.prod(shape)) > 20_000:
+            shape = shape[:-1] + (2,)
+        rng = np.random.default_rng(seed)
+        oracle = rng.integers(-9, 10, size=shape)
+        vector = VectorSlabCube.from_array(oracle.copy(), branching=b)
+        vector.batch_crossover_override = 1
+        if plane != "by-volume":
+            for level in vector.tree._levels:
+                level.plane_cost = 0 if plane == "always" else 2**62
+
+        def cell():
+            return tuple(int(rng.integers(0, n)) for n in shape)
+
+        for step in steps:
+            if step == "add":
+                target, delta = cell(), int(rng.integers(-5, 6))
+                vector.add(target, delta)
+                oracle[target] += delta
+            elif step == "add_many":
+                batch = [
+                    (cell(), int(rng.integers(-5, 6)))
+                    for _ in range(int(rng.integers(1, 40)))
+                ]
+                for target, delta in batch:
+                    oracle[target] += delta
+                vector.add_many(batch)
+            elif step == "range_many":
+                lows = [cell() for _ in range(int(rng.integers(1, 8)))]
+                ranges = [
+                    (
+                        low,
+                        tuple(
+                            int(rng.integers(lo, shape[axis]))
+                            for axis, lo in enumerate(low)
+                        ),
+                    )
+                    for low in lows
+                ]
+                got = vector.range_sum_many(ranges)
+                assert [int(v) for v in got] == [
+                    int(
+                        oracle[
+                            tuple(slice(lo, hi + 1) for lo, hi in zip(low, high))
+                        ].sum()
+                    )
+                    for low, high in ranges
+                ]
+            else:
+                cells = [cell() for _ in range(int(rng.integers(1, 8)))]
+                prefix = oracle
+                for axis in range(dims):
+                    prefix = prefix.cumsum(axis=axis)
+                got = vector.prefix_sum_many(cells)
+                assert [int(v) for v in got] == [int(prefix[c]) for c in cells]
+        vector.validate()
+        assert np.array_equal(vector.to_dense(), oracle)
+        assert int(vector.total()) == int(oracle.sum())
+
 
 class TestGrowableFuzz:
     @settings(max_examples=25 * _SCALE, deadline=None)

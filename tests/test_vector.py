@@ -94,6 +94,13 @@ class TestSlabTree:
         with pytest.raises(ConfigurationError):
             SlabTree((0, 8))
 
+    @pytest.mark.parametrize("shape", [(10,), (16, 1), (17,)])
+    def test_load_dense_rejects_a_wrong_shaped_cube(self, shape):
+        tree = SlabTree((16,))
+        with pytest.raises(ConfigurationError, match="does not fit slab tree"):
+            tree.load_dense(np.ones(shape, dtype=np.int64))
+        assert not tree.buffer.any()
+
     def test_level_layout_covers_buffer(self):
         tree = SlabTree((64, 64), branching=8)
         layout = tree.level_layout()
@@ -148,6 +155,167 @@ class TestSlabTree:
             check=True,
         )
         assert out.stdout.strip() == "numpy"
+
+
+def _awkward_shapes():
+    """Extents one off a block / a sibling group on either side, d <= 3."""
+    cases = []
+    for b in (2, 4, 16):
+        extents = sorted({1, 2, b - 1, b, b + 1, b * b - 1, b * b, b * b + 1, 100, 37})
+        draw = np.random.default_rng(b)
+        shapes = [(n,) for n in extents]
+        for dims in (2, 3):
+            while len(shapes) < len(extents) + (8 if dims == 2 else 14):
+                shape = tuple(int(n) for n in draw.choice(extents, size=dims))
+                if int(np.prod(shape)) <= 12_000:
+                    shapes.append(shape)
+        cases += [
+            pytest.param(b, shape, id=f"b{b}-" + "x".join(map(str, shape)))
+            for shape in shapes
+        ]
+    return cases
+
+
+def _level_volumes(tree, cells):
+    """Per level ``(cells, count)`` of the non-empty sibling-suffix
+    rectangles, recomputed from ``level_layout()`` alone (the
+    independent count for ``written``)."""
+    log2b = tree.branching.bit_length() - 1
+    volumes = []
+    for row in tree.level_layout():
+        total = rectangles = 0
+        for cell in cells:
+            size = 1
+            for axis, coord in enumerate(cell):
+                slot = int(coord) >> row["shifts"][axis]
+                leaf = row["combo"][axis] == tree.heights[axis] - 1
+                group_end = ((slot >> log2b) + 1) << log2b
+                end = min(group_end, row["shape"][axis])
+                size *= max(0, end - slot - (0 if leaf else 1))
+            total += size
+            rectangles += size > 0
+        volumes.append((total, rectangles))
+    return volumes
+
+
+class TestSlabLayout:
+    """Level slabs at the cube's own size (no ``b**H`` padding)."""
+
+    @pytest.mark.parametrize("branching, shape", _awkward_shapes())
+    def test_awkward_extents_match_dense_oracle(self, branching, shape, rng):
+        dims = len(shape)
+        dense = rng.integers(-9, 10, size=shape)
+        tree = SlabTree(shape, branching=branching)
+        tree.load_dense(dense)
+        tree.validate()
+        scalar = SlabTree(shape, branching=branching)
+        scalar.load_dense(dense)
+
+        def draw(count):
+            return np.stack(
+                [rng.integers(0, n, size=count) for n in shape], axis=1
+            ).astype(np.int64)
+
+        by_volume = [level.plane_cost for level in tree._levels]
+        for costs in ([0] * len(by_volume), [2**62] * len(by_volume), by_volume):
+            # every slab takes the plane / the rectangles / the cheaper
+            for level, cost in zip(tree._levels, costs):
+                level.plane_cost = cost
+            cells, deltas = draw(25), rng.integers(-5, 6, size=25)
+            lone = tuple(int(v) for v in draw(1)[0])
+            written = tree.add_one(lone, 3) + tree.add_batch(cells, deltas)
+            expected = scalar.add_one(lone, 3)
+            dense[lone] += 3
+            for cell, delta in zip(cells, deltas):
+                expected += scalar.add_one(tuple(int(v) for v in cell), int(delta))
+                dense[tuple(cell)] += delta
+            assert written == expected == sum(
+                volume for volume, _ in _level_volumes(tree, [lone, *cells])
+            )
+            assert np.array_equal(tree.buffer, scalar.buffer)
+        prefix = dense
+        for axis in range(dims):
+            prefix = prefix.cumsum(axis=axis)
+        coords = draw(60)
+        assert list(tree.prefix_many(coords)) == [int(prefix[tuple(c)]) for c in coords]
+        lows, spans = draw(40), draw(40)
+        highs = np.minimum(lows + spans, np.asarray(shape) - 1)
+        assert [int(v) for v in tree.range_many(lows, highs)] == [
+            dense_range_sum(dense, low, high) for low, high in zip(lows, highs)
+        ]
+        tree.validate()
+
+    @pytest.mark.parametrize("branching, shape", _awkward_shapes())
+    def test_validate_names_the_slab_of_a_perturbed_cell(self, branching, shape, rng):
+        tree = SlabTree(shape, branching=branching)
+        tree.load_dense(rng.integers(-9, 10, size=shape))
+        # Every slab with an internal axis is redundant: no cube explains
+        # a changed sibling prefix.  (The all-leaf slab is the free part.)
+        redundant = tree._levels[:-1]
+        for level in redundant[:: max(1, len(redundant) // 6)]:
+            local = int(rng.integers(0, level.cells))
+            tree.buffer[level.offset + local] += 1
+            with pytest.raises(StructureError, match=r"slab \(.*\) cell \d+ inconsistent"):
+                tree.validate()
+            tree.buffer[level.offset + local] -= 1
+        tree.validate()
+
+    @pytest.mark.parametrize(
+        "shape", [(64, 64, 64), (1024, 1024), (256, 256), (16, 64, 64)]
+    )
+    def test_storage_stays_near_the_cube(self, shape):
+        # prod(1 + 1/b + ...) ~ 1.07**d at b = 16; the padded layout held
+        # 76.8, 18.2, 1.13 and 18.06 cells per cube cell here.
+        tree = SlabTree(shape)
+        assert tree.memory_cells() / np.prod(shape) <= 1.25
+        assert not hasattr(tree, "capacities")
+
+    def test_level_shapes_are_pinned(self):
+        def shapes(shape):
+            return [tuple(row["shape"]) for row in SlabTree(shape).level_layout()]
+
+        assert shapes((256, 256)) == [(16, 16), (16, 256), (256, 16), (256, 256)]
+        assert shapes((16, 64, 64)) == [
+            (16, 4, 4), (16, 4, 64), (16, 64, 4), (16, 64, 64),
+        ]
+
+    @pytest.mark.parametrize("shape", [(16, 64, 64), (64, 64, 64), (37, 100)])
+    @pytest.mark.parametrize("count", [16, 64, 256, 4096])
+    def test_batch_update_is_priced_by_work(self, shape, count, rng, monkeypatch):
+        """Forced-batch ``add_batch`` does no more work than the scalar
+        loop: a slab takes the plane only when its rectangles — their
+        cells plus a constant each — already cost the plane's ``d + 2``
+        sweeps, so what it sweeps is bounded by what the loop writes."""
+        tree = SlabTree(shape)
+        planes = []
+        real = SlabTree._add_plane
+
+        def spy(self, level, tensor, starts, deltas):
+            planes.append(level.combo)
+            real(self, level, tensor, starts, deltas)
+
+        monkeypatch.setattr(SlabTree, "_add_plane", spy)
+        cells = np.stack([rng.integers(0, n, size=count) for n in shape], axis=1)
+        written = tree.add_batch(cells, np.ones(count, dtype=np.int64))
+        volumes = _level_volumes(tree, cells)
+        assert written == sum(volume for volume, _ in volumes)
+        swept = rectangles = 0
+        for level, (volume, count_hit) in zip(tree._levels, volumes):
+            assert level.plane_cost >= (len(shape) + 2) * level.cells
+            loop_cost = volume + slab_tree._RECT_CELLS * count_hit
+            if level.combo in planes:
+                assert loop_cost >= level.plane_cost
+                swept += level.plane_cost
+            else:
+                assert loop_cost < level.plane_cost
+                swept += volume
+            rectangles += count_hit
+        assert swept <= written + slab_tree._RECT_CELLS * rectangles
+        if count == 16 and len(shape) == 3:
+            # engine_batch_3d's per-shard group: never a sweep of a slab.
+            assert not planes
+        if count == 4096:
+            assert planes, "the plane branch must stay reachable by volume"
 
 
 class TestVectorSlabCube:
@@ -229,6 +397,57 @@ class TestVectorSlabCube:
         scalar = vector.stats.snapshot()
         assert batched.node_visits == scalar.node_visits
         assert batched.cell_reads == scalar.cell_reads
+
+    def test_scalar_fallbacks_charge_what_the_batch_path_charges(self, rng):
+        """``add_many`` / ``range_sum_many`` below the crossover go
+        straight to the tree: same answers, same buffer, same counters."""
+        data = rng.integers(-9, 10, size=(37, 20))
+        batched = build_method("vector", data)
+        fallback = build_method("vector", data)
+        batched.batch_crossover_override = 1
+        fallback.batch_crossover_override = 10**9
+        updates = [
+            ((int(rng.integers(0, 37)), int(rng.integers(0, 20))), int(delta))
+            for delta in rng.integers(-5, 6, size=30)
+        ]
+        ranges = [(q.low, q.high) for q in random_ranges((37, 20), 30, seed=5)]
+        for method in (batched, fallback):
+            method.stats.reset()
+            method.add_many(updates)
+            method.add_many([((np.int64(36), np.int64(19)), 5)])  # coerced once
+        assert batched.last_batch_path == "batch"
+        assert fallback.last_batch_path == "scalar"
+        assert np.array_equal(batched.tree.buffer, fallback.tree.buffer)
+        assert [int(v) for v in batched.range_sum_many(ranges)] == [
+            int(v) for v in fallback.range_sum_many(ranges)
+        ]
+        assert batched.stats.snapshot() == fallback.stats.snapshot()
+        assert batched.stats.cell_writes > 0 and batched.stats.cell_reads > 0
+
+    def test_scalar_fallbacks_report_like_the_batch_path(self, rng):
+        """With obs wired, a ``*_many`` call below the crossover observes
+        the descent once per call and opens no per-query span or
+        ``method_query_*`` sample — what the batch path reports."""
+        data = rng.integers(-9, 10, size=(20, 20))
+        ranges = [(q.low, q.high) for q in random_ranges((20, 20), 12, seed=3)]
+        updates = [((int(i), int(i)), 1) for i in range(12)]
+        reports = {}
+        for path, override in (("batch", 1), ("scalar", 10**9)):
+            vector = build_method("vector", data)
+            vector.obs = obs = Observability()
+            vector.batch_crossover_override = override
+            vector.range_sum_many(ranges)
+            vector.add_many(updates)
+            assert vector.last_batch_path == path
+            depth = obs.descent_depth
+            reports[path] = (
+                depth.labels(structure="slab-tree", op="prefix").count,
+                depth.labels(structure="slab-tree", op="add").count,
+                obs.method_query_seconds.labels(method="vector").count,
+                obs.method_query_ops.labels(method="vector").count,
+                obs.batch_path_total.labels(method="vector", path=path).value,
+            )
+        assert reports["scalar"] == reports["batch"] == (1, 1, 0, 0, 2)
 
     def test_obs_instrumentation_records_descent(self, rng):
         data = rng.integers(0, 5, size=(16, 16))
@@ -319,3 +538,66 @@ class TestCalibration:
         finally:
             monkeypatch.delenv("REPRO_BATCH_CROSSOVER")
             crossover_module.reset_calibration()
+
+    @staticmethod
+    def _scripted_probe(monkeypatch, batch_us, scalar_us, outlier=None):
+        """Run the probe on a clock that replays modelled durations.
+
+        Each timed region reads the clock twice; the script hands out one
+        duration per region in the probe's order (per rung: the batch
+        repetitions, then the scalar ones).  ``outlier`` multiplies one
+        region's duration by 50 — a preempted repetition.
+        """
+        from repro.methods import crossover as crossover_module
+
+        durations = []
+        for size in crossover_module.PROBE_BATCH_SIZES:
+            durations += [batch_us(size) * 1e-6] * crossover_module._REPS
+            durations += [scalar_us(size) * 1e-6] * crossover_module._REPS
+        if outlier is not None:
+            durations[outlier] *= 50
+
+        class ScriptedClock:
+            def __init__(self):
+                self.reading, self.script, self.open = 0.0, iter(durations), False
+
+            def now(self):
+                if self.open:
+                    self.reading += next(self.script)
+                self.open = not self.open
+                return self.reading
+
+        monkeypatch.delenv("REPRO_BATCH_CROSSOVER", raising=False)
+        monkeypatch.setattr(crossover_module, "_CLOCK", ScriptedClock())
+        crossover_module.reset_calibration()
+        try:
+            return crossover_module.calibrated_crossover(VectorSlabCube, 2)
+        finally:
+            crossover_module.reset_calibration()
+
+    def test_one_outlier_rep_does_not_move_the_crossover(self, monkeypatch):
+        from repro.methods.crossover import _REPS, PROBE_BATCH_SIZES
+
+        def batch(n):
+            return 40 + 0.8 * n  # setup + slope * n
+
+        def scalar(n):
+            return 4.0 * n
+
+        clean = self._scripted_probe(monkeypatch, batch, scalar)
+        assert clean == 13  # ceil(40 / (4.0 - 0.8))
+        regions = 2 * _REPS * len(PROBE_BATCH_SIZES)
+        for outlier in range(regions):
+            assert (
+                self._scripted_probe(monkeypatch, batch, scalar, outlier) == clean
+            ), f"timed region {outlier} moved the crossover"
+
+    def test_crossover_is_clamped_to_the_ladder(self, monkeypatch):
+        from repro.methods.crossover import PROBE_BATCH_SIZES
+
+        low, past = PROBE_BATCH_SIZES[0], PROBE_BATCH_SIZES[-1] + 1
+        probe = self._scripted_probe
+        # no setup to amortise / never amortises / amortises past the ladder
+        assert probe(monkeypatch, lambda n: 0.5 * n, lambda n: 4.0 * n) == low
+        assert probe(monkeypatch, lambda n: 40 + 5.0 * n, lambda n: 4.0 * n) == past
+        assert probe(monkeypatch, lambda n: 4000 + 0.8 * n, lambda n: 4.0 * n) == past
