@@ -1024,15 +1024,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=0,
-            help="executor threads (0 = deterministic sequential fan-out)",
+            help="worker processes (process executor)",
         )
         sub.add_argument(
             "--executor",
             default=None,
-            choices=("serial", "thread", "process"),
+            choices=("serial", "process"),
             help="executor kind; 'process' serves shards from "
             "shared-memory slabs via a worker-process pool "
-            "(default: auto — threads when --workers >= 2)",
+            "(default: serial)",
         )
         sub.add_argument(
             "--mix", type=float, default=0.9, help="fraction of events that read"
@@ -1123,13 +1123,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="executor threads (0 = deterministic sequential fan-out)",
+        help="worker processes (process executor)",
     )
     serve.add_argument(
         "--executor",
         default=None,
-        choices=("serial", "thread", "process"),
-        help="executor kind (default: auto)",
+        choices=("serial", "process"),
+        help="executor kind (default: serial)",
     )
     serve.add_argument(
         "--cache", type=int, default=1024, help="result-cache capacity"

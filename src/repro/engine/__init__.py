@@ -22,7 +22,7 @@ is unchanged, so resilience and chaos tooling compose as-is.
 
 from .cache import MISS, EpochLruCache
 from .engine import ShardedEngine
-from .executor import SerialExecutor, ThreadedExecutor, make_executor
+from .executor import SerialExecutor
 from .process import ProcessExecutor, ShmShardReplica
 from .resilience import (
     BREAKER_CLOSED,
@@ -46,11 +46,9 @@ __all__ = [
     "EpochLruCache",
     "MISS",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "ShmShardReplica",
     "ShardSlabStore",
-    "make_executor",
     "ResiliencePolicy",
     "Deadline",
     "CircuitBreaker",

@@ -10,9 +10,9 @@ shards (each one any registered method, DDC by default), and serves:
   bumping that shard's epoch counter;
 * **range / prefix queries** by decomposing the range into at most one
   local sub-range per overlapping shard, fanning the sub-queries out
-  over an executor (sequential by default, a thread pool when
-  ``workers >= 2``), and summing the partial results — correct because
-  the slabs are disjoint;
+  over an executor (in the calling thread by default, a pool of worker
+  processes with ``executor="process"``), and summing the partial
+  results — correct because the slabs are disjoint;
 * **batches** by grouping all sub-queries / updates per shard first, so
   each shard answers its whole share through one ``range_sum_many`` /
   ``add_many`` call and the per-shard path-sharing machinery keeps
@@ -22,8 +22,8 @@ shards (each one any registered method, DDC by default), and serves:
   interleaved writes stay exactly visible.
 
 Concurrency model: public operations serialise on one reentrant lock;
-*within* a read, per-shard sub-queries run concurrently on the executor
-(they touch disjoint shards, and the lock keeps writers out for the
+*within* a read, per-shard sub-queries go through the executor (they
+touch disjoint shards, and the lock keeps writers out for the
 duration).  Shared mutable state — the epoch list and the cache — is
 only touched under the lock or inside ``_locked_*`` helpers, which flow
 rule REP009 (``repro analyze``) enforces mechanically.
@@ -50,7 +50,7 @@ from ..methods.registry import method_class
 from ..obs import NULL_OBS
 from ..obs.metrics import NULL_INSTRUMENT
 from .cache import MISS, EpochLruCache
-from .executor import ThreadedExecutor, make_executor
+from .executor import SerialExecutor
 from .resilience import CircuitBreaker, Deadline, PartialResult, ResiliencePolicy
 from .sharding import ShardPlan
 
@@ -64,8 +64,11 @@ class ShardedEngine(RangeSumMethod):
         shape: logical cube shape; the leading dimension is sharded.
         shards: number of slabs (1 degenerates to a cached passthrough).
         method: registry name of the per-shard structure (default DDC).
-        workers: executor threads for sub-query fan-out; ``None``/0/1
-            select the deterministic sequential executor.
+        workers: worker processes for ``executor="process"``
+            (``None``/0 let the pool size itself).  ``workers >= 2``
+            with any other executor is a
+            :class:`~repro.exceptions.ConfigurationError`: there is no
+            in-process pool to size.
         cache_size: LRU capacity in entries; 0 disables result caching.
         dtype: value dtype, forwarded to every shard.
         method_kwargs: extra keyword arguments for shard construction.
@@ -85,19 +88,16 @@ class ShardedEngine(RangeSumMethod):
         executor: either a pre-built executor (anything with the
             ``map`` / ``try_map`` / ``shutdown`` surface — this is how
             tests and the chaos CLI interpose a
-            :class:`~repro.engine.resilience.FaultInjector`; ``workers``
-            is then ignored) or one of the strings ``"serial"``,
-            ``"thread"``, ``"process"``.  ``"process"`` replaces the
+            :class:`~repro.engine.resilience.FaultInjector`) or one of
+            the strings ``"serial"`` and ``"process"``; ``None`` (the
+            default) means ``"serial"``.  ``"process"`` replaces the
             in-process shards with
             :class:`~repro.engine.process.ShmShardReplica` proxies over
             a :class:`~repro.engine.shm.ShardSlabStore` — every shard's
             payload becomes a shared-memory prefix-sum slab served by a
             persistent worker-process pool, side-stepping the GIL
             entirely (``method`` then only labels reports; the slab
-            layout is fixed).  ``None`` (the default) keeps the
-            historical behaviour: threads when ``workers >= 2``, serial
-            otherwise — except that a single-shard plan now always runs
-            serially, since there is nothing to fan out.
+            layout and its read kernel are fixed).
         ipc_reads: process mode only — route every read through the
             owning worker's pipe instead of gathering directly off the
             shared slab.  Slower, but it makes reads themselves cross
@@ -130,11 +130,16 @@ class ShardedEngine(RangeSumMethod):
         executor_kind = executor if isinstance(executor, str) else None
         if executor_kind is not None:
             executor = None
-            if executor_kind not in ("serial", "thread", "process"):
+            if executor_kind not in ("serial", "process"):
                 raise ConfigurationError(
                     f"unknown executor kind {executor_kind!r} "
-                    f"(expected 'serial', 'thread', or 'process')"
+                    f"(expected 'serial' or 'process')"
                 )
+        if workers is not None and workers >= 2 and executor_kind != "process":
+            raise ConfigurationError(
+                f"workers={workers} sizes the worker-process pool and needs "
+                f'executor="process"; the in-process executor is serial'
+            )
         shard_cls = method_class(method)
         self._store = None
         self._process_pool = None
@@ -142,14 +147,7 @@ class ShardedEngine(RangeSumMethod):
             from .process import ProcessExecutor, ShmShardReplica
             from .shm import ShardSlabStore
 
-            # Slab-native methods (``slab_kernel = "vector"``) swap the
-            # per-query corner loop for the batched slab-tree gather in
-            # every worker; pointer methods keep the scalar kernel.
-            self._store = ShardSlabStore(
-                self.plan,
-                dtype=self.dtype,
-                kernel=getattr(shard_cls, "slab_kernel", "scalar"),
-            )
+            self._store = ShardSlabStore(self.plan, dtype=self.dtype)
             self._process_pool = ProcessExecutor(
                 self._store, workers=workers, obs=self.obs,
                 ipc_reads=ipc_reads,
@@ -180,22 +178,9 @@ class ShardedEngine(RangeSumMethod):
         elif executor_kind == "process":
             self._executor = self._process_pool
             self.executor_kind = "process"
-        elif executor_kind == "thread":
-            self._executor = ThreadedExecutor(workers if workers and workers >= 2 else 2)
-            self.executor_kind = "thread"
-        elif executor_kind == "serial":
-            self._executor = make_executor(None)
-            self.executor_kind = "serial"
         else:
-            # Default selection, with one refinement: a single-shard plan
-            # has nothing to fan out, so a thread pool would be pure
-            # dispatch overhead — degrade to the serial executor.
-            self._executor = make_executor(
-                workers if self.plan.count > 1 else None
-            )
-            self.executor_kind = (
-                "thread" if self._executor.workers > 1 else "serial"
-            )
+            self._executor = SerialExecutor()
+            self.executor_kind = "serial"
         self._lock = threading.RLock()
         self._epochs = [0] * self.plan.count
         self._cache = EpochLruCache(cache_size)
@@ -568,22 +553,19 @@ class ShardedEngine(RangeSumMethod):
     def _locked_compute_one(self, key: tuple):
         """Answer one missing range; caller holds the lock.
 
-        The scalar serving path: no batch dictionaries, and no executor
-        dispatch unless a thread pool is attached and the range actually
-        spans several shards.  With a resilience policy attached every
+        The scalar serving path: no batch dictionaries and no executor
+        dispatch — the shards a single range spans are read in turn in
+        the calling thread.  With a resilience policy attached every
         read goes through the guarded fan-out instead, so deadlines,
         retries, and breakers apply uniformly.
         """
         if self.policy is not None:
             return self._locked_compute([key])[0][1]
-        parts = list(self.plan.decompose(*key))
-        if len(parts) > 1 and self._executor.workers > 1:
-            return self._locked_compute([key])[0][1]
         epochs = tuple(self._epochs)
         obs = self.obs
         total = self._zero()
         dependencies = []
-        for index, local_low, local_high in parts:
+        for index, local_low, local_high in self.plan.decompose(*key):
             shard = self._shards[index]
             self.stats.touch(shard)
             if not obs.enabled:

@@ -1,30 +1,30 @@
-"""Sub-query executors: sequential fallback and thread-pool fan-out.
+"""Sub-query executors: the in-process one, and the fan-out the pool shares.
 
 The engine decomposes every query into independent per-shard sub-queries
-and hands the batch to one of these executors.  Both expose the same
-two-method surface so the engine never branches on the concurrency mode:
+and hands the batch to an executor with a ``map`` / ``try_map`` /
+``shutdown`` surface, so it never branches on the concurrency mode:
 
 * :class:`SerialExecutor` — runs tasks in the calling thread, in order.
-  This is the default and the deterministic baseline: for small shard
-  counts the dispatch overhead of a pool exceeds the work it overlaps,
-  and a serial run makes every benchmark and test exactly reproducible.
-* :class:`ThreadedExecutor` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  wrapper.  Sub-queries touch disjoint shards, so they are safe to run
-  concurrently while the engine's lock keeps writers out; numpy releases
-  the GIL inside large gathers, which is where the overlap pays.
+  The only in-process executor: shard work here is Python bytecode and
+  small numpy gathers under the GIL, so an in-process thread pool only
+  adds dispatch (0.17-0.98x of serial on every shape measured, CHANGES.md
+  PR 22).  Parallelism lives in worker processes
+  (:class:`~repro.engine.process.ProcessExecutor`).
+* :class:`ThreadFanout` — the ordered thread-pool fan-out the process
+  executor inherits; its pool threads block on worker pipes, which
+  releases the GIL.  It is also the seam tests use to drive the deadline
+  semantics without spawning processes.
 
 Failure semantics: ``map`` propagates the first exception a task raises
 (a programming error should surface loudly), while ``try_map`` — the
 resilience layer's entry point — isolates failures per item and returns
 ``(result, error)`` outcome pairs so one failing shard can be retried
-without discarding its siblings' answers.  The threaded ``try_map``
+without discarding its siblings' answers.  The fan-out's ``try_map``
 additionally honours a wall-clock ``timeout``: sub-operations that have
 not finished when the budget runs out come back as
 :class:`~repro.exceptions.DeadlineExceededError` outcomes (their
 threads are abandoned, not killed — Python cannot preempt them — so a
 genuinely stuck shard costs one pool thread until it unsticks).
-
-Use :func:`make_executor` to pick by worker count.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Sequence, TypeVar
 
-from ..exceptions import ConfigurationError, DeadlineExceededError
+from ..exceptions import DeadlineExceededError
 
-__all__ = ["SerialExecutor", "ThreadFanout", "ThreadedExecutor", "make_executor"]
+__all__ = ["SerialExecutor", "ThreadFanout"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -103,11 +103,10 @@ class ThreadFanout:
 
     Subclasses provide ``self.workers`` and ``self._pool``; this mixin
     supplies the ordered fan-out, the per-item isolation, and the
-    deadline semantics.  :class:`ThreadedExecutor` runs shard work on
-    the pool threads directly; the process executor (see
-    ``repro.engine.process``) reuses the same fan-out with pool threads
-    that block on worker IPC instead (blocking on a pipe releases the
-    GIL, which is the whole point).
+    deadline semantics.  The process executor (see
+    ``repro.engine.process``) is the one production subclass: its pool
+    threads block on worker IPC (blocking on a pipe releases the GIL,
+    which is the whole point).
     """
 
     workers: int
@@ -170,28 +169,3 @@ class ThreadFanout:
     def shutdown(self) -> None:
         """Release the pool's threads (idempotent)."""
         self._pool.shutdown(wait=True)
-
-
-class ThreadedExecutor(ThreadFanout):
-    """Thread-pool executor for fanning sub-queries across shards."""
-
-    def __init__(self, workers: int) -> None:
-        if workers < 2:
-            raise ConfigurationError(
-                f"ThreadedExecutor needs >= 2 workers, got {workers} "
-                f"(use SerialExecutor instead)"
-            )
-        self.workers = workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadedExecutor(workers={self.workers})"
-
-
-def make_executor(workers: int | None) -> SerialExecutor | ThreadedExecutor:
-    """Executor for ``workers`` threads; None, 0, or 1 mean sequential."""
-    if workers is None or workers <= 1:
-        return SerialExecutor()
-    return ThreadedExecutor(workers)

@@ -1,8 +1,9 @@
 """Process-parallel shard fan-out over the shared-memory slab store.
 
-The GIL caps the threaded executor at ~1.9x no matter how many workers
-because every DDC descent is pure-python bytecode.  This module moves
-shard serving into a **persistent pool of worker processes**:
+Threads in one interpreter cannot overlap shard work — every DDC
+descent is pure-python bytecode under the GIL — so the engine's only
+parallel executor is this one, which moves shard serving into a
+**persistent pool of worker processes**:
 
 * each worker owns a fixed subset of shards (``shard % workers``) and
   attaches their prefix-sum slabs from the
@@ -92,7 +93,6 @@ def _pool_worker_main(
     manifests: list,
     owned: tuple,
     conn,
-    kernel: str = "scalar",
     telemetry=None,
 ) -> None:
     """Serve slab operations for this worker's shards (child process).
@@ -111,7 +111,6 @@ def _pool_worker_main(
     and op tallies lock-free — the parent harvests them on demand, and
     they survive this process being SIGKILLed.
     """
-    read_kernel = shm.get_read_kernel(kernel)
     clock = MonotonicClock()
     shard_metrics = None
     gather_seconds = apply_seconds = apply_batch = None
@@ -130,11 +129,6 @@ def _pool_worker_main(
             op: shard_metrics.counter("repro_worker_ops_total", op=op)
             for op in ("query_many", "apply", "ping")
         }
-        from ..core.slab_tree import kernel_backend
-
-        shard_metrics.gauge("repro_worker_kernel_numba").set(
-            1.0 if kernel == "vector" and kernel_backend() == "numba" else 0.0
-        )
     segments = {}
     headers = {}
     views = {}
@@ -160,7 +154,7 @@ def _pool_worker_main(
                 if op == "query_many":
                     index, ranges = message[1], message[2]
                     op_start = clock.now() if timed else 0.0
-                    reply = read_kernel(views[index], ranges)
+                    reply = shm.slab_range_sum_many_vector(views[index], ranges)
                     elapsed = clock.now() - op_start if timed else 0.0
                     if shard_metrics is not None:
                         gather_seconds.observe(elapsed)
@@ -176,14 +170,7 @@ def _pool_worker_main(
                                     "shard": index,
                                     "queries": len(ranges),
                                 },
-                                [
-                                    span_payload(
-                                        "worker.gather",
-                                        0.0,
-                                        elapsed,
-                                        {"kernel": kernel},
-                                    )
-                                ],
+                                [span_payload("worker.gather", 0.0, elapsed)],
                             )
                         ]
                 elif op == "apply":
@@ -291,7 +278,7 @@ class ProcessExecutor(ThreadFanout):
     """Persistent worker-pool executor with warm shard replicas.
 
     Implements the same ``map`` / ``try_map`` / ``shutdown`` surface as
-    the in-process executors (via :class:`~.executor.ThreadFanout`), so
+    the in-process executor (via :class:`~.executor.ThreadFanout`), so
     the engine — and everything layered on it — never branches on the
     concurrency mode.  Additionally exposes :meth:`call` (one IPC
     round-trip, used by :class:`ShmShardReplica`), :meth:`kill_worker`
@@ -478,7 +465,6 @@ class ProcessExecutor(ThreadFanout):
                 self._manifests,
                 lane.owned,
                 child_conn,
-                self.store.kernel_name,
                 telemetry,
             ),
             daemon=True,

@@ -381,7 +381,7 @@ class FaultScript:
 class FaultInjector:
     """Seeded chaos harness: an executor wrapper that injects faults.
 
-    Wraps any executor (serial or threaded) and perturbs each task
+    Wraps any executor (serial or process pool) and perturbs each task
     invocation before the real work runs.  The engine's work items are
     ``(shard_index, ...)`` tuples, so faults are attributed per shard.
     Because retries re-submit through the executor, every retry round
@@ -413,7 +413,8 @@ class FaultInjector:
       fail-N-then-recover sequences (overrides the random draws for
       that shard while active).
 
-    Determinism caveat: with a threaded executor the *assignment* of
+    Determinism caveat: when the wrapped executor fans tasks out over
+    threads (the process pool with ``ipc_reads``) the *assignment* of
     random draws to tasks depends on scheduling; use a serial executor
     (the default everywhere in tests and the chaos CLI) when exact
     reproducibility matters.

@@ -20,9 +20,10 @@ living in a :mod:`multiprocessing.shared_memory` segment.  That buys:
 
 :class:`ShardSlabStore` is the owner-side registry (allocation, bulk
 load, direct reads for the fallback degradation path, teardown); the
-module-level :func:`slab_range_sum_many` / :func:`slab_apply_deltas`
-helpers are the shared math, called on the parent's views here and on
-the workers' attached views in ``process.py``.
+module-level :func:`slab_range_sum_many_vector` /
+:func:`slab_apply_deltas` helpers are the shared math, called on the
+parent's views here and on the workers' attached views in
+``process.py``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import geometry
 from ..core.slab_tree import slab_range_many
-from ..exceptions import ConfigurationError
 from ..shmutil import attach_segment
 from .sharding import ShardPlan
 
@@ -46,8 +45,6 @@ __all__ = [
     "ShardSlabStore",
     "attach_slab",
     "build_prefix",
-    "get_read_kernel",
-    "slab_range_sum_many",
     "slab_range_sum_many_vector",
     "slab_apply_deltas",
 ]
@@ -85,65 +82,30 @@ def build_prefix(values: np.ndarray, out: np.ndarray) -> None:
         np.cumsum(out, axis=axis, out=out)
 
 
-def slab_range_sum_many(slab: np.ndarray, ranges: Sequence[tuple]) -> list:
-    """Answer local range sums against a prefix slab, one fancy gather.
-
-    Every query contributes its non-empty inclusion-exclusion corners to
-    a single flattened index array, so the whole batch costs one numpy
-    gather regardless of batch size.  Coordinates are trusted: callers
-    (the engine's shard decomposition) have already normalised them to
-    the slab's local space.  Returns plain Python numbers so replies
-    pickle minimally across the IPC pipe.
-    """
-    signs_per_query: list[list[int]] = []
-    corners: list[tuple] = []
-    for low, high in ranges:
-        signs: list[int] = []
-        for sign, corner in geometry.inclusion_exclusion_corners(
-            tuple(low), tuple(high)
-        ):
-            if corner is None:
-                continue
-            signs.append(sign)
-            corners.append(corner)
-        signs_per_query.append(signs)
-    if corners:
-        index = tuple(
-            np.fromiter(
-                (corner[axis] for corner in corners),
-                dtype=np.intp,
-                count=len(corners),
-            )
-            for axis in range(slab.ndim)
-        )
-        gathered = slab[index]
-    zero = slab.dtype.type(0)
-    out: list = []
-    position = 0
-    for signs in signs_per_query:
-        total = zero
-        for sign in signs:
-            value = gathered[position]
-            position += 1
-            total = total + value if sign > 0 else total - value
-        out.append(total.item())
-    return out
+#: Batch size from which one corner gather beats looping the integer
+#: path: measured equal at 8 queries in 2-d and 3-d (CHANGES.md PR 22).
+_GATHER_MIN_QUERIES = 8
 
 
 def slab_range_sum_many_vector(slab: np.ndarray, ranges: Sequence[tuple]) -> list:
-    """Branch-free batched read kernel: the slab-tree corner gather.
+    """Answer local range sums against a prefix slab — the read kernel.
 
-    Same contract as :func:`slab_range_sum_many`, but the per-query
-    Python corner construction is replaced by the vectorised
-    inclusion-exclusion expansion from :mod:`repro.core.slab_tree` —
-    one corner tensor, one gather, one signed reduction for the whole
-    batch.  Single queries (the engine's per-event read path) take a
-    pure-integer fast path that never builds an array at all.
+    Coordinates are trusted: callers (the engine's shard decomposition)
+    have already normalised them to the slab's local space.  Returns
+    plain Python numbers so replies pickle minimally across the IPC
+    pipe.  A single query (the engine's per-event read path) takes a
+    pure-integer path that never builds an array; below
+    :data:`_GATHER_MIN_QUERIES` a loop over that path beats the gather's
+    fixed set-up; from there on the vectorised inclusion-exclusion
+    expansion from :mod:`repro.core.slab_tree` — one corner tensor, one
+    gather, one signed reduction for the whole batch — wins.
     """
     count = len(ranges)
     if count == 1:
         low, high = ranges[0]
         return [_range_sum_single(slab, low, high)]
+    if count < _GATHER_MIN_QUERIES:
+        return [_range_sum_single(slab, low, high) for low, high in ranges]
     dims = slab.ndim
     lows = np.empty((count, dims), dtype=np.int64)
     highs = np.empty((count, dims), dtype=np.int64)
@@ -192,27 +154,6 @@ def _range_sum_single(slab: np.ndarray, low: tuple, high: tuple) -> object:
     return total
 
 
-#: Read-kernel registry: ``scalar`` is the original per-query corner
-#: construction; ``vector`` is the slab-tree batched corner gather.  A
-#: method class can nominate its kernel via a ``slab_kernel`` class
-#: attribute (see :class:`~repro.methods.vector.VectorSlabCube`).
-_READ_KERNELS = {
-    "scalar": slab_range_sum_many,
-    "vector": slab_range_sum_many_vector,
-}
-
-
-def get_read_kernel(name: str):
-    """Resolve a slab read kernel by name (``scalar`` / ``vector``)."""
-    try:
-        return _READ_KERNELS[name]
-    except KeyError:
-        known = ", ".join(sorted(_READ_KERNELS))
-        raise ConfigurationError(
-            f"unknown slab read kernel {name!r}; known kernels: {known}"
-        ) from None
-
-
 def slab_apply_deltas(slab: np.ndarray, updates: Sequence[tuple]) -> None:
     """Apply point-update deltas to a prefix slab in place.
 
@@ -256,16 +197,10 @@ class ShardSlabStore:
     Args:
         plan: the engine's shard plan; one segment per shard span.
         dtype: slab value dtype (must support exact add/subtract).
-        kernel: read-kernel name (``"scalar"`` or ``"vector"``); the
-            engine derives it from the shard method's ``slab_kernel``
-            class attribute so slab-native methods get the batched
-            corner gather in workers and on the owner side alike.
     """
 
-    def __init__(self, plan: ShardPlan, dtype=np.int64, kernel: str = "scalar") -> None:
+    def __init__(self, plan: ShardPlan, dtype=np.int64) -> None:
         self.plan = plan
-        self.kernel_name = kernel
-        self._kernel = get_read_kernel(kernel)
         self.dtype = np.dtype(dtype)
         self._segments: list[shared_memory.SharedMemory] = []
         self._headers: list[np.ndarray] = []
@@ -333,11 +268,11 @@ class ShardSlabStore:
 
     def range_sum(self, index: int, low: tuple, high: tuple):
         """Direct (no-IPC) local range sum — the fallback read path."""
-        return self._kernel(self._views[index], [(low, high)])[0]
+        return slab_range_sum_many_vector(self._views[index], [(low, high)])[0]
 
     def range_sum_many(self, index: int, ranges: Sequence[tuple]) -> list:
         """Direct (no-IPC) batch of local range sums."""
-        return self._kernel(self._views[index], ranges)
+        return slab_range_sum_many_vector(self._views[index], ranges)
 
     def apply_deltas(self, index: int, updates: Sequence[tuple]) -> None:
         """Direct (no-IPC) delta application — owner-side write path."""

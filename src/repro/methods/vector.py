@@ -51,10 +51,6 @@ class VectorSlabCube(RangeSumMethod):
     #: measured on reads and also gates ``add_many``, whose batch path
     #: does no more work than the scalar loop at any size.
     batch_crossover: ClassVar[int | str] = "auto"
-    #: Process-mode engines serve shards from shared-memory prefix
-    #: slabs; this marker selects the vectorised read kernel for them
-    #: (see ``repro.engine.shm.get_read_kernel``).
-    slab_kernel: ClassVar[str] = "vector"
 
     def __init__(
         self,

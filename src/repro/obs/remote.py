@@ -160,8 +160,7 @@ def worker_metrics_layout() -> RemoteMetricsLayout:
     """The pool's standard worker telemetry schema.
 
     One layout shared by every worker: slab-kernel gather latency,
-    delta-apply latency and batch size, per-op tallies, and a gauge
-    flagging whether the numba read kernel compiled in that worker.
+    delta-apply latency and batch size, and per-op tallies.
     """
     return RemoteMetricsLayout(
         [
@@ -195,13 +194,6 @@ def worker_metrics_layout() -> RemoteMetricsLayout:
                     None,
                 )
                 for op in ("query_many", "apply", "ping")
-            ),
-            (
-                "gauge",
-                "repro_worker_kernel_numba",
-                "1 when the worker's slab read kernel is numba-compiled",
-                (),
-                None,
             ),
         ]
     )

@@ -6,9 +6,7 @@ One request/response vocabulary, two byte encodings:
 * ``application/msgpack`` — the binary twin.  The real ``msgpack``
   package is used when installed (``pip install repro[serve]``);
   otherwise the dependency-free :mod:`~repro.serve.msgpack_lite` packer
-  keeps the format available.  ``REPRO_NO_MSGPACK=1`` disables the
-  binary codec outright (requests for it then get HTTP 415), mirroring
-  the ``REPRO_NO_NUMBA`` kill switch.
+  keeps the format available.
 
 Both codecs carry the *same* documents — :func:`decode_query` /
 :func:`decode_update` validate the decoded payload into plain tuples
@@ -20,7 +18,6 @@ See ``docs/serving.md`` for the full request/response schema.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -72,8 +69,6 @@ def _build_codecs() -> dict[str, Codec]:
             "json", JSON_CONTENT_TYPE, _json_encode, _json_decode
         )
     }
-    if os.environ.get("REPRO_NO_MSGPACK"):
-        return codecs
     try:  # the optional C implementation wins when present
         import msgpack  # type: ignore[import-not-found]
 

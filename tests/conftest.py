@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.engine.executor import ThreadFanout
 from repro.methods import method_names
+
+
+class PoolFanout(ThreadFanout):
+    """``ThreadFanout`` over a bare thread pool: drives the fan-out's
+    ordering, deadlines and cross-thread span parents without spawning
+    the worker processes its one production subclass needs."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._pool = ThreadPoolExecutor(max_workers=workers)
 
 
 @pytest.fixture

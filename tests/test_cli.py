@@ -240,6 +240,14 @@ class TestParser:
             main([f"bench-{retired}"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command", ["serve", "serve-stats", "metrics", "trace", "top", "chaos"]
+    )
+    def test_thread_executor_choice_exits_2(self, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--executor", "thread"])
+        assert exit_info.value.code == 2
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

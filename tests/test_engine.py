@@ -3,7 +3,7 @@
 The load-bearing property: a K-sharded engine — any K, including counts
 that leave an uneven last shard — is cell-for-cell indistinguishable
 from the unsharded structure it wraps, under any interleaving of
-queries and updates, with or without the result cache and the thread
+queries and updates, with or without the result cache and the worker
 pool in the loop.
 """
 
@@ -18,8 +18,6 @@ from repro.engine import (
     SerialExecutor,
     ShardedEngine,
     ShardPlan,
-    ThreadedExecutor,
-    make_executor,
 )
 from repro.exceptions import ConfigurationError
 from repro.methods import build_method
@@ -29,6 +27,8 @@ from repro.workloads import (
     clustered,
     read_write_stream,
 )
+
+from .conftest import PoolFanout
 
 
 class TestShardPlan:
@@ -172,22 +172,27 @@ class TestEpochLruCache:
 
 
 class TestExecutors:
-    def test_make_executor_selects(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(0), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        pooled = make_executor(3)
-        assert isinstance(pooled, ThreadedExecutor)
-        assert pooled.workers == 3
-        pooled.shutdown()
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_default_executor_is_serial(self, shards):
+        for workers in (None, 0, 1):
+            with ShardedEngine((8, 8), shards=shards, workers=workers) as engine:
+                assert engine.executor_kind == "serial"
+                assert isinstance(engine.executor, SerialExecutor)
 
-    def test_threaded_requires_at_least_two(self):
-        with pytest.raises(ConfigurationError):
-            ThreadedExecutor(1)
+    def test_thread_executor_kind_is_gone(self):
+        with pytest.raises(ConfigurationError, match="'serial' or 'process'"):
+            ShardedEngine((8, 8), executor="thread")
+
+    @pytest.mark.parametrize("executor", [None, "serial", SerialExecutor()])
+    def test_workers_need_the_process_executor(self, executor):
+        """``workers`` sizes the worker-process pool and nothing else:
+        asking for several without it is refused, not reinterpreted."""
+        with pytest.raises(ConfigurationError, match='executor="process"'):
+            ShardedEngine((8, 8), workers=4, executor=executor)
 
     def test_map_matches_builtin(self):
         serial = SerialExecutor()
-        pooled = ThreadedExecutor(2)
+        pooled = PoolFanout(2)
         try:
             items = list(range(10))
             assert serial.map(lambda x: x * x, items) == [x * x for x in items]
@@ -232,14 +237,16 @@ class TestEngineEquivalence:
         with ShardedEngine.from_array(data, shards=3, method=method) as engine:
             assert _replay(engine, events) == _replay(baseline, events)
 
-    def test_thread_pool_matches_sequential(self):
+    def test_process_pool_matches_sequential(self):
         data = clustered(self.SHAPE, seed=15)
         events = read_write_stream(
             self.SHAPE, 120, mix=0.8, locality="zipf", seed=16
         )
         with ShardedEngine.from_array(data, shards=4) as serial:
             expected = _replay(serial, events)
-        with ShardedEngine.from_array(data, shards=4, workers=2) as pooled:
+        with ShardedEngine.from_array(
+            data, shards=4, workers=2, executor="process"
+        ) as pooled:
             assert _replay(pooled, events) == expected
 
     def test_batch_api_matches_scalar(self):

@@ -31,6 +31,8 @@ from repro.obs import (
 )
 from repro.counters import OpCounter
 
+from .conftest import PoolFanout
+
 
 class TestManualClock:
     def test_advance(self):
@@ -561,7 +563,7 @@ class TestEngineAcceptance:
         rng = np.random.default_rng(8)
         data = rng.integers(0, 9, size=(16, 16))
         engine = ShardedEngine.from_array(
-            data, shards=2, method="ddc", workers=2, obs=obs
+            data, shards=2, method="ddc", executor=PoolFanout(2), obs=obs
         )
         try:
             engine.range_sum_many([((0, 0), (15, 15)), ((1, 1), (14, 14))])

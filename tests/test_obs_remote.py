@@ -64,11 +64,11 @@ def _counter_value(registry, name, **labels):
 class TestLayout:
     def test_standard_layout_shape(self):
         layout = worker_metrics_layout()
-        assert len(layout.entries) == 7
+        assert len(layout.entries) == 6
         kinds = [entry[0] for entry in layout.entries]
         assert kinds.count("histogram") == 3
         assert kinds.count("counter") == 3
-        assert kinds.count("gauge") == 1
+        assert kinds.count("gauge") == 0
         # Offsets are dense: each entry starts where the previous ended.
         widths = [
             (len(entry[4]) + 3 if entry[0] == "histogram" else 1)

@@ -25,14 +25,15 @@ from repro.engine import (
     ShardedEngine,
     ShardPlan,
     ShardSlabStore,
-    ThreadedExecutor,
 )
 from repro.engine.process import ProcessExecutor
 from repro.engine.shm import HEADER_APPLIED, HEADER_SEQ
-from repro.exceptions import WorkerCrashedError
+from repro.exceptions import ConfigurationError, WorkerCrashedError
 from repro.methods import build_method
 from repro.obs import ManualClock
 from repro.workloads import RangeQuery, clustered, read_write_stream
+
+from .conftest import PoolFanout
 
 SHAPE = (18, 9)
 
@@ -276,19 +277,19 @@ class TestSlabStore:
 
 class TestExecutorSelection:
     def test_single_shard_plan_runs_serial(self):
-        """Satellite: shards == 1 has nothing to fan out — a thread pool
-        would be pure dispatch overhead, so the engine degrades to the
-        serial executor even when workers were requested."""
+        """shards == 1 has nothing to fan out and runs on the serial
+        executor; workers requested without the process executor are
+        refused rather than ignored."""
         data = clustered((8, 8), seed=51)
-        with ShardedEngine.from_array(data, shards=1, workers=4) as engine:
+        with ShardedEngine.from_array(data, shards=1) as engine:
             assert isinstance(engine.executor, SerialExecutor)
-        with ShardedEngine.from_array(data, shards=2, workers=4) as engine:
-            assert isinstance(engine.executor, ThreadedExecutor)
+        with pytest.raises(ConfigurationError, match='executor="process"'):
+            ShardedEngine.from_array(data, shards=1, workers=4)
 
     def test_single_item_fanout_runs_inline(self):
         import threading
 
-        executor = ThreadedExecutor(2)
+        executor = PoolFanout(2)
         try:
             caller = threading.current_thread()
             seen = executor.map(

@@ -65,7 +65,6 @@ def test_top_level_exports():
                 "ShardedEngine",
                 "ShardPlan",
                 "SerialExecutor",
-                "ThreadedExecutor",
                 "ResiliencePolicy",
                 "CircuitBreaker",
                 "FaultInjector",

@@ -31,7 +31,6 @@ from repro.engine import (
     ResiliencePolicy,
     SerialExecutor,
     ShardedEngine,
-    ThreadedExecutor,
     is_partial,
 )
 from repro.exceptions import (
@@ -52,6 +51,8 @@ from repro.workloads import (
     random_updates,
     straddling_ranges,
 )
+
+from .conftest import PoolFanout
 
 
 def make_engine(data, *, policy, injector_kwargs=None, shards=4, cache=64):
@@ -281,8 +282,9 @@ class TestFaultInjector:
 
 
 class TestExecutorFailurePaths:
-    """``try_map`` semantics both executors must share (satellite: the
-    failure paths the resilient fan-out is built on)."""
+    """``try_map`` semantics the serial executor and the thread fan-out
+    (the process executor's base) must share: the failure paths the
+    resilient fan-out is built on."""
 
     def boom(self, item):
         if item == 13:
@@ -291,7 +293,7 @@ class TestExecutorFailurePaths:
 
     @pytest.mark.parametrize("executor_factory", [
         SerialExecutor,
-        lambda: ThreadedExecutor(workers=3),
+        lambda: PoolFanout(workers=3),
     ])
     def test_one_raising_item_never_aborts_siblings(self, executor_factory):
         executor = executor_factory()
@@ -335,7 +337,7 @@ class TestExecutorFailurePaths:
                 unstick.wait(timeout=30)
             return item
 
-        executor = ThreadedExecutor(workers=2)
+        executor = PoolFanout(workers=2)
         try:
             outcomes = executor.try_map(
                 maybe_hang, ["ok", "stuck"], timeout=0.2
@@ -349,7 +351,7 @@ class TestExecutorFailurePaths:
             executor.shutdown()
 
     def test_outcomes_keep_submission_order(self):
-        executor = ThreadedExecutor(workers=4)
+        executor = PoolFanout(workers=4)
         try:
             outcomes = executor.try_map(lambda i: i, list(range(16)))
             assert [r for r, _ in outcomes] == list(range(16))

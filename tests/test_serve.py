@@ -12,6 +12,7 @@ the tests control exactly when an in-flight engine call completes.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 
 import pytest
@@ -30,6 +31,7 @@ from repro.serve import (
     ServeClient,
     SingleFlight,
     TokenBucket,
+    available_codecs,
     codec_for,
     decode_query,
     decode_update,
@@ -268,6 +270,33 @@ class TestEndToEnd:
                     "POST", "/query", {"op": "range_sum", "low": [0], "high": [1]}
                 )
                 assert response.status == 400  # dimension mismatch
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_unknown_wire_format_gets_415_listing_the_available_ones(self):
+        engine, data = make_engine()
+
+        async def scenario():
+            server = await serving(engine)
+            async with ServeClient("127.0.0.1", server.port) as client:
+                json_codec = client.codec
+                client.codec = dataclasses.replace(
+                    json_codec, content_type="application/x-protobuf"
+                )
+                response = await client.query([0, 0], [9, 9])
+                assert response.status == 415
+                assert response.headers["content-type"] == "application/json"
+                assert "application/x-protobuf" in response.body["error"]
+                for content_type in available_codecs():
+                    assert content_type in response.body["error"]
+                # The refusal is per request: JSON on the same
+                # connection is untouched.
+                client.codec = json_codec
+                response = await client.query([0, 0], [9, 9])
+                assert response.status == 200
+                assert response.body["value"] == int(data[0:10, 0:10].sum())
             await server.stop()
 
         run(scenario())

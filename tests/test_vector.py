@@ -20,7 +20,7 @@ from repro.analysis import audit
 from repro.core import slab_tree
 from repro.core.slab_tree import SlabTree, kernel_backend
 from repro.engine import ShardedEngine
-from repro.engine.shm import get_read_kernel, slab_range_sum_many_vector
+from repro.engine.shm import slab_range_sum_many_vector
 from repro.exceptions import ConfigurationError, StructureError
 from repro.methods import build_method
 from repro.methods.vector import VectorSlabCube
@@ -497,22 +497,35 @@ class TestVectorEngine:
         finally:
             engine.close()
 
-    def test_unknown_read_kernel_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown slab read kernel"):
-            get_read_kernel("warp-drive")
-
     def test_vector_read_kernel_matches_scalar(self, rng):
-        data = rng.integers(-9, 10, size=(16, 16))
-        prefix = data.cumsum(axis=0).cumsum(axis=1)
-        scalar_kernel = get_read_kernel("scalar")
-        queries = random_ranges((16, 16), 30, seed=23)
-        ranges = [(q.low, q.high) for q in queries]
-        scalar = scalar_kernel(prefix, ranges)
-        vectorised = slab_range_sum_many_vector(prefix, ranges)
-        assert [int(v) for v in scalar] == [int(v) for v in vectorised]
-        assert [int(v) for v in scalar] == [
-            dense_range_sum(data, q.low, q.high) for q in queries
-        ]
+        """The one shm read kernel against ``cube[lo:hi+1].sum()`` in
+        d = 1, 2, 3: its scalar loop (counts below 8) and its vector
+        gather (from 8) agree with the dense oracle on both sides of
+        the switch and on the boundary, ``low == 0`` corners included."""
+        for shape in ((40,), (16, 16), (6, 7, 8)):
+            data = rng.integers(-9, 10, size=shape)
+            prefix = data.copy()
+            for axis in range(len(shape)):
+                prefix = prefix.cumsum(axis=axis)
+            for count in (1, 2, 7, 8, 9, 64):
+                ranges = [
+                    (q.low, q.high)
+                    for q in random_ranges(shape, count, seed=23 + count)
+                ]
+                # Every other query sits on the origin in some axes,
+                # the last one in all of them.
+                for position in range(0, count, 2):
+                    low, high = ranges[position]
+                    pinned = tuple(
+                        0 if (position // 2 + axis) % 2 == 0 else coordinate
+                        for axis, coordinate in enumerate(low)
+                    )
+                    ranges[position] = (pinned, high)
+                ranges[-1] = ((0,) * len(shape), ranges[-1][1])
+                values = slab_range_sum_many_vector(prefix, ranges)
+                assert [int(v) for v in values] == [
+                    dense_range_sum(data, low, high) for low, high in ranges
+                ], (shape, count)
 
 
 class TestCalibration:
