@@ -14,7 +14,7 @@ Public API highlights:
 * :mod:`repro.model` — the paper's analytic cost and storage model
   (Tables 1-2, Figure 1).
 * :class:`~repro.engine.ShardedEngine` — the serving layer: K shards,
-  thread-pool query fan-out, epoch-invalidated result cache.
+  serial or worker-process fan-out, epoch-invalidated result cache.
 * :class:`~repro.obs.Observability` — opt-in serving observability:
   span tracing, latency/op histograms with Prometheus-style exposition,
   and a slow-query log (free when disabled).

@@ -576,13 +576,7 @@ def _command_serve(args) -> int:
         await stop.wait()
         print("draining...", flush=True)
         await server.stop()
-        stats = server.stats()
-        print(
-            f"served: coalesced {stats['coalesce_followers']} follower(s) "
-            f"onto {stats['coalesce_leaders']} leader(s), "
-            f"throttled {stats['throttled']}, "
-            f"shed {stats['overflow_rejected']}"
-        )
+        print(_serve_summary(server.stats()))
 
     try:
         asyncio.run(_run())
@@ -591,6 +585,19 @@ def _command_serve(args) -> int:
     finally:
         engine.close()
     return 0
+
+
+def _serve_summary(stats: dict) -> str:
+    """The drain line: 503 refusals are ``rejected``, degraded 200s ``shed``."""
+    return (
+        f"served: coalesced {stats['coalesce_followers']} follower(s) "
+        f"onto {stats['coalesce_leaders']} leader(s), "
+        f"throttled {stats['throttled']}, "
+        f"rejected {stats['overflow_rejected']}, "
+        f"shed {stats['shed_responses']}, "
+        f"engine calls {stats['loop_calls']} on the loop / "
+        f"{stats['pool_calls']} in the pool"
+    )
 
 
 def _command_analyze(args) -> int:

@@ -19,8 +19,10 @@ follower of that flight; the next arrival after settlement starts a
 fresh flight.
 
 Single-threaded by design: all bookkeeping runs on the event loop, so
-no locks are needed (the blocking engine call itself runs in the
-server's thread pool, off the loop).
+no locks are needed.  A flight can gather followers only while its
+supplier is suspended, i.e. while its engine call waits in the server's
+thread pool; a call the server runs on the loop opens and settles its
+flight with no yield in between, so it is always a leader alone.
 """
 
 from __future__ import annotations

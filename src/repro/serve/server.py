@@ -8,11 +8,17 @@ web framework required.  Request flow for ``/query``::
       → per-tenant token bucket            (429 + Retry-After)
       → single-flight coalesce join        (followers skip the rest)
       → concurrency gate                   (503 + Retry-After on overflow)
-      → blocking engine call in the server's thread pool
+      → engine call: on the event loop when it carries one item and
+        the pool is idle, else in the server's one-thread pool
 
-The engine's public API is thread-safe (RLock-serialised), so the only
-thing the thread pool buys is keeping the event loop responsive while a
-query computes; all server bookkeeping stays loop-local and lock-free.
+The engine's RLock admits one public call at a time, so the pool has
+one thread.  It exists to keep the loop responsive while a *batch*
+computes, and while anything waits behind a call already in it: a
+one-range read or one-update write costs at most about a hundred
+microseconds, less than the hand-off to a thread and back, so on an
+idle pool it runs on the loop (:meth:`CubeServer._on_loop` is the one
+place that decides).
+All server bookkeeping stays loop-local and lock-free.
 
 **Load shedding** watches the gate's pressure: above
 ``AdmissionPolicy.shed_watermark`` the server flips the engine's
@@ -23,8 +29,10 @@ subsides.  Responses served during a shed window carry ``shed: true``.
 
 ``/healthz`` reports the same verdict as ``repro top --once`` — both go
 through :func:`repro.obs.slo.evaluate_health`, so the CLI and the
-endpoint cannot drift.  ``/metrics`` reuses the registry's Prometheus
-exposition (``?format=json`` for the JSON mirror plus server counters).
+endpoint cannot drift; it follows the same loop-or-pool rule as a
+one-item request, without the gate.  ``/metrics`` reuses the
+registry's Prometheus exposition (``?format=json`` for the JSON mirror
+plus server counters).
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from urllib.parse import parse_qs, urlsplit
 from ..exceptions import (
     BadRequestError,
     CircuitOpenError,
-    ConfigurationError,
     DeadlineExceededError,
     ReproError,
     ServeError,
@@ -105,7 +112,6 @@ class CubeServer:
             engine's facade when enabled, else a fresh one so
             ``/metrics`` always has a live registry.
         slo_rules: optional SLO rule overrides for ``/healthz``.
-        executor_threads: thread-pool width for blocking engine calls.
     """
 
     def __init__(
@@ -116,10 +122,7 @@ class CubeServer:
         policy: AdmissionPolicy | None = None,
         obs=None,
         slo_rules=None,
-        executor_threads: int = 4,
     ) -> None:
-        if executor_threads < 1:
-            raise ConfigurationError("executor_threads must be >= 1")
         self.engine = engine
         self.host = host
         self.port = port
@@ -142,8 +145,13 @@ class CubeServer:
         self._saved_degradation: str | None = None
         self._server: asyncio.base_events.Server | None = None
         self._pool = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
+        # Pool submissions not yet settled; zero means no thread holds
+        # or awaits the engine's lock.
+        self._pool_pending = 0
+        self.loop_calls = 0
+        self.pool_calls = 0
         self._draining = False
         self._busy = 0
         self._writers: set[asyncio.StreamWriter] = set()
@@ -178,6 +186,14 @@ class CubeServer:
             "repro_serve_inflight",
             "Requests currently being handled.",
         )
+        calls = metrics.counter(
+            "repro_serve_engine_calls_total",
+            "Blocking calls (engine requests and /healthz) by where they "
+            "ran: on the event loop or in the thread pool.",
+            labels=("path",),
+        )
+        self._loop_calls_total = calls.labels(path="loop")
+        self._pool_calls_total = calls.labels(path="pool")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -256,6 +272,8 @@ class CubeServer:
             "shed_entries": self.shed_entries,
             "shed_responses": self.shed_responses,
             "tenants": len(self.buckets),
+            "loop_calls": self.loop_calls,
+            "pool_calls": self.pool_calls,
         }
 
     # ------------------------------------------------------------------
@@ -434,12 +452,11 @@ class CubeServer:
         denied = self._admit(parsed.tenant)
         if denied is not None:
             return denied
-        loop = asyncio.get_running_loop()
         if parsed.batch:
             if self.gate.would_overflow():
                 return self._overflow()
             results = await self._gated(
-                loop, self.engine.range_sum_many, parsed.ranges
+                len(parsed.ranges), self.engine.range_sum_many, parsed.ranges
             )
             coalesced = False
         else:
@@ -449,9 +466,7 @@ class CubeServer:
                 return self._overflow()
 
             async def supplier():
-                return await self._gated(
-                    loop, self.engine.range_sum, low, high
-                )
+                return await self._gated(1, self.engine.range_sum, low, high)
 
             value, coalesced = await self.flights.run(key, supplier)
             results = [value]
@@ -478,14 +493,13 @@ class CubeServer:
             return denied
         if self.gate.would_overflow():
             return self._overflow()
-        loop = asyncio.get_running_loop()
-        await self._gated(loop, self.engine.add_many, parsed.updates)
+        await self._gated(
+            len(parsed.updates), self.engine.add_many, parsed.updates
+        )
         return 200, update_response(len(parsed.updates)), {}
 
     async def _handle_healthz(self):
-        document = await asyncio.get_running_loop().run_in_executor(
-            self._pool, evaluate_health, self.watchdog, self.engine
-        )
+        document = await self._call(1, evaluate_health, self.watchdog, self.engine)
         return (200 if document["healthy"] else 503), document, {}
 
     def _handle_metrics(self, request: _HttpRequest):
@@ -521,15 +535,58 @@ class CubeServer:
             {"Retry-After": self._retry_after()},
         )
 
-    async def _gated(self, loop, fn, *args):
-        """Run a blocking engine call under the concurrency gate."""
+    async def _gated(self, items: int, fn, *args):
+        """Run an engine call carrying ``items`` under the concurrency gate.
+
+        A call on the loop takes its slot too, so pressure,
+        ``peak_pressure`` and shedding see it.  Only pool calls hold a
+        slot across a yield, so with the pool idle ``acquire`` returns
+        without yielding.
+        """
         await self.gate.acquire()
         self._update_shed()
         try:
-            return await loop.run_in_executor(self._pool, fn, *args)
+            return await self._call(items, fn, *args)
         finally:
             self.gate.release()
             self._update_shed()
+
+    def _on_loop(self, items: int) -> bool:
+        """The one decision between the event loop and the thread pool.
+
+        A call carrying one item runs on the loop when no submission is
+        pending in the pool: then no thread holds or awaits the engine's
+        lock, so the loop cannot block on it, and the call costs less
+        than the hand-off to a thread and back.  Batches hop, and so
+        does anything arriving while the pool is busy.
+        """
+        return items == 1 and self._pool_pending == 0
+
+    async def _call(self, items: int, fn, *args):
+        """Run blocking ``fn(*args)`` where :meth:`_on_loop` says."""
+        if self._on_loop(items):
+            self.loop_calls += 1
+            self._loop_calls_total.inc()
+            return fn(*args)
+        self.pool_calls += 1
+        self._pool_calls_total.inc()
+        work = self._pool.submit(fn, *args)
+        self._pool_pending += 1
+        try:
+            return await asyncio.wrap_future(work)
+        finally:
+            if work.done():
+                self._pool_pending -= 1
+            else:
+                # Cancelled while the thread still runs ``fn``: the pool
+                # stays busy until it returns.
+                loop = asyncio.get_running_loop()
+                work.add_done_callback(
+                    lambda _: loop.call_soon_threadsafe(self._pool_settled)
+                )
+
+    def _pool_settled(self) -> None:
+        self._pool_pending -= 1
 
     # ------------------------------------------------------------------
     # Response writing

@@ -58,19 +58,57 @@ async def serving(engine, policy=None, **kwargs):
 
 
 class CountingEngine(ShardedEngine):
-    """Reads count calls and (optionally) block on an event."""
+    """Calls count, record the thread they ran on, and (optionally)
+    block on an event."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.read_calls = 0
+        self.threads: dict[str, list[str]] = {}
         self.gate_event: threading.Event | None = None
+
+    def _enter(self, op):
+        self.threads.setdefault(op, []).append(threading.current_thread().name)
+        if self.gate_event is not None:
+            assert self.gate_event.wait(timeout=10.0)
 
     def range_sum(self, low, high):
         self.read_calls += 1
-        if self.gate_event is not None:
-            assert self.gate_event.wait(timeout=10.0)
+        self._enter("range_sum")
         return super().range_sum(low, high)
 
+    def range_sum_many(self, ranges):
+        self._enter("range_sum_many")
+        return super().range_sum_many(ranges)
+
+    def add_many(self, updates):
+        self._enter("add_many")
+        return super().add_many(updates)
+
+    def resilience_info(self):
+        self.threads.setdefault("healthz", []).append(
+            threading.current_thread().name
+        )
+        return super().resilience_info()
+
+
+async def park_batch(server):
+    """Send a two-range batch and return once it holds the pool.
+
+    With the engine's ``gate_event`` unset the batch blocks there, so
+    every later engine call must hop and wait behind it.
+    """
+    client = ServeClient("127.0.0.1", server.port)
+    task = asyncio.create_task(
+        client.query_batch([((0, 0), (3, 3)), ((4, 4), (7, 7))])
+    )
+    while server.gate.inflight == 0:
+        await asyncio.sleep(0.005)
+    return client, task
+
+
+def in_pool(name):
+    return name.startswith("repro-serve")
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +373,9 @@ class TestCoalescing:
 
         async def scenario():
             server = await serving(engine)
+            # A batch in the pool makes the leader's call hop too, so
+            # its flight stays open for followers to join.
+            batcher, batch = await park_batch(server)
             clients = [
                 ServeClient("127.0.0.1", server.port)
                 for _ in range(followers + 1)
@@ -344,10 +385,12 @@ class TestCoalescing:
                 for client in clients
             ]
             # Wait until every follower has joined the leader's flight,
-            # then let the single engine call finish.
+            # then let the batch and the single engine call finish.
             while server.flights.followers < followers:
                 await asyncio.sleep(0.005)
             engine.gate_event.set()
+            assert (await batch).status == 200
+            await batcher.close()
             responses = await asyncio.gather(*tasks)
             values = {response.body["value"] for response in responses}
             assert len(values) == 1
@@ -468,12 +511,9 @@ class TestAdmission:
 
         async def scenario():
             server = await serving(engine, policy=policy)
-            blocker = ServeClient("127.0.0.1", server.port)
-            # Occupy the only slot with a distinct range, then overflow
-            # with a different one (same range would coalesce, not shed).
-            blocked = asyncio.create_task(blocker.query([0, 0], [1, 1]))
-            while server.gate.inflight == 0:
-                await asyncio.sleep(0.005)
+            # Occupy the only slot with a batch parked in the pool, then
+            # overflow with a one-range query.
+            blocker, blocked = await park_batch(server)
             async with ServeClient("127.0.0.1", server.port) as client:
                 response = await client.query([2, 2], [3, 3])
                 assert response.status == 503
@@ -586,6 +626,107 @@ class TestHealthz:
 
 
 # ----------------------------------------------------------------------
+# Loop or pool: where an engine call runs
+# ----------------------------------------------------------------------
+
+
+class TestLoopOrPool:
+    def test_idle_server_runs_one_item_calls_on_the_loop(self):
+        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
+        data = clustered(SHAPE, seed=3)
+
+        async def scenario():
+            server = await serving(engine)
+            submitted = []
+            submit = server._pool.submit
+
+            def spy(fn, *args):
+                submitted.append(fn)
+                return submit(fn, *args)
+
+            server._pool.submit = spy
+            loop_thread = threading.current_thread().name
+            async with ServeClient("127.0.0.1", server.port) as client:
+                response = await client.query([2, 3], [10, 12])
+                assert response.body["value"] == int(data[2:11, 3:13].sum())
+                response = await client.update([5, 5], 7)
+                assert response.status == 200
+                response = await client.healthz()
+                assert response.status == 200
+                response = await client.query([2, 3], [10, 12])
+                assert response.body["value"] == int(data[2:11, 3:13].sum()) + 7
+            assert engine.threads == {
+                "range_sum": [loop_thread, loop_thread],
+                "add_many": [loop_thread],
+                "healthz": [loop_thread],
+            }
+            assert submitted == []
+            stats = server.stats()
+            assert (stats["loop_calls"], stats["pool_calls"]) == (4, 0)
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_one_range_query_hops_behind_a_parked_batch(self):
+        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
+        engine.gate_event = threading.Event()
+        data = clustered(SHAPE, seed=3)
+
+        async def scenario():
+            server = await serving(engine)
+            batcher, batch = await park_batch(server)
+            async with ServeClient("127.0.0.1", server.port) as client:
+                scalar = asyncio.create_task(client.query([1, 2], [9, 11]))
+                while server.stats()["pool_calls"] < 2:
+                    await asyncio.sleep(0.005)
+                # The loop stays free while the batch holds the pool.
+                async with ServeClient("127.0.0.1", server.port) as other:
+                    response = await asyncio.wait_for(other.metrics(), 1.0)
+                    assert response.status == 200
+                assert not scalar.done()
+                engine.gate_event.set()
+                response = await scalar
+                assert response.status == 200
+                assert response.body["value"] == int(data[1:10, 2:12].sum())
+            assert (await batch).status == 200
+            await batcher.close()
+            (thread,) = engine.threads["range_sum"]
+            assert in_pool(thread)
+            stats = server.stats()
+            assert (stats["loop_calls"], stats["pool_calls"]) == (0, 2)
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_batches_always_hop(self):
+        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
+        data = clustered(SHAPE, seed=3)
+
+        async def scenario():
+            server = await serving(engine)
+            async with ServeClient("127.0.0.1", server.port) as client:
+                response = await client.query_batch(
+                    [((0, 0), (4, 4)), ((5, 5), (9, 9))]
+                )
+                assert [entry["value"] for entry in response.body["results"]] == [
+                    int(data[:5, :5].sum()),
+                    int(data[5:10, 5:10].sum()),
+                ]
+                response = await client.update_many([((3, 4), 7), ((5, 6), -2)])
+                assert response.body == {"ok": True, "applied": 2}
+            assert all(in_pool(name) for name in engine.threads["range_sum_many"])
+            assert all(in_pool(name) for name in engine.threads["add_many"])
+            stats = server.stats()
+            assert (stats["loop_calls"], stats["pool_calls"]) == (0, 2)
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+
+# ----------------------------------------------------------------------
 # Graceful shutdown
 # ----------------------------------------------------------------------
 
@@ -597,10 +738,7 @@ class TestShutdown:
 
         async def scenario():
             server = await serving(engine)
-            client = ServeClient("127.0.0.1", server.port)
-            inflight = asyncio.create_task(client.query([0, 0], [10, 10]))
-            while server.gate.inflight == 0:
-                await asyncio.sleep(0.005)
+            client, inflight = await park_batch(server)
             # Release the engine call shortly after stop() starts
             # draining, then verify the response was still delivered.
             stopper = asyncio.create_task(server.stop())
