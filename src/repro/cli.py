@@ -538,8 +538,8 @@ def _command_serve(args) -> int:
     from .workloads import clustered
 
     shape = tuple(args.shape)
-    # Serve a float cube: the wire format accepts fractional deltas, and
-    # an int-backed structure would silently truncate them.
+    # Serve a float cube, so fractional deltas are accepted (an integer
+    # cube answers them with a 400).
     data = np.asarray(clustered(shape, seed=args.seed), dtype=float)
     obs = Observability()
     engine = ShardedEngine.from_array(

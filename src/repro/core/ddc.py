@@ -110,6 +110,12 @@ class DynamicDataCube(RangeSumMethod):
         self._root = None
         self._total = 0
 
+    def _bind_instruments(self, obs) -> None:
+        super()._bind_instruments(obs)
+        depth = obs.descent_depth
+        self._obs_query_depth = depth.labels(structure=self.name, op="query")
+        self._obs_update_depth = depth.labels(structure=self.name, op="update")
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -227,9 +233,8 @@ class DynamicDataCube(RangeSumMethod):
         node[offsets] += delta
         self.stats.cell_writes += 1
         self._total += delta
-        obs = self.obs
-        if obs.enabled:
-            obs.descent_depth.labels(structure=self.name, op="update").observe(depth)
+        if self._obs.enabled:
+            self._obs_update_depth.observe(depth)
 
     def set(self, cell: Sequence[int] | int, value) -> None:
         cell = geometry.normalize_cell(cell, self.shape)
@@ -273,18 +278,18 @@ class DynamicDataCube(RangeSumMethod):
         subtotal (fully inside) or one cumulative row-sum value
         (partially inside).
 
-        With observability wired, each call opens a ``tree.prefix_sum``
-        span (the leaf level of the engine→shard→method→tree trace) and
-        feeds the descent-depth histogram; disabled, the only cost is
-        one predicate check.
+        With observability wired into this structure, each call opens a
+        ``tree.prefix_sum`` span (under ``method.range_sum`` when the
+        call comes through it) and feeds the descent-depth histogram;
+        disabled, the only cost is one predicate check.
         """
-        obs = self.obs
+        obs = self._obs
         if not obs.enabled:
             return self._prefix_walk(cell)[0]
         with obs.span("tree.prefix_sum", structure=self.name) as span:
             value, depth = self._prefix_walk(cell)
             span.set(depth=depth)
-        obs.descent_depth.labels(structure=self.name, op="query").observe(depth)
+        self._obs_query_depth.observe(depth)
         return value
 
     def _prefix_walk(self, cell: Sequence[int] | int):

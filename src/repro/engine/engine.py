@@ -48,13 +48,24 @@ from ..exceptions import (
 from ..methods.base import RangeSumMethod
 from ..methods.registry import method_class
 from ..obs import NULL_OBS
-from ..obs.metrics import NULL_INSTRUMENT
 from .cache import MISS, EpochLruCache
 from .executor import SerialExecutor
 from .resilience import CircuitBreaker, Deadline, PartialResult, ResiliencePolicy
 from .sharding import ShardPlan
 
 __all__ = ["ShardedEngine"]
+
+
+def _compute(shard, sub_queries: list) -> list:
+    """Answer one shard's ``(key index, local low, local high)``
+    sub-queries: a single range through the scalar entry point, more
+    through the shard's batch path."""
+    if len(sub_queries) == 1:
+        _, local_low, local_high = sub_queries[0]
+        return [shard.range_sum(local_low, local_high)]
+    return shard.range_sum_many(
+        [(local_low, local_high) for _, local_low, local_high in sub_queries]
+    )
 
 
 class ShardedEngine(RangeSumMethod):
@@ -74,10 +85,12 @@ class ShardedEngine(RangeSumMethod):
         method_kwargs: extra keyword arguments for shard construction.
         obs: optional :class:`~repro.obs.Observability` facade.  When
             wired, the engine feeds request/shard latency histograms,
-            cache-outcome counters, epoch/occupancy gauges, per-query
-            span trees (engine→shard→method→tree), and the slow-query
-            log; the facade is propagated to every shard.  Defaults to
-            the shared disabled facade — zero overhead.
+            cache-outcome counters, epoch/occupancy gauges, one span
+            tree per request (an ``engine.*`` root, one
+            ``shard.range_sum`` per shard touched), and the slow-query
+            log.  The engine is the instrumented layer: its shards carry
+            no facade.  Defaults to the shared disabled facade, under
+            which a cache hit reads no clock and opens no span.
         resilience: optional
             :class:`~repro.engine.resilience.ResiliencePolicy`.  When
             set, every read fan-out runs with deadline budgets,
@@ -170,8 +183,6 @@ class ShardedEngine(RangeSumMethod):
                 )
                 for index in range(self.plan.count)
             ]
-        for shard in self._shards:
-            shard.obs = self.obs
         if executor is not None:
             self._executor = executor
             self.executor_kind = "custom"
@@ -193,59 +204,67 @@ class ShardedEngine(RangeSumMethod):
         self._retry_rng = random.Random(
             resilience.retry_seed if resilience is not None else 0
         )
-        self._register_engine_instruments()
+        # Shard-span attributes: the shard index and, in process mode, the
+        # pool lane that owns it, so slow-query records and Chrome traces
+        # can attribute work to shards and workers.
+        self._shard_attrs: list[dict] = [
+            {"shard": index}
+            if self._process_pool is None
+            else {"shard": index, "worker": self._process_pool.lane_of(index)}
+            for index in range(self.plan.count)
+        ]
 
-    def _register_engine_instruments(self) -> None:
-        """Pre-create the engine's metric families.
-
-        Disabled mode binds every handle to the shared
-        :data:`~repro.obs.metrics.NULL_INSTRUMENT` instead of minting
-        per-engine null children — NULL_OBS stays allocation-free.
-        """
-        if not self.obs.enabled:
-            self._obs_request_seconds = NULL_INSTRUMENT
-            self._obs_shard_seconds = NULL_INSTRUMENT
-            self._obs_cache_lookups = NULL_INSTRUMENT
-            self._obs_fanout_wait = NULL_INSTRUMENT
-            self._obs_cache_entries = NULL_INSTRUMENT
-            self._obs_shard_epoch = NULL_INSTRUMENT
-            self._obs_retries = NULL_INSTRUMENT
-            self._obs_timeouts = NULL_INSTRUMENT
-            self._obs_breaker_transitions = NULL_INSTRUMENT
-            self._obs_breaker_state = NULL_INSTRUMENT
-            self._obs_degraded = NULL_INSTRUMENT
-            self._obs_backoff = NULL_INSTRUMENT
-            return
-        metrics = self.obs.metrics
-        self._obs_request_seconds = metrics.histogram(
+    def _bind_instruments(self, obs) -> None:
+        """Register the engine's families and bind every child a healthy
+        request uses, so a request makes no ``labels()`` lookup (a
+        disabled facade hands out the no-op instrument for all)."""
+        metrics = obs.metrics
+        shards = [str(index) for index in range(self.plan.count)]
+        request_seconds = metrics.histogram(
             "repro_engine_request_seconds",
             "End-to-end engine request latency, per operation.",
             labels=("op",),
         )
-        self._obs_shard_seconds = metrics.histogram(
+        self._obs_request_seconds = {
+            op: request_seconds.labels(op=op)
+            for op in ("range_sum", "range_sum_many", "add", "add_many")
+        }
+        shard_seconds = metrics.histogram(
             "repro_engine_shard_seconds",
             "Per-shard sub-operation latency.",
             labels=("shard", "op"),
         )
-        self._obs_cache_lookups = metrics.counter(
+        self._obs_shard_read_seconds = [
+            shard_seconds.labels(shard=shard, op="range_sum") for shard in shards
+        ]
+        self._obs_shard_add_seconds = [
+            shard_seconds.labels(shard=shard, op="add") for shard in shards
+        ]
+        lookups = metrics.counter(
             "repro_engine_cache_lookups_total",
             "Result-cache lookups by outcome: hit, miss (absent), or "
             "stale (present but epoch-invalidated).",
             labels=("result",),
         )
+        self._obs_cache_lookups = {
+            result: lookups.labels(result=result)
+            for result in ("hit", "miss", "stale")
+        }
         self._obs_fanout_wait = metrics.histogram(
             "repro_engine_fanout_wait_seconds",
             "Wall time a multi-shard read spends in the executor fan-out.",
-        )
+        ).labels()
         self._obs_cache_entries = metrics.gauge(
             "repro_engine_cache_entries",
             "Live entries in the epoch-validated result cache.",
-        )
-        self._obs_shard_epoch = metrics.gauge(
+        ).labels()
+        shard_epoch = metrics.gauge(
             "repro_engine_shard_epoch",
             "Current write epoch per shard.",
             labels=("shard",),
         )
+        self._obs_shard_epoch = [shard_epoch.labels(shard=shard) for shard in shards]
+        # These fire only on a failing or degraded fan-out.
         self._obs_retries = metrics.counter(
             "repro_engine_retries_total",
             "Shard sub-operations re-attempted after a failure.",
@@ -294,27 +313,26 @@ class ShardedEngine(RangeSumMethod):
         """
         array = np.asarray(array)
         engine = cls(array.shape, dtype=kwargs.pop("dtype", array.dtype), **kwargs)
-        if engine._store is not None:
-            # Process mode: the payload lives in the shared slab store;
-            # recomputing the prefix slabs in place is the bulk load
-            # (attached workers see the pages directly), and the epoch
-            # bumps invalidate anything cached against the empty cube.
-            with engine._lock:
-                # No posted delta may race the rewrite.
+        with engine._lock:
+            if engine._store is not None:
+                # Process mode: the payload lives in the shared slab
+                # store; recomputing the prefix slabs in place is the bulk
+                # load (attached workers see the pages directly).  No
+                # posted delta may race the rewrite.
                 engine._process_pool.flush()
                 engine._store.load_array(array.astype(engine.dtype))
+            else:
+                shard_cls = method_class(engine.method_name)
                 for index in range(engine.plan.count):
-                    engine._epochs[index] += 1
-            return engine
-        shard_cls = method_class(engine.method_name)
-        with engine._lock:
+                    slab = array[engine.plan.slab(index)].astype(engine.dtype)
+                    engine._shards[index] = shard_cls.from_array(
+                        slab, dtype=engine.dtype, **engine._method_kwargs
+                    )
+            # The epoch bumps invalidate anything cached against the
+            # empty cube.
             for index in range(engine.plan.count):
-                slab = array[engine.plan.slab(index)].astype(engine.dtype)
-                engine._shards[index] = shard_cls.from_array(
-                    slab, dtype=engine.dtype, **engine._method_kwargs
-                )
-                engine._shards[index].obs = engine.obs
                 engine._epochs[index] += 1
+                engine._obs_shard_epoch[index].set(engine._epochs[index])
         return engine
 
     # ------------------------------------------------------------------
@@ -331,19 +349,19 @@ class ShardedEngine(RangeSumMethod):
         if delta == 0:
             return
         index = self.plan.owner(cell)
-        obs = self.obs
-        if not obs.enabled:
-            with self._lock:
+        obs = self._obs
+        traced = obs.enabled
+        start = obs.clock.now() if traced else 0.0
+        with self._lock:
+            if not traced:
                 self._locked_add_one(index, cell, delta)
-            return
-        start = obs.clock.now()
-        with obs.span("engine.add", shard=index):
-            with self._lock:
+                return
+            with obs.tracer.span("engine.add", shard=index):
                 epoch = self._locked_add_one(index, cell, delta)
         elapsed = obs.clock.now() - start
-        self._obs_request_seconds.labels(op="add").observe(elapsed)
-        self._obs_shard_seconds.labels(shard=str(index), op="add").observe(elapsed)
-        self._obs_shard_epoch.labels(shard=str(index)).set(epoch)
+        self._obs_request_seconds["add"].observe(elapsed)
+        self._obs_shard_add_seconds[index].observe(elapsed)
+        self._obs_shard_epoch[index].set(epoch)
 
     def _locked_add_one(self, index: int, cell: tuple, delta) -> int:
         """Apply one routed update; caller holds the lock.  Returns the
@@ -373,19 +391,17 @@ class ShardedEngine(RangeSumMethod):
             grouped.setdefault(index, []).append(
                 (self.plan.to_local(index, cell), delta)
             )
-        obs = self.obs
-        if not obs.enabled:
-            with self._lock:
-                self._locked_add_groups(grouped)
-            return
-        start = obs.clock.now()
-        with obs.span("engine.add_many", updates=len(combined), shards=len(grouped)):
-            with self._lock:
-                epochs = self._locked_add_groups(grouped)
-        elapsed = obs.clock.now() - start
-        self._obs_request_seconds.labels(op="add_many").observe(elapsed)
-        for index, epoch in epochs.items():
-            self._obs_shard_epoch.labels(shard=str(index)).set(epoch)
+        obs = self._obs
+        traced = obs.enabled
+        start = obs.clock.now() if traced else 0.0
+        with self._lock, obs.tracer.span(
+            "engine.add_many", updates=len(combined), shards=len(grouped)
+        ):
+            epochs = self._locked_add_groups(grouped)
+        if traced:
+            self._obs_request_seconds["add_many"].observe(obs.clock.now() - start)
+            for index, epoch in epochs.items():
+                self._obs_shard_epoch[index].set(epoch)
 
     def _locked_add_groups(self, grouped: dict[int, list[tuple]]) -> dict[int, int]:
         """Apply per-shard update groups; caller holds the lock.  Returns
@@ -416,47 +432,32 @@ class ShardedEngine(RangeSumMethod):
         straight to the per-shard computation.  With observability wired
         the lookup outcome is classified hit / miss / stale (present but
         epoch-invalidated) and every miss is offered to the slow-query
-        log with its span tree and OpCounter delta.
+        log with its span tree and the OpCounter delta of the shards
+        that computed it.
         """
-        low_cell, high_cell = geometry.normalize_range(low, high, self.shape)
-        key = (low_cell, high_cell)
-        obs = self.obs
-        if not obs.enabled:
-            with self._lock:
-                value = self._cache.get(key, self._epochs)
-                if value is not MISS:
-                    self.stats.cache_hits += 1
-                    return value
+        key = geometry.normalize_range(low, high, self.shape)
+        obs = self._obs
+        traced = obs.enabled
+        start = obs.clock.now() if traced else 0.0
+        with self._lock:
+            invalidations = self._cache.invalidations
+            value = self._cache.get(key, self._epochs)
+            hit = value is not MISS
+            if hit:
+                self.stats.cache_hits += 1
+            else:
                 self.stats.cache_misses += 1
-                return self._locked_compute_one(key)
-        start = obs.clock.now()
-        outcome = "hit"
-        ops = None
-        with obs.span("engine.range_sum") as span:
-            with self._lock:
-                invalidations = self._cache.invalidations
-                value = self._cache.get(key, self._epochs)
-                if value is not MISS:
-                    self.stats.cache_hits += 1
-                else:
-                    outcome = (
-                        "stale"
-                        if self._cache.invalidations > invalidations
-                        else "miss"
-                    )
-                    self.stats.cache_misses += 1
-                    before = self.aggregate_stats()
-                    value = self._locked_compute_one(key)
-                    ops = self.aggregate_stats().diff(before)
-            span.set(cache=outcome)
-        elapsed = obs.clock.now() - start
-        self._obs_cache_lookups.labels(result=outcome).inc()
-        self._obs_request_seconds.labels(op="range_sum").observe(elapsed)
-        if ops is not None:
-            obs.slow_log.consider(
-                span, ops, elapsed, op="range_sum", cache=outcome,
-                executor=self.executor_kind,
+            if not traced:
+                return value if hit else self._locked_compute_one(key, None)[0]
+            outcome = "hit" if hit else (
+                "stale" if self._cache.invalidations > invalidations else "miss"
             )
+            ops = None
+            with obs.tracer.span("engine.range_sum", cache=outcome) as span:
+                if not hit:
+                    value, ops = self._locked_compute_one(key, span)
+        self._obs_cache_lookups[outcome].inc()
+        self._observe_read("range_sum", start, span, ops, cache=outcome)
         return value
 
     def prefix_sum_many(self, cells: Sequence) -> list:
@@ -478,49 +479,48 @@ class ShardedEngine(RangeSumMethod):
         queries = [self._query_bounds(item) for item in ranges]
         if not queries:
             return []
-        self._use_batch_path(len(queries))
         results: list = [None] * len(queries)
-        obs = self.obs
-        if not obs.enabled:
-            with self._lock:
-                self._locked_serve_batch(queries, results, want_ops=False)
-            return results
-        start = obs.clock.now()
-        with obs.span("engine.range_sum_many", queries=len(queries)) as span:
-            with self._lock:
-                hits, misses, stale, ops = self._locked_serve_batch(
-                    queries, results, want_ops=True
-                )
+        obs = self._obs
+        traced = obs.enabled
+        start = obs.clock.now() if traced else 0.0
+        with self._lock, obs.tracer.span(
+            "engine.range_sum_many", queries=len(queries)
+        ) as span:
+            hits, misses, stale, ops = self._locked_serve_batch(
+                queries, results, span if traced else None
+            )
             span.set(hits=hits, misses=misses, stale=stale)
-        elapsed = obs.clock.now() - start
-        self._obs_request_seconds.labels(op="range_sum_many").observe(elapsed)
-        if hits:
-            self._obs_cache_lookups.labels(result="hit").inc(hits)
-        if misses - stale:
-            self._obs_cache_lookups.labels(result="miss").inc(misses - stale)
-        if stale:
-            self._obs_cache_lookups.labels(result="stale").inc(stale)
-        if ops is not None:
-            obs.slow_log.consider(
-                span,
-                ops,
-                elapsed,
-                op="range_sum_many",
-                queries=len(queries),
-                cache_hits=hits,
-                executor=self.executor_kind,
+        if traced:
+            lookups = self._obs_cache_lookups
+            lookups["hit"].inc(hits)
+            lookups["miss"].inc(misses - stale)
+            lookups["stale"].inc(stale)
+            self._observe_read(
+                "range_sum_many", start, span, ops,
+                queries=len(queries), cache_hits=hits,
             )
         return results
 
+    def _observe_read(self, op: str, start: float, span, ops, **attributes) -> None:
+        """Time a traced read and offer a miss (``ops`` not ``None``) to
+        the slow-query log."""
+        elapsed = self._obs.clock.now() - start
+        self._obs_request_seconds[op].observe(elapsed)
+        if ops is not None:
+            self._obs.slow_log.consider(
+                span, ops, elapsed, op=op, **attributes,
+                executor=self.executor_kind,
+            )
+
     def _locked_serve_batch(
-        self, queries: list[tuple], results: list, want_ops: bool
+        self, queries: list[tuple], results: list, parent
     ) -> tuple[int, int, int, OpCounter | None]:
         """Serve one query batch; caller holds the lock.
 
         Fills ``results`` in place and returns ``(hits, distinct misses,
         stale lookups, ops)`` where ``ops`` is the OpCounter delta of the
-        miss computation (``None`` when ``want_ops`` is false or nothing
-        missed).
+        miss computation (``None`` when obs is off or nothing missed).
+        ``parent`` is the request span, ``None`` with obs off.
         """
         missing: dict[tuple, list[int]] = {}
         hits = 0
@@ -542,16 +542,34 @@ class ShardedEngine(RangeSumMethod):
         stale = self._cache.invalidations - invalidations
         ops = None
         if missing:
-            before = self.aggregate_stats() if want_ops else None
-            for key, value in self._locked_compute(list(missing)):
+            answers, ops = self._locked_compute(list(missing), parent)
+            for key, value in answers:
                 for position in missing[key]:
                     results[position] = value
-            if want_ops:
-                ops = self.aggregate_stats().diff(before)
         return hits, len(missing), stale, ops
 
-    def _locked_compute_one(self, key: tuple):
-        """Answer one missing range; caller holds the lock.
+    def _read_shard(self, index: int, sub_queries: list, parent) -> tuple:
+        """Answer one shard's sub-queries under a ``shard.range_sum`` span
+        (child of ``parent``) and its latency histogram.  Returns
+        ``(values, ops)``: ``ops``, the shard's OpCounter delta, rides on
+        the span and is summed into the request's slow-log record."""
+        obs = self._obs
+        shard = self._shards[index]
+        before = shard.stats.snapshot()
+        start = obs.clock.now()
+        with obs.tracer.span(
+            "shard.range_sum", parent, queries=len(sub_queries),
+            **self._shard_attrs[index],
+        ) as span:
+            values = _compute(shard, sub_queries)
+            ops = shard.stats.diff(before)
+            span.set(node_visits=ops.node_visits, cell_ops=ops.total_cell_ops)
+        self._obs_shard_read_seconds[index].observe(obs.clock.now() - start)
+        return values, ops
+
+    def _locked_compute_one(self, key: tuple, parent) -> tuple:
+        """Answer one missing range; caller holds the lock.  Returns
+        ``(value, ops)`` like :meth:`_locked_compute`.
 
         The scalar serving path: no batch dictionaries and no executor
         dispatch — the shards a single range spans are read in turn in
@@ -560,37 +578,41 @@ class ShardedEngine(RangeSumMethod):
         retries, and breakers apply uniformly.
         """
         if self.policy is not None:
-            return self._locked_compute([key])[0][1]
+            ((_, value),), ops = self._locked_compute([key], parent)
+            return value, ops
         epochs = tuple(self._epochs)
-        obs = self.obs
+        ops = None if parent is None else OpCounter()
         total = self._zero()
         dependencies = []
         for index, local_low, local_high in self.plan.decompose(*key):
             shard = self._shards[index]
             self.stats.touch(shard)
-            if not obs.enabled:
+            if parent is None:
                 total = total + shard.range_sum(local_low, local_high)
             else:
-                shard_start = obs.clock.now()
-                with obs.span(
-                    "shard.range_sum", shard=index, **self._lane_attr(index)
-                ):
-                    total = total + shard.range_sum(local_low, local_high)
-                self._obs_shard_seconds.labels(
-                    shard=str(index), op="range_sum"
-                ).observe(obs.clock.now() - shard_start)
+                (value,), delta = self._read_shard(
+                    index, [(0, local_low, local_high)], parent
+                )
+                total = total + value
+                ops.merge(delta)
             dependencies.append(index)
         value = self.dtype.type(total)
         self._cache.put(key, value, dependencies, epochs)
-        if obs.enabled:
+        if parent is not None:
             self._obs_cache_entries.set(len(self._cache))
-        return value
+        return value, ops
 
-    def _locked_compute(self, keys: list[tuple]) -> list[tuple]:
+    def _locked_compute(
+        self, keys: list[tuple], parent
+    ) -> tuple[list[tuple], OpCounter | None]:
         """Answer distinct missing ranges; caller holds the lock.
 
-        Returns ``(key, value)`` pairs and caches every value stamped
-        with the epoch snapshot taken before any shard work started.
+        ``parent`` is the request span (``None`` with obs off); shard
+        spans attach to it explicitly, because they may run on executor
+        threads whose span stacks are empty.  Returns ``(answers, ops)``:
+        ``(key, value)`` pairs, every value cached stamped with the epoch
+        snapshot taken before any shard work started, and — with obs
+        on — the summed OpCounter deltas of the shards that computed.
         """
         epochs = tuple(self._epochs)
         per_shard: dict[int, list[tuple[int, tuple, tuple]]] = {}
@@ -606,51 +628,21 @@ class ShardedEngine(RangeSumMethod):
                 touched.append(shard_index)
             dependencies.append(touched)
 
-        obs = self.obs
-        # Per-shard spans run on executor threads whose span stacks are
-        # empty, so the request span is captured here and attached as the
-        # explicit parent (a cross-thread child).
-        parent = obs.tracer.current() if obs.enabled else None
-
-        def compute(shard, sub_queries):
-            if len(sub_queries) == 1:
-                _, local_low, local_high = sub_queries[0]
-                return [shard.range_sum(local_low, local_high)]
-            return shard.range_sum_many(
-                [
-                    (local_low, local_high)
-                    for _, local_low, local_high in sub_queries
-                ]
-            )
+        obs = self._obs
 
         def run_shard(item: tuple[int, list[tuple[int, tuple, tuple]]]):
             shard_index, sub_queries = item
             shard = self._shards[shard_index]
             self.stats.touch(shard)
-            if not obs.enabled:
-                return sub_queries, compute(shard, sub_queries)
-            shard_start = obs.clock.now()
-            before = shard.stats.snapshot()
-            with obs.tracer.span(
-                "shard.range_sum",
-                parent=parent,
-                shard=shard_index,
-                queries=len(sub_queries),
-                **self._lane_attr(shard_index),
-            ) as shard_span:
-                values = compute(shard, sub_queries)
-                delta = shard.stats.diff(before)
-                shard_span.set(
-                    node_visits=delta.node_visits,
-                    cell_ops=delta.total_cell_ops,
-                )
-            self._obs_shard_seconds.labels(
-                shard=str(shard_index), op="range_sum"
-            ).observe(obs.clock.now() - shard_start)
-            return sub_queries, values
+            if parent is None:
+                return sub_queries, _compute(shard, sub_queries), None
+            return (sub_queries, *self._read_shard(shard_index, sub_queries, parent))
 
         totals = [self._zero() for _ in keys]
-        fanout_start = obs.clock.now() if obs.enabled else 0.0
+        ops = None
+        # A one-shard fan-out's wait is that shard's latency.
+        timed = parent is not None and len(per_shard) > 1
+        fanout_start = obs.clock.now() if timed else 0.0
         if self.policy is None:
             completed = self._executor.map(run_shard, sorted(per_shard.items()))
             missing_by_key: dict[int, set[int]] = {}
@@ -659,12 +651,16 @@ class ShardedEngine(RangeSumMethod):
                 sorted(per_shard.items()), run_shard
             )
             missing_by_key = self._locked_degrade(
-                failed, per_shard, dependencies, completed, compute
+                failed, per_shard, dependencies, completed
             )
-        for sub_queries, values in completed:
+        for sub_queries, values, delta in completed:
             for (key_index, _, _), value in zip(sub_queries, values):
                 totals[key_index] = totals[key_index] + value
-        if obs.enabled:
+            if ops is None:
+                ops = delta
+            elif delta is not None:
+                ops.merge(delta)
+        if timed:
             self._obs_fanout_wait.observe(obs.clock.now() - fanout_start)
 
         out: list[tuple] = []
@@ -680,9 +676,9 @@ class ShardedEngine(RangeSumMethod):
                 continue
             self._cache.put(key, value, dependencies[key_index], epochs)
             out.append((key, value))
-        if obs.enabled:
+        if parent is not None:
             self._obs_cache_entries.set(len(self._cache))
-        return out
+        return out, ops
 
     # ------------------------------------------------------------------
     # Resilient fan-out (deadlines, retries, breakers, degradation)
@@ -706,7 +702,7 @@ class ShardedEngine(RangeSumMethod):
         without touching the shard at all).
         """
         policy = self.policy
-        clock = self.obs.clock
+        clock = self._obs.clock
         deadline = Deadline.after(clock, policy.deadline_seconds)
         pending: dict[int, list] = dict(items)
         attempts: dict[int, int] = {index: 0 for index in pending}
@@ -785,7 +781,6 @@ class ShardedEngine(RangeSumMethod):
         per_shard: dict[int, list],
         dependencies: list[list[int]],
         completed: list,
-        compute,
     ) -> dict[int, set[int]]:
         """Apply the degradation policy to permanently-failed shards;
         caller holds the lock.
@@ -794,8 +789,8 @@ class ShardedEngine(RangeSumMethod):
           budget ran out, else :class:`ShardFailedError` naming every
           failed shard (chained to the first underlying error).
         * ``fallback`` — recompute each failed shard's sub-queries
-          synchronously in the request thread (``compute`` is the
-          direct, executor-free path), append the exact results to
+          synchronously in the request thread (the direct,
+          executor-free path), append the exact results to
           ``completed``, and return no missing keys.
         * ``partial`` — return ``{key_index: missing shard set}`` so
           the caller wraps affected answers in
@@ -804,7 +799,6 @@ class ShardedEngine(RangeSumMethod):
         if not failed:
             return {}
         policy = self.policy
-        obs = self.obs
         if policy.degradation == "strict":
             deadline_errors = [
                 error
@@ -830,12 +824,9 @@ class ShardedEngine(RangeSumMethod):
                 # not depend on the very worker that just failed.
                 fallback = getattr(shard, "fallback_target", None)
                 target = fallback() if fallback is not None else shard
-                if obs.enabled:
-                    with obs.span("shard.fallback", shard=shard_index):
-                        values = compute(target, sub_queries)
-                else:
-                    values = compute(target, sub_queries)
-                completed.append((sub_queries, values))
+                with self._obs.span("shard.fallback", shard=shard_index):
+                    values = _compute(target, sub_queries)
+                completed.append((sub_queries, values, None))
                 self._obs_degraded.labels(mode="fallback").inc()
             return {}
         # partial: name the missing shards per affected key
@@ -848,17 +839,9 @@ class ShardedEngine(RangeSumMethod):
                 self._obs_degraded.labels(mode="partial").inc()
         return missing_by_key
 
-    def _lane_attr(self, shard_index: int) -> dict:
-        """``{"worker": lane}`` in process mode, else empty — span
-        attribute naming the pool lane that owns a shard, so slow-query
-        records and Chrome traces can attribute work to workers."""
-        if self._process_pool is None:
-            return {}
-        return {"worker": self._process_pool.lane_of(shard_index)}
-
     def _note_breaker(self, shard_index: int, before: str, after: str) -> None:
         """Emit breaker transition/state instruments on a state change."""
-        if before == after or not self.obs.enabled:
+        if before == after or not self._obs.enabled:
             return
         self._obs_breaker_transitions.labels(
             shard=str(shard_index), to=after

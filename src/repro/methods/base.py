@@ -110,11 +110,9 @@ class RangeSumMethod(ABC):
     #: adaptive decision).
     batch_crossover: ClassVar[int | str] = 1
 
-    #: Observability wiring (see :mod:`repro.obs`).  The class-level
-    #: default is the shared disabled facade, so an unwired structure
-    #: pays one predicate check per instrumented operation; callers (the
-    #: serving engine, the CLI) assign a live facade per instance.
-    obs = NULL_OBS
+    #: Observability wiring (see :attr:`obs`): unwired, a structure pays
+    #: one predicate check per instrumented operation.
+    _obs = NULL_OBS
 
     def __init__(self, shape: Sequence[int], dtype=np.int64) -> None:
         self.shape: Shape = geometry.normalize_shape(shape)
@@ -131,6 +129,27 @@ class RangeSumMethod(ABC):
         #: the batch path, e.g. when auditing what the batch kernel
         #: *would* do below the adaptive crossover.
         self.batch_crossover_override: int | None = None
+
+    @property
+    def obs(self):
+        """The :class:`~repro.obs.Observability` facade reported to;
+        assigning one binds the label children the hot paths use."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, obs) -> None:
+        self._obs = obs
+        self._bind_instruments(obs)
+
+    def _bind_instruments(self, obs) -> None:
+        """Bind this method's children of the shared method families
+        (used only while a facade is assigned and enabled)."""
+        self._obs_query_seconds = obs.method_query_seconds.labels(method=self.name)
+        self._obs_query_ops = obs.method_query_ops.labels(method=self.name)
+        self._obs_batch_path = {
+            path: obs.batch_path_total.labels(method=self.name, path=path)
+            for path in ("batch", "scalar")
+        }
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -228,7 +247,7 @@ class RangeSumMethod(ABC):
         op-count histograms.  Disabled (the default), the cost is one
         predicate check.
         """
-        obs = self.obs
+        obs = self._obs
         if not obs.enabled:
             return self._range_sum_corners(low, high)
         before = self.stats.snapshot()
@@ -241,9 +260,8 @@ class RangeSumMethod(ABC):
                 cell_reads=delta.cell_reads,
                 cell_writes=delta.cell_writes,
             )
-        elapsed = obs.clock.now() - start
-        obs.method_query_seconds.labels(method=self.name).observe(elapsed)
-        obs.method_query_ops.labels(method=self.name).observe(delta.total_cell_ops)
+        self._obs_query_seconds.observe(obs.clock.now() - start)
+        self._obs_query_ops.observe(delta.total_cell_ops)
         return result
 
     def _range_sum_corners(
@@ -276,11 +294,8 @@ class RangeSumMethod(ABC):
         """
         use_batch = count >= self._effective_crossover()
         self.last_batch_path = "batch" if use_batch else "scalar"
-        obs = self.obs
-        if obs.enabled:
-            obs.batch_path_total.labels(
-                method=self.name, path=self.last_batch_path
-            ).inc()
+        if self._obs.enabled:
+            self._obs_batch_path[self.last_batch_path].inc()
         return use_batch
 
     def _effective_crossover(self) -> int:

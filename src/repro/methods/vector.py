@@ -75,32 +75,57 @@ class VectorSlabCube(RangeSumMethod):
         """Live gather backend: ``"numba"`` or ``"numpy"``."""
         return kernel_backend()
 
+    def _bind_instruments(self, obs: Any) -> None:
+        super()._bind_instruments(obs)
+        depth = obs.descent_depth
+        self._obs_prefix_depth = depth.labels(structure="slab-tree", op="prefix")
+        self._obs_add_depth = depth.labels(structure="slab-tree", op="add")
+
+    def _charge_reads(self, descents: int) -> None:
+        """Charge ``descents`` prefix descents (one cell per level each);
+        the depth, always ``level_count``, is observed once per call."""
+        levels = self.tree.level_count
+        self.stats.node_visits += levels * descents
+        self.stats.cell_reads += levels * descents
+        if self._obs.enabled:
+            self._obs_prefix_depth.observe(levels)
+
+    def _charge_writes(self, cells: int, written: int) -> None:
+        """Charge an update of ``cells`` cells writing ``written`` slab cells."""
+        self.stats.node_visits += self.tree.level_count * cells
+        self.stats.cell_writes += written
+        if self._obs.enabled:
+            self._obs_add_depth.observe(self.tree.level_count)
+
+    def _corner_sum(self, low: Any, high: Any) -> tuple[Any, int]:
+        """Figure 4's corner combination straight off the tree, for
+        normalised bounds: ``(sum, prefix descents taken)``."""
+        total = self._native(0)
+        corners = 0
+        for sign, corner in geometry.inclusion_exclusion_corners(low, high):
+            if corner is not None:
+                corners += 1
+                term = self.tree.prefix_one(corner)
+                total = total + term if sign > 0 else total - term
+        return total, corners
+
     # ------------------------------------------------------------------
     # Point access
     # ------------------------------------------------------------------
 
     def prefix_sum(self, cell: Sequence[int] | int) -> Any:
         cell = geometry.normalize_cell(cell, self.shape)
-        levels = self.tree.level_count
-        self.stats.node_visits += levels
-        self.stats.cell_reads += levels
-        obs = self.obs
-        if obs.enabled:
-            obs.descent_depth.labels(structure="slab-tree", op="prefix").observe(
-                levels
-            )
+        self._charge_reads(1)
         return self.tree.prefix_one(cell)
+
+    def _range_sum_corners(self, low: Any, high: Any) -> Any:
+        total, corners = self._corner_sum(*geometry.normalize_range(low, high, self.shape))
+        self._charge_reads(corners)
+        return total
 
     def add(self, cell: Sequence[int] | int, delta: Any) -> None:
         cell = geometry.normalize_cell(cell, self.shape)
-        written = self.tree.add_one(cell, self._native(delta))
-        self.stats.node_visits += self.tree.level_count
-        self.stats.cell_writes += written
-        obs = self.obs
-        if obs.enabled:
-            obs.descent_depth.labels(structure="slab-tree", op="add").observe(
-                self.tree.level_count
-            )
+        self._charge_writes(1, self.tree.add_one(cell, self._native(delta)))
 
     # ------------------------------------------------------------------
     # Batch paths
@@ -113,32 +138,20 @@ class VectorSlabCube(RangeSumMethod):
         coords = np.asarray(normalized, dtype=np.int64).reshape(
             len(normalized), self.dims
         )
-        levels = self.tree.level_count
-        self.stats.node_visits += levels * len(normalized)
-        self.stats.cell_reads += levels * len(normalized)
-        obs = self.obs
-        if obs.enabled:
-            obs.descent_depth.labels(structure="slab-tree", op="prefix").observe(
-                levels
-            )
+        self._charge_reads(len(normalized))
         return list(self.tree.prefix_many(coords))
 
     def range_sum_many(self, ranges: Sequence[Any]) -> list[Any]:
         bounds = [self._query_bounds(item) for item in ranges]
-        levels = self.tree.level_count
         if not self._use_batch_path(len(bounds)):
             # Bounds are normalised already: sum the corners straight off
             # the tree, charging what the batch path charges.
             results: list[Any] = []
             corners = 0
             for low, high in bounds:
-                total = self._native(0)
-                for sign, corner in geometry.inclusion_exclusion_corners(low, high):
-                    if corner is not None:
-                        corners += 1
-                        term = self.tree.prefix_one(corner)
-                        total = total + term if sign > 0 else total - term
+                total, taken = self._corner_sum(low, high)
                 results.append(total)
+                corners += taken
         else:
             lows = np.asarray([low for low, _ in bounds], dtype=np.int64).reshape(
                 len(bounds), self.dims
@@ -148,13 +161,7 @@ class VectorSlabCube(RangeSumMethod):
             )
             corners = self.tree.valid_corner_count(lows)
             results = list(self.tree.range_many(lows, highs))
-        self.stats.node_visits += levels * corners
-        self.stats.cell_reads += levels * corners
-        obs = self.obs
-        if obs.enabled:
-            obs.descent_depth.labels(structure="slab-tree", op="prefix").observe(
-                levels
-            )
+        self._charge_reads(corners)
         return results
 
     def add_many(self, updates: Sequence[tuple[Any, Any]]) -> None:
@@ -172,13 +179,7 @@ class VectorSlabCube(RangeSumMethod):
                 [self._native(delta) for _, delta in combined], dtype=self.dtype
             )
             written = self.tree.add_batch(cells, deltas)
-        self.stats.node_visits += self.tree.level_count * len(combined)
-        self.stats.cell_writes += written
-        obs = self.obs
-        if obs.enabled:
-            obs.descent_depth.labels(structure="slab-tree", op="add").observe(
-                self.tree.level_count
-            )
+        self._charge_writes(len(combined), written)
 
     # ------------------------------------------------------------------
     # Diagnostics

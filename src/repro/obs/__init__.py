@@ -18,12 +18,17 @@ distributions, and a slow-query log, behind one facade:
 
 Design rules the whole layer obeys:
 
-* **Disabled means free.**  Every structure carries ``NULL_OBS`` until
-  an :class:`Observability` is wired in; the instrumented hot paths
-  check one ``obs.enabled`` predicate and otherwise run the exact PR 3
-  code.  The end-to-end benchmark runs its bounded metrics with obs
-  disabled (``engine_hot_reads`` ``read_p50_us``) and reports the
-  enabled-mode cost as ``obs.read_overhead_us``.
+* **Disabled means free; enabled is cheap.**  Every structure carries
+  ``NULL_OBS`` until an :class:`Observability` is wired in.  Every label
+  child a request uses is bound when the engine, method or server is
+  built (or a facade assigned), so a request makes no ``labels()``
+  lookup, and a disabled facade binds the shared no-op instrument.  The
+  engine's operations have one body for both modes; with obs off a
+  cache hit reads no clock and opens no span.  The benchmark's
+  in-process workloads run with obs off (``engine_hot_reads``
+  ``read_p50_us`` guards the disabled path); its ``serve_*`` workloads
+  run ``repro serve`` with obs on, and ``obs.read_overhead_us`` prices
+  it per served read.
 * **One clock.**  All timestamps come from the injected clock; hot-path
   modules never call ``time.perf_counter`` themselves (lint rule
   REP008 enforces this).

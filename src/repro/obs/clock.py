@@ -31,9 +31,9 @@ class MonotonicClock:
 
     __slots__ = ()
 
-    def now(self) -> float:
-        """Seconds on a monotonic, high-resolution timeline."""
-        return time.perf_counter()
+    #: Seconds on a monotonic, high-resolution timeline.  Bound straight
+    #: to the C function, so a read on the hot path costs no Python frame.
+    now = staticmethod(time.perf_counter)
 
     def sleep(self, seconds: float) -> None:
         """Block the calling thread for ``seconds`` (no-op when <= 0).

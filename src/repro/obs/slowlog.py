@@ -4,12 +4,13 @@ Histograms show that a tail exists; the slow-query log shows *why*.  A
 query whose latency (or logical operation count) crosses the configured
 threshold is captured as one :class:`SlowQueryRecord` holding:
 
-* the query's finished span tree — engine→shard→method→tree nesting
-  with every per-span attribute (shard ids, cache outcome, node-visit
-  deltas), and
+* the query's finished span tree — an engine root and one child per
+  shard touched, with every per-span attribute (shard ids, cache
+  outcome, node-visit and cell-op deltas), and
 * the :class:`~repro.counters.OpCounter` diff accumulated while serving
   it — the paper's own cost axis, so a slow query can be read as "slow
   because it touched 40k cells" vs "slow because the executor stalled".
+  The engine sums it from the shards that computed.
 
 Probabilistic sampling (``sample_rate``) bounds capture overhead under a
 pathological workload where *every* query crosses the threshold; the
@@ -30,7 +31,7 @@ from .trace import Span, render_span_tree
 __all__ = ["SlowQueryRecord", "SlowQueryLog", "NullSlowQueryLog"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SlowQueryRecord:
     """One captured slow query."""
 
@@ -146,7 +147,7 @@ class SlowQueryLog:
             self.sampled_out += 1
             return False
         self._records.append(
-            SlowQueryRecord(span=span, ops=ops, seconds=seconds, attributes=attributes)
+            SlowQueryRecord(span, ops, seconds, attributes)
         )
         return True
 

@@ -1,4 +1,4 @@
-"""Span-based tracing: one query becomes one engine→shard→method→tree tree.
+"""Span-based tracing: one request becomes one tree of timed spans.
 
 A :class:`Span` is a named, timed region with arbitrary key/value
 attributes (shard id, cache outcome, node-visit deltas).  Spans nest:
@@ -13,7 +13,8 @@ first), so a long serving run keeps a recent window of complete traces
 at O(capacity) memory.  Head-based sampling (``sample_every``) decides
 at the root whether a trace is recorded at all; an unsampled root pushes
 a null marker onto the stack so its entire subtree is suppressed for the
-price of one list append.
+price of one list append.  A served engine request is an ``engine.*``
+root with one ``shard.range_sum`` child per shard it touched.
 
 The tracer never reads the wall clock itself — timestamps come from the
 injected clock (see :mod:`repro.obs.clock` and lint rule REP008).
@@ -51,20 +52,49 @@ class Span:
     boundary (see :mod:`repro.obs.remote`): the parent ships
     ``(trace_id, span_id)`` with an IPC request, and worker-side spans
     returning in the ack re-parent under that span id.
+
+    A span opened by :meth:`Tracer.span` is its own context manager:
+    entering pushes it on the span stack of the thread that opened it,
+    exiting stamps its end and pops it (and retains it, when it is a
+    root).
     """
 
-    __slots__ = ("name", "start", "end", "attributes", "children", "trace_id", "span_id")
+    __slots__ = (
+        "name", "start", "end", "attributes", "children", "trace_id",
+        "span_id", "_tracer", "_stack", "_root",
+    )
 
     def __init__(
-        self, name: str, start: float, trace_id: int = 0, span_id: int = 0
+        self,
+        name: str,
+        start: float,
+        trace_id: int = 0,
+        span_id: int = 0,
+        attributes: dict | None = None,
     ) -> None:
         self.name = name
         self.start = start
         self.end: float | None = None
-        self.attributes: dict[str, object] = {}
+        self.attributes: dict[str, object] = (
+            attributes if attributes is not None else {}
+        )
         self.children: list["Span"] = []
         self.trace_id = trace_id
         self.span_id = span_id
+        self._tracer: "Tracer | None" = None
+        self._stack: list | None = None
+        self._root = False
+
+    def __enter__(self) -> "Span":
+        self._stack.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        tracer = self._tracer
+        self.end = tracer.clock.now()
+        self._stack.pop()
+        if self._root:
+            tracer._finished.append(self)
 
     def set(self, **attributes) -> None:
         """Attach attributes (merging over earlier values)."""
@@ -91,7 +121,12 @@ class Span:
 
 
 class _NullSpan:
-    """Do-nothing span: the subtree of an unsampled or disabled trace."""
+    """Do-nothing span: the subtree of an unsampled or disabled trace.
+
+    It is also its own context manager — ``with NULL_SPAN as span``
+    yields it and touches no span stack — which is what a disabled
+    tracer, and an engine request with obs off, open.
+    """
 
     __slots__ = ()
 
@@ -110,29 +145,14 @@ class _NullSpan:
     def walk(self):
         return iter(())
 
-
-NULL_SPAN = _NullSpan()
-
-
-class _SpanHandle:
-    """Context manager for one live span (push on enter, pop on exit)."""
-
-    __slots__ = ("_tracer", "_span", "_is_root")
-
-    def __init__(self, tracer: "Tracer", span: Span, is_root: bool) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._is_root = is_root
-
-    def __enter__(self) -> Span:
-        self._tracer._stack().append(self._span)
-        return self._span
+    def __enter__(self) -> "_NullSpan":
+        return self
 
     def __exit__(self, *exc_info) -> None:
-        self._span.end = self._tracer.clock.now()
-        self._tracer._stack().pop()
-        if self._is_root:
-            self._tracer._record(self._span)
+        pass
+
+
+NULL_SPAN = _NullSpan()
 
 
 class _NullHandle:
@@ -148,11 +168,18 @@ class _NullHandle:
         self._tracer = tracer
 
     def __enter__(self) -> _NullSpan:
-        self._tracer._stack().append(NULL_SPAN)
+        self._tracer._local.stack.append(NULL_SPAN)
         return NULL_SPAN
 
     def __exit__(self, *exc_info) -> None:
-        self._tracer._stack().pop()
+        self._tracer._local.stack.pop()
+
+
+class _SpanStack(threading.local):
+    """Per-thread stack of open spans (innermost last)."""
+
+    def __init__(self) -> None:
+        self.stack: list = []
 
 
 class Tracer:
@@ -184,7 +211,7 @@ class Tracer:
         self.capacity = capacity
         self.sample_every = sample_every
         self._finished: deque[Span] = deque(maxlen=capacity)
-        self._local = threading.local()
+        self._local = _SpanStack()
         self._sample_lock = threading.Lock()
         self._roots_seen = 0
         self._null_handle = _NullHandle(self)
@@ -205,24 +232,32 @@ class Tracer:
         parent explicitly to attach across threads — e.g. per-shard
         sub-query spans created on executor threads.
         """
+        stack = self._local.stack
         if parent is _UNSET:
-            stack = self._stack()
             parent = stack[-1] if stack else None
-        if parent is NULL_SPAN or isinstance(parent, _NullSpan):
+        if parent is None:
+            if self.sample_every != 1 and not self._sample_root():
+                return self._null_handle
+            span = Span(
+                name, self.clock.now(), next(self._trace_ids),
+                next(self._span_ids), attributes,
+            )
+            span._root = True
+        elif parent is NULL_SPAN:
             return self._null_handle
-        if parent is None and not self._sample_root():
-            return self._null_handle
-        trace_id = parent.trace_id if parent is not None else next(self._trace_ids)
-        span = Span(name, self.clock.now(), trace_id, next(self._span_ids))
-        if attributes:
-            span.attributes.update(attributes)
-        if parent is not None:
+        else:
+            span = Span(
+                name, self.clock.now(), parent.trace_id, next(self._span_ids),
+                attributes,
+            )
             parent.children.append(span)
-        return _SpanHandle(self, span, is_root=parent is None)
+        span._tracer = self
+        span._stack = stack
+        return span
 
     def current(self) -> Span | _NullSpan | None:
         """The calling thread's innermost open span, if any."""
-        stack = self._stack()
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     def current_context(self) -> tuple[int, int] | None:
@@ -239,21 +274,10 @@ class Tracer:
         """Allocate a fresh span id (used when grafting foreign spans)."""
         return next(self._span_ids)
 
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def _sample_root(self) -> bool:
-        if self.sample_every == 1:
-            return True
         with self._sample_lock:
             self._roots_seen += 1
             return self._roots_seen % self.sample_every == 1
-
-    def _record(self, span: Span) -> None:
-        self._finished.append(span)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -278,11 +302,8 @@ class Tracer:
 class NullTracer:
     """Disabled-mode tracer: every span is the shared null span."""
 
-    def __init__(self) -> None:
-        self._handle = _StatelessNullHandle()
-
     def span(self, name: str, parent=_UNSET, **attributes):
-        return self._handle
+        return NULL_SPAN
 
     def current(self):
         return None
@@ -300,18 +321,6 @@ class NullTracer:
         pass
 
 
-class _StatelessNullHandle:
-    """Null span context that does not even touch a thread-local stack."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return NULL_SPAN
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
 def _format_attributes(attributes: dict) -> str:
     if not attributes:
         return ""
@@ -324,10 +333,9 @@ def render_span_tree(span: Span, indent: int = 0) -> str:
 
     ::
 
-        engine.range_sum 184.2us {cache=miss}
-          shard.range_sum 90.1us {shard=0, node_visits=14}
-            method.range_sum 88.0us {method=ddc}
-              tree.prefix_sum 21.5us {structure=ddc, depth=7}
+        engine.range_sum 61.2us {cache=miss}
+          shard.range_sum 22.4us {queries=1, shard=0, node_visits=8, cell_ops=8}
+          shard.range_sum 20.9us {queries=1, shard=1, node_visits=8, cell_ops=8}
     """
     lines: list[str] = []
     _render_into(span, indent, lines)

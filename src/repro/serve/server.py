@@ -42,6 +42,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
+import numpy as np
+
 from ..exceptions import (
     BadRequestError,
     CircuitOpenError,
@@ -135,6 +137,8 @@ class CubeServer:
             self.obs = Observability(remote_worker_metrics=False)
         self.watchdog = engine_watchdog(self.obs, engine, rules=slo_rules)
         self.dims = len(engine.shape)
+        # An integer cube takes whole-number deltas only (wire.decode_update).
+        self._integer_deltas = np.dtype(engine.dtype).kind in "iu"
         self.flights = SingleFlight()
         self.buckets = TenantBuckets(self.policy)
         self.gate = ConcurrencyGate(self.policy)
@@ -170,12 +174,17 @@ class CubeServer:
             "End-to-end request latency, by route.",
             labels=("route",),
         )
-        self._coalesced_total = metrics.counter(
+        # (route, status) -> (requests counter, latency histogram)
+        # children, bound on a pair's first request.
+        self._route_instruments: dict[tuple[str, int], tuple] = {}
+        coalesced = metrics.counter(
             "repro_serve_coalesced_total",
             "Single-flight outcomes: leaders ran the engine call, "
             "followers joined one in flight.",
             labels=("role",),
         )
+        self._leaders_total = coalesced.labels(role="leader")
+        self._followers_total = coalesced.labels(role="follower")
         self._admission_total = metrics.counter(
             "repro_serve_admission_total",
             "Admission decisions: throttled (429), overflow (503), "
@@ -185,7 +194,7 @@ class CubeServer:
         self._inflight_gauge = metrics.gauge(
             "repro_serve_inflight",
             "Requests currently being handled.",
-        )
+        ).labels()
         calls = metrics.counter(
             "repro_serve_engine_calls_total",
             "Blocking calls (engine requests and /healthz) by where they "
@@ -401,10 +410,15 @@ class CubeServer:
             extra = {"Retry-After": self._retry_after()}
         except ReproError as exc:
             status, body, extra = 500, error_body(500, str(exc)), {}
-        self._requests_total.labels(route=route, code=str(status)).inc()
-        self._request_seconds.labels(route=route).observe(
-            max(0.0, self.obs.clock.now() - start)
-        )
+        instruments = self._route_instruments.get((route, status))
+        if instruments is None:
+            instruments = self._route_instruments[(route, status)] = (
+                self._requests_total.labels(route=route, code=str(status)),
+                self._request_seconds.labels(route=route),
+            )
+        requests, seconds = instruments
+        requests.inc()
+        seconds.observe(max(0.0, self.obs.clock.now() - start))
         keep_alive = self._keep_alive(request)
         await self._write_response(
             writer, codec, status, body, extra, keep_alive
@@ -470,9 +484,7 @@ class CubeServer:
 
             value, coalesced = await self.flights.run(key, supplier)
             results = [value]
-            self._coalesced_total.labels(
-                role="follower" if coalesced else "leader"
-            ).inc()
+            (self._followers_total if coalesced else self._leaders_total).inc()
         body = query_response(
             results,
             batch=parsed.batch,
@@ -487,7 +499,7 @@ class CubeServer:
         payload = codec_for(request.headers.get("content-type")).decode(
             request.body
         )
-        parsed = decode_update(payload, self.dims)
+        parsed = decode_update(payload, self.dims, integer=self._integer_deltas)
         denied = self._admit(parsed.tenant)
         if denied is not None:
             return denied

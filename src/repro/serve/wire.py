@@ -230,13 +230,18 @@ def decode_query(payload: Any, dims: int) -> QueryRequest:
     )
 
 
-def decode_update(payload: Any, dims: int) -> UpdateRequest:
+def decode_update(payload: Any, dims: int, integer: bool = False) -> UpdateRequest:
     """Validate an ``/update`` payload into an :class:`UpdateRequest`.
 
     Accepted forms::
 
         {"cell": [...], "delta": n}
         {"updates": [[[cell...], delta], ...]}         # batch
+
+    ``integer`` is the numeric contract of an integer cube: every delta
+    must be a whole number within int64 (``2.0`` is accepted as ``2``),
+    so a fraction is refused here instead of being truncated by the
+    cube's dtype.
     """
     payload = _require_mapping(payload)
     tenant = _tenant_of(payload)
@@ -254,19 +259,31 @@ def decode_update(payload: Any, dims: int) -> UpdateRequest:
                 raise BadRequestError(
                     "each 'updates' entry must be a [cell, delta] pair"
                 )
-            updates.append((_cell(entry[0], "cell", dims), _delta(entry[1])))
+            updates.append(
+                (_cell(entry[0], "cell", dims), _delta(entry[1], integer))
+            )
         return UpdateRequest(tenant, tuple(updates))
     if "cell" not in payload or "delta" not in payload:
         raise BadRequestError("update requires 'cell' and 'delta'")
-    return UpdateRequest(
-        tenant, ((_cell(payload["cell"], "cell", dims), _delta(payload["delta"])),)
-    )
+    cell = _cell(payload["cell"], "cell", dims)
+    return UpdateRequest(tenant, ((cell, _delta(payload["delta"], integer)),))
 
 
-def _delta(value: Any) -> float:
+_INT64_LIMIT = 2**63
+
+
+def _delta(value: Any, integer: bool) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequestError("'delta' must be a number")
-    return value
+    if not integer:
+        return value
+    if isinstance(value, float) and not value.is_integer():
+        raise BadRequestError(
+            f"'delta' must be a whole number on an integer cube, got {value!r}"
+        )
+    if not -_INT64_LIMIT <= value < _INT64_LIMIT:
+        raise BadRequestError(f"'delta' {value!r} is outside the cube's int64 range")
+    return int(value)
 
 
 # ----------------------------------------------------------------------

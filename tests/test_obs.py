@@ -5,8 +5,8 @@ histogram contents are exact; the acceptance half drives a real
 :class:`ShardedEngine` workload and checks the full contract — a
 Prometheus exposition with per-shard latency histograms and cache
 hit/stale counters, a JSON export carrying the same values, and a
-slow-query record whose span tree shows engine→shard→method nesting
-with per-span OpCounter deltas.
+slow-query record whose span tree is one engine root with one shard
+child per shard touched, carrying that shard's OpCounter delta.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ShardedEngine
+from repro.engine import ResiliencePolicy, ShardedEngine
 from repro.exceptions import ConfigurationError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -474,15 +474,11 @@ class TestEngineAcceptance:
                 in text
             )
             assert "repro_engine_cache_entries " in text
-            # Tree instrumentation reached the primary structure.
-            assert (
-                'repro_tree_descent_depth_bucket{structure="ddc",op="query"'
-                in text
-            )
-            assert (
-                'repro_tree_descent_depth_bucket{structure="ddc",op="update"'
-                in text
-            )
+            # The engine is the one instrumented layer: its shards carry
+            # no facade, so the method and tree families stay registered
+            # but empty (docs/observability.md, "Dropped or merged").
+            assert "repro_tree_descent_depth_bucket" not in text
+            assert "repro_method_query_seconds_bucket" not in text
         finally:
             engine.close()
 
@@ -538,23 +534,14 @@ class TestEngineAcceptance:
             assert root.attributes["cache"] in ("miss", "stale")
             (shard_span,) = root.children
             assert shard_span.name == "shard.range_sum"
-            method_spans = [
-                child
-                for child in shard_span.children
-                if child.name == "method.range_sum"
-            ]
-            assert method_spans, "no method-level span under the shard span"
-            method_span = method_spans[0]
-            # Per-span OpCounter deltas.
-            assert method_span.attributes["node_visits"] > 0
-            assert "cell_reads" in method_span.attributes
-            tree_spans = [
-                child
-                for child in method_span.children
-                if child.name == "tree.prefix_sum"
-            ]
-            assert tree_spans, "no tree-level span under the method span"
-            assert tree_spans[0].attributes["depth"] >= 1
+            # The shard span is the leaf: it carries the per-shard
+            # OpCounter delta the method span used to, and the record's
+            # ops are the sum of those deltas.
+            assert shard_span.children == []
+            assert shard_span.attributes["node_visits"] > 0
+            assert shard_span.attributes["node_visits"] == record.ops.node_visits
+            assert shard_span.attributes["cell_ops"] == record.ops.total_cell_ops
+            assert record.shards == [0]
         finally:
             engine.close()
 
@@ -615,3 +602,222 @@ class TestEngineAcceptance:
             assert NULL_OBS.metrics.render_prometheus() == ""
         finally:
             engine.close()
+
+
+# ----------------------------------------------------------------------
+# What always-on obs costs, and emits on, the served path
+# ----------------------------------------------------------------------
+
+
+def _served_engine(obs: Observability) -> ShardedEngine:
+    """A small engine built the way ``repro serve`` builds its own:
+    float cube, ``vector`` shards, strict resilience, obs on."""
+    data = np.random.default_rng(11).random((32, 32))
+    return ShardedEngine.from_array(
+        data,
+        shards=4,
+        method="vector",
+        obs=obs,
+        resilience=ResiliencePolicy(degradation="strict"),
+    )
+
+
+def _spy(monkeypatch, cls, name, record):
+    """Wrap ``cls.name`` so every call first reports ``self``."""
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        record(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+
+
+def _serve(engine, requests):
+    """Run ``requests(client)`` against a :class:`CubeServer` over
+    ``engine``; returns what it returned."""
+    import asyncio
+
+    from repro.serve import CubeServer, ServeClient
+
+    async def scenario():
+        server = CubeServer(engine)
+        await server.start()
+        try:
+            async with ServeClient("127.0.0.1", server.port) as client:
+                return await requests(client)
+        finally:
+            await server.stop()
+
+    return asyncio.run(scenario())
+
+
+class TestServedPathCost:
+    """The wall-clock-free guard on always-on obs: after warm-up a read
+    miss makes no ``labels()`` lookup, opens one engine span plus one
+    span per shard it touches, and never walks every shard's counters."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import collections
+
+        from repro.obs.metrics import _Family
+
+        tally = collections.Counter()
+        for cls, name in (
+            (_Family, "labels"),
+            (Tracer, "span"),
+            (ShardedEngine, "aggregate_stats"),
+        ):
+            _spy(monkeypatch, cls, name, lambda _, name=name: tally.update([name]))
+        return tally
+
+    @pytest.mark.parametrize("high_row", [5, 12, 20, 31])
+    def test_range_sum_miss(self, calls, high_row):
+        engine = _served_engine(Observability())
+        try:
+            engine.range_sum((0, 0), (31, 31))
+            engine.add_many([((3, 3), 1.0)])
+            low, high = (1, 2), (high_row, 9)
+            touched = len(list(engine.plan.decompose(low, high)))
+            calls.clear()
+            engine.range_sum(low, high)
+            assert calls == {"span": 1 + touched}
+            calls.clear()
+            engine.range_sum(low, high)  # now a hit
+            assert calls == {"span": 1}
+        finally:
+            engine.close()
+
+    def test_served_query_and_update(self, calls):
+        engine = _served_engine(Observability())
+
+        async def requests(client):
+            await client.query([0, 0], [31, 31])  # warm-up: binds routes
+            await client.update([3, 3], 1.0)
+            calls.clear()
+            query = await client.query([2, 3], [13, 20])  # miss, shards 0-1
+            per_query = dict(calls)
+            calls.clear()
+            update = await client.update([20, 5], 2.0)
+            assert query.status == update.status == 200
+            return per_query, dict(calls)
+
+        try:
+            per_query, per_update = _serve(engine, requests)
+        finally:
+            engine.close()
+        assert per_query == {"span": 3}
+        assert per_update == {"span": 1}
+
+
+#: Every span and metric series a served one-range ``/query`` miss over
+#: shards 0-1 and a one-cell ``/update`` to shard 2 emit, as
+#: ``docs/observability.md`` ("What a served request emits") lists them.
+SERVED_QUERY_SPANS = ("engine.range_sum", ("shard.range_sum", "shard.range_sum"))
+SERVED_UPDATE_SPANS = ("engine.add_many", ())
+_SERVED_COMMON = {
+    ("repro_serve_inflight", ()),
+    ("repro_serve_engine_calls_total", (("path", "loop"),)),
+}
+SERVED_QUERY_SERIES = _SERVED_COMMON | {
+    ("repro_serve_requests_total", (("code", "200"), ("route", "/query"))),
+    ("repro_serve_request_seconds", (("route", "/query"),)),
+    ("repro_serve_coalesced_total", (("role", "leader"),)),
+    ("repro_engine_request_seconds", (("op", "range_sum"),)),
+    ("repro_engine_cache_lookups_total", (("result", "miss"),)),
+    ("repro_engine_shard_seconds", (("op", "range_sum"), ("shard", "0"))),
+    ("repro_engine_shard_seconds", (("op", "range_sum"), ("shard", "1"))),
+    ("repro_engine_fanout_wait_seconds", ()),
+    ("repro_engine_cache_entries", ()),
+}
+SERVED_UPDATE_SERIES = _SERVED_COMMON | {
+    ("repro_serve_requests_total", (("code", "200"), ("route", "/update"))),
+    ("repro_serve_request_seconds", (("route", "/update"),)),
+    ("repro_engine_request_seconds", (("op", "add_many"),)),
+    ("repro_engine_shard_epoch", (("shard", "2"),)),
+}
+#: What the served path stopped emitting when the engine became the one
+#: instrumented layer (its shards carry no facade of their own).
+DROPPED_UNDER_ENGINE = (
+    "method.range_sum",
+    "tree.prefix_sum",
+    "repro_method_query_seconds",
+    "repro_method_query_ops",
+    "repro_method_batch_path_total",
+    "repro_tree_descent_depth",
+)
+
+
+class TestServedInventory:
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        from repro.obs import metrics
+
+        written: list = []
+        for cls, name in (
+            (metrics._CounterChild, "inc"),
+            (metrics._GaugeChild, "set"),
+            (metrics._HistogramChild, "observe"),
+        ):
+            _spy(monkeypatch, cls, name, written.append)
+        return written
+
+    def test_served_query_and_update_emit_the_pinned_inventory(self, writes):
+        obs = Observability()
+        engine = _served_engine(obs)
+
+        async def requests(client):
+            await client.query([0, 0], [31, 31])
+            await client.update([3, 3], 1.0)
+            obs.tracer.clear()
+            writes.clear()
+            await client.query([2, 3], [13, 20])
+            query_writes = list(writes)
+            writes.clear()
+            await client.update([20, 5], 2.0)
+            return query_writes, list(writes)
+
+        try:
+            query_writes, update_writes = _serve(engine, requests)
+        finally:
+            engine.close()
+        series = {
+            id(child): (family.name, tuple(sorted(labels.items())))
+            for family in obs.metrics.collect()
+            for labels, child in family.samples()
+        }
+        assert {series[id(c)] for c in query_writes} == SERVED_QUERY_SERIES
+        assert {series[id(c)] for c in update_writes} == SERVED_UPDATE_SERIES
+        query_root, update_root = obs.tracer.finished_roots()
+        for root, (name, children) in (
+            (query_root, SERVED_QUERY_SPANS),
+            (update_root, SERVED_UPDATE_SPANS),
+        ):
+            assert root.name == name
+            assert tuple(child.name for child in root.children) == children
+            assert all(child.children == [] for child in root.children)
+        assert [c.attributes["shard"] for c in query_root.children] == [0, 1]
+        assert query_root.attributes["cache"] == "miss"
+        # The slow log still blames shards and charges the paper's ops.
+        record = obs.slow_log.records()[-1]
+        assert record.shards == [0, 1]
+        assert record.ops.total_cell_ops > 0
+        assert "shards=[0, 1]" in record.render()
+        emitted = {name for name, _ in SERVED_QUERY_SERIES | SERVED_UPDATE_SERIES}
+        emitted |= {span.name for root in (query_root, update_root) for span in root.walk()}
+        assert emitted.isdisjoint(DROPPED_UNDER_ENGINE)
+
+    def test_docs_list_the_inventory_and_what_was_dropped(self):
+        from pathlib import Path
+
+        text = (
+            Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+        ).read_text()
+        emitted_part, _, dropped_part = text.partition("### Dropped or merged")
+        _, _, emitted_part = emitted_part.partition("## What a served request emits")
+        dropped_part = dropped_part.partition("\n## ")[0]
+        names = {SERVED_QUERY_SPANS[0], SERVED_UPDATE_SPANS[0], "shard.range_sum"}
+        names |= {name for name, _ in SERVED_QUERY_SERIES | SERVED_UPDATE_SERIES}
+        assert [n for n in sorted(names) if f"`{n}" not in emitted_part] == []
+        assert [n for n in DROPPED_UNDER_ENGINE if f"`{n}" not in dropped_part] == []

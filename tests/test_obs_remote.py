@@ -270,9 +270,14 @@ class TestDisabledObsStaysDark:
         engine = ShardedEngine(SHAPE, shards=2)
         try:
             assert engine.obs is NULL_OBS
-            assert engine._obs_request_seconds is NULL_INSTRUMENT
-            assert engine._obs_cache_lookups is NULL_INSTRUMENT
-            assert engine._obs_degraded is NULL_INSTRUMENT
+            bound = [
+                *engine._obs_request_seconds.values(),
+                *engine._obs_cache_lookups.values(),
+                *engine._obs_shard_read_seconds,
+                *engine._obs_shard_epoch,
+                engine._obs_degraded,
+            ]
+            assert all(handle is NULL_INSTRUMENT for handle in bound)
             # Nothing registered: the shared registry holds no
             # engine-specific families for a dark engine.
             assert NULL_OBS.metrics.get("repro_engine_request_seconds") is None

@@ -232,6 +232,19 @@ class TestWire:
         update = decode_update({"cell": [1, 2], "delta": 5}, 2)
         assert update.updates == (((1, 2), 5),)
 
+    def test_integer_cube_deltas_are_whole_numbers(self):
+        update = decode_update({"cell": [1, 2], "delta": 2.0}, 2, integer=True)
+        assert update.updates == (((1, 2), 2),)
+        assert type(update.updates[0][1]) is int
+        for delta in (2.5, float("nan"), float("inf"), 2.0**63, -(2**63) - 1):
+            with pytest.raises(BadRequestError):
+                decode_update({"cell": [1, 2], "delta": delta}, 2, integer=True)
+        with pytest.raises(BadRequestError, match="whole number"):
+            decode_update({"updates": [[[1, 2], 1], [[0, 0], 0.5]]}, 2, integer=True)
+        # A float cube keeps taking fractions.
+        update = decode_update({"cell": [1, 2], "delta": 2.5}, 2)
+        assert update.updates == (((1, 2), 2.5),)
+
 
 # ----------------------------------------------------------------------
 # End-to-end correctness
@@ -261,6 +274,43 @@ class TestEndToEnd:
                     int(data[:5, :5].sum()),
                     int(data[5:10, 5:10].sum()) + 7,
                 ]
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_fractional_delta_on_an_int_cube_is_a_400(self):
+        engine, data = make_engine()
+        assert engine.dtype.kind == "i"
+
+        async def scenario():
+            server = await serving(engine)
+            async with ServeClient("127.0.0.1", server.port) as client:
+                response = await client.update([5, 5], 2.5)
+                assert response.status == 400
+                assert "whole number on an integer cube" in response.body["error"]
+                response = await client.update_many([((1, 1), 1), ((2, 2), 0.5)])
+                assert response.status == 400
+                response = await client.update([5, 5], 2.0)
+                assert response.status == 200
+                response = await client.query([5, 5], [5, 5])
+                assert response.body["value"] == int(data[5, 5]) + 2
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_float_cube_accepts_fractional_deltas(self):
+        data = clustered(SHAPE, seed=3).astype(float)
+        engine = ShardedEngine.from_array(data, shards=4)
+
+        async def scenario():
+            server = await serving(engine)
+            async with ServeClient("127.0.0.1", server.port) as client:
+                response = await client.update([5, 5], 2.5)
+                assert response.status == 200
+                response = await client.query([5, 5], [5, 5])
+                assert response.body["value"] == data[5, 5] + 2.5
             await server.stop()
 
         run(scenario())
