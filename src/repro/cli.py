@@ -520,8 +520,8 @@ def _command_serve(args) -> int:
 
     Builds a clustered cube from ``--shape``/``--seed`` — the load
     generator can rebuild the same cube locally and verify responses
-    exactly — and serves it with coalescing, per-tenant token buckets,
-    and pressure-driven load shedding (see ``docs/serving.md``).  The
+    exactly — and serves it with per-tenant token buckets, one engine
+    turn, and pressure-driven load shedding (see ``docs/serving.md``).  The
     engine always carries a strict resilience policy so the shedding
     path has a degradation axis to move along.  Prints one
     ``listening on http://host:port`` line once the socket is bound.
@@ -590,13 +590,9 @@ def _command_serve(args) -> int:
 def _serve_summary(stats: dict) -> str:
     """The drain line: 503 refusals are ``rejected``, degraded 200s ``shed``."""
     return (
-        f"served: coalesced {stats['coalesce_followers']} follower(s) "
-        f"onto {stats['coalesce_leaders']} leader(s), "
-        f"throttled {stats['throttled']}, "
+        f"served: throttled {stats['throttled']}, "
         f"rejected {stats['overflow_rejected']}, "
-        f"shed {stats['shed_responses']}, "
-        f"engine calls {stats['loop_calls']} on the loop / "
-        f"{stats['pool_calls']} in the pool"
+        f"shed {stats['shed_responses']}"
     )
 
 
@@ -1115,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="serve a cube over HTTP: /query /update /metrics /healthz "
-        "with coalescing, admission control, and load shedding",
+        "with admission control and load shedding",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -1157,14 +1153,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         dest="max_concurrency",
-        help="engine calls in flight at once",
+        help="demand counted as full pressure",
     )
     serve.add_argument(
         "--max-queue",
         type=int,
         default=1024,
         dest="max_queue",
-        help="arrivals allowed to wait for a slot (beyond: 503)",
+        help="demand allowed beyond --max-concurrency (beyond: 503)",
     )
     serve.add_argument(
         "--shed-watermark",

@@ -127,7 +127,8 @@ class BadRequestError(ServeError, ValueError):
 
 class UnsupportedMediaTypeError(ServeError, ValueError):
     """A request asked for a wire codec the server does not have (e.g.
-    msgpack when the optional dependency is absent).  Maps to HTTP 415."""
+    msgpack when the optional ``msgpack`` package is not installed).
+    Maps to HTTP 415."""
 
 
 class RaceGuardError(ReproError, RuntimeError):

@@ -1,19 +1,19 @@
 """HTTP serving front-end for the sharded engine.
 
-The roadmap's serving layer: :class:`CubeServer` speaks HTTP/1.1
-JSON/msgpack over a :class:`~repro.engine.ShardedEngine`, with
-single-flight coalescing of identical in-flight reads, per-tenant
-token-bucket admission, a global concurrency gate, and pressure-driven
-load shedding that degrades strict answers to partial ones before
-refusing work outright.  :class:`ServeClient` is the matching client
-used by the load generator, the CI smoke job, and the tests.
+The roadmap's serving layer: :class:`CubeServer` speaks HTTP/1.1 JSON
+(and msgpack when the package is installed) over a
+:class:`~repro.engine.ShardedEngine` from one event-loop thread, with
+per-tenant token-bucket admission, one engine turn that every engine
+call holds, and pressure-driven load shedding that degrades strict
+answers to partial ones before refusing work outright.
+:class:`ServeClient` is the matching client used by the load
+generator, the CI smoke job, and the tests.
 
 See ``docs/serving.md`` for the wire format and operational semantics.
 """
 
 from .admission import AdmissionPolicy, ConcurrencyGate, TenantBuckets, TokenBucket
 from .client import ServeClient, ServeResponse
-from .coalesce import SingleFlight
 from .server import CubeServer
 from .wire import (
     Codec,
@@ -34,7 +34,6 @@ __all__ = [
     "QueryRequest",
     "ServeClient",
     "ServeResponse",
-    "SingleFlight",
     "TenantBuckets",
     "TokenBucket",
     "UpdateRequest",

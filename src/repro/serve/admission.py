@@ -12,10 +12,11 @@ Two independent gates stand between a parsed request and the engine:
   least-recently-seen bucket is evicted — an evicted tenant simply
   starts over with a full burst.
 
-* **A global concurrency gate** (:class:`ConcurrencyGate`) — at most
-  ``max_concurrency`` engine calls run at once; up to ``max_queue``
-  more may wait.  Beyond that the server sheds with HTTP 503.  The
-  gate's *pressure* (occupied slots / capacity) also drives graceful
+* **The engine turn** (:class:`ConcurrencyGate`) — one request at a
+  time runs engine calls; the rest wait for the turn.  Requests holding
+  or waiting for it count as demand: beyond ``max_concurrency +
+  max_queue`` of them the server refuses with HTTP 503, and their
+  *pressure* (demand / ``max_concurrency``) drives graceful
   degradation: above ``shed_watermark`` the server flips the engine
   from strict to partial mode (see ``server.py``) so slow or failed
   shards stop holding answers hostage exactly when capacity is
@@ -44,11 +45,12 @@ class AdmissionPolicy:
             per-tenant throttling entirely.
         tenant_burst: bucket capacity — the instantaneous burst a
             tenant may spend before the rate applies.
-        max_concurrency: engine calls allowed in flight at once.
-        max_queue: additional requests allowed to wait for a slot;
+        max_concurrency: demand (requests holding or waiting for the
+            engine turn) counted as full pressure.
+        max_queue: demand allowed beyond ``max_concurrency``;
             arrivals beyond that are shed with 503.
-        shed_watermark: gate pressure (occupancy fraction, queue
-            included) at which the server degrades strict → partial.
+        shed_watermark: gate pressure (demand / ``max_concurrency``)
+            at which the server degrades strict → partial.
             ``>= 1 + max_queue/max_concurrency`` never sheds; ``0``
             sheds always (useful in tests).
         retry_after_seconds: ``Retry-After`` floor for 503 responses
@@ -145,18 +147,19 @@ class TenantBuckets:
 
 
 class ConcurrencyGate:
-    """Counting gate over engine calls: run slots plus a bounded queue.
+    """The engine turn: one holder at a time, plus demand accounting.
 
-    Loop-local; callers ``await acquire()`` / ``release()`` around the
-    engine call.  ``pressure`` counts queued waiters too, so shedding
-    reacts to demand, not just to occupancy.
+    Loop-local; callers ``await acquire()`` / ``release()`` around their
+    engine calls.  An uncontended ``acquire`` takes the turn without
+    yielding.  ``pressure`` counts waiters too, so shedding reacts to
+    demand, not just to occupancy.
     """
 
     def __init__(self, policy: AdmissionPolicy) -> None:
         import asyncio
 
         self.policy = policy
-        self._semaphore = asyncio.Semaphore(policy.max_concurrency)
+        self._turn = asyncio.Lock()
         self.inflight = 0
         self.waiting = 0
         self.rejected = 0
@@ -164,7 +167,7 @@ class ConcurrencyGate:
 
     @property
     def pressure(self) -> float:
-        """Demand as a fraction of run capacity (queue included)."""
+        """Demand as a fraction of ``max_concurrency`` (waiters included)."""
         return (self.inflight + self.waiting) / self.policy.max_concurrency
 
     def would_overflow(self) -> bool:
@@ -179,11 +182,11 @@ class ConcurrencyGate:
         self.waiting += 1
         self.peak_pressure = max(self.peak_pressure, self.pressure)
         try:
-            await self._semaphore.acquire()
+            await self._turn.acquire()
         finally:
             self.waiting -= 1
         self.inflight += 1
 
     def release(self) -> None:
         self.inflight -= 1
-        self._semaphore.release()
+        self._turn.release()

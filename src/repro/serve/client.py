@@ -50,7 +50,9 @@ class ServeClient:
 
     Args:
         host/port: the server's bind address.
-        codec: wire format name — ``"json"`` (default) or ``"msgpack"``.
+        codec: wire format name — ``"json"`` (default) or ``"msgpack"``
+            (only with the ``msgpack`` package installed; otherwise
+            :class:`~repro.exceptions.UnsupportedMediaTypeError`).
         tenant: tenant string stamped on every query/update.
     """
 

@@ -2,23 +2,24 @@
 
 Pure-stdlib HTTP/1.1 (``asyncio.start_server`` + ``Content-Length``
 bodies, keep-alive) so the server runs everywhere the engine does — no
-web framework required.  Request flow for ``/query``::
+web framework required.  Request flow for ``/query`` and ``/update``::
 
     parse + validate (wire.py)
       → per-tenant token bucket            (429 + Retry-After)
-      → single-flight coalesce join        (followers skip the rest)
-      → concurrency gate                   (503 + Retry-After on overflow)
-      → engine call: on the event loop when it carries one item and
-        the pool is idle, else in the server's one-thread pool
+      → overflow check                     (503 + Retry-After)
+      → engine turn                        (one engine call at a time)
+      → engine call(s) on the event loop, ``_CHUNK`` items each
 
-The engine's RLock admits one public call at a time, so the pool has
-one thread.  It exists to keep the loop responsive while a *batch*
-computes, and while anything waits behind a call already in it: a
-one-range read or one-update write costs at most about a hundred
-microseconds, less than the hand-off to a thread and back, so on an
-idle pool it runs on the loop (:meth:`CubeServer._on_loop` is the one
-place that decides).
-All server bookkeeping stays loop-local and lock-free.
+The server has one thread.  Every engine call runs synchronously on the
+event loop while its request holds the **engine turn** (the lock inside
+:class:`~repro.serve.admission.ConcurrencyGate`).  A one-item call costs
+well under a millisecond, and an uncontended turn is taken without
+yielding, so a one-item request never leaves the loop.  A batch larger
+than ``_CHUNK`` runs as several engine calls with a yield between them;
+it keeps the turn throughout, so no other read or write interleaves
+with it while ``/metrics``, ``/healthz`` and request parsing stay live.
+A write batch is validated in full before its first chunk, so a refused
+batch applies nothing.
 
 **Load shedding** watches the gate's pressure: above
 ``AdmissionPolicy.shed_watermark`` the server flips the engine's
@@ -29,16 +30,14 @@ subsides.  Responses served during a shed window carry ``shed: true``.
 
 ``/healthz`` reports the same verdict as ``repro top --once`` — both go
 through :func:`repro.obs.slo.evaluate_health`, so the CLI and the
-endpoint cannot drift; it follows the same loop-or-pool rule as a
-one-item request, without the gate.  ``/metrics`` reuses the
-registry's Prometheus exposition (``?format=json`` for the JSON mirror
-plus server counters).
+endpoint cannot drift; it runs on the loop without taking the turn.
+``/metrics`` reuses the registry's Prometheus exposition
+(``?format=json`` for the JSON mirror plus server counters).
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -48,13 +47,16 @@ from ..exceptions import (
     BadRequestError,
     CircuitOpenError,
     DeadlineExceededError,
+    DimensionMismatchError,
+    InvalidRangeError,
+    OutOfBoundsError,
     ReproError,
     ServeError,
     UnsupportedMediaTypeError,
 )
+from ..geometry import normalize_cell
 from ..obs import Observability, engine_watchdog, evaluate_health
 from .admission import AdmissionPolicy, ConcurrencyGate, TenantBuckets
-from .coalesce import SingleFlight
 from .wire import (
     Codec,
     codec_for,
@@ -74,6 +76,12 @@ MAX_BODY_BYTES = 8 << 20
 
 #: Request-line + headers ceiling for ``readuntil``.
 MAX_HEAD_BYTES = 32 << 10
+
+#: Items per engine call of a batch: at least every method's fitted
+#: batch crossover (clamped to at most 257), and small enough that the
+#: slowest chunk measured (``ddc`` 64³, see ``docs/serving.md``) keeps
+#: the loop answering ``/metrics`` inside a second.
+_CHUNK = 512
 
 _STATUS_TEXT = {
     200: "OK",
@@ -106,7 +114,7 @@ class CubeServer:
     """Serve a :class:`~repro.engine.ShardedEngine` over HTTP.
 
     Args:
-        engine: the engine to serve; its public ops are thread-safe.
+        engine: the engine to serve; its calls run on the event loop.
         host/port: bind address; ``port=0`` picks an ephemeral port
             (read :attr:`port` after :meth:`start`).
         policy: admission configuration (:class:`AdmissionPolicy`).
@@ -139,7 +147,6 @@ class CubeServer:
         self.dims = len(engine.shape)
         # An integer cube takes whole-number deltas only (wire.decode_update).
         self._integer_deltas = np.dtype(engine.dtype).kind in "iu"
-        self.flights = SingleFlight()
         self.buckets = TenantBuckets(self.policy)
         self.gate = ConcurrencyGate(self.policy)
         self.shedding = False
@@ -148,14 +155,6 @@ class CubeServer:
         self.drained = 0
         self._saved_degradation: str | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
-        )
-        # Pool submissions not yet settled; zero means no thread holds
-        # or awaits the engine's lock.
-        self._pool_pending = 0
-        self.loop_calls = 0
-        self.pool_calls = 0
         self._draining = False
         self._busy = 0
         self._writers: set[asyncio.StreamWriter] = set()
@@ -177,14 +176,6 @@ class CubeServer:
         # (route, status) -> (requests counter, latency histogram)
         # children, bound on a pair's first request.
         self._route_instruments: dict[tuple[str, int], tuple] = {}
-        coalesced = metrics.counter(
-            "repro_serve_coalesced_total",
-            "Single-flight outcomes: leaders ran the engine call, "
-            "followers joined one in flight.",
-            labels=("role",),
-        )
-        self._leaders_total = coalesced.labels(role="leader")
-        self._followers_total = coalesced.labels(role="follower")
         self._admission_total = metrics.counter(
             "repro_serve_admission_total",
             "Admission decisions: throttled (429), overflow (503), "
@@ -195,14 +186,6 @@ class CubeServer:
             "repro_serve_inflight",
             "Requests currently being handled.",
         ).labels()
-        calls = metrics.counter(
-            "repro_serve_engine_calls_total",
-            "Blocking calls (engine requests and /healthz) by where they "
-            "ran: on the event loop or in the thread pool.",
-            labels=("path",),
-        )
-        self._loop_calls_total = calls.labels(path="loop")
-        self._pool_calls_total = calls.labels(path="pool")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -252,7 +235,6 @@ class CubeServer:
             if pending:
                 await asyncio.wait(pending, timeout=1.0)
         self._server = None
-        self._pool.shutdown(wait=True, cancel_futures=True)
 
     async def serve_forever(self) -> None:
         """Block until the listening server is closed."""
@@ -270,8 +252,10 @@ class CubeServer:
     def stats(self) -> dict:
         """Server-side counters the bench and tests assert against."""
         return {
-            "coalesce_leaders": self.flights.leaders,
-            "coalesce_followers": self.flights.followers,
+            # Constant since single-flight coalescing was removed; kept
+            # because benchmarks/e2e/served.py reads both keys.
+            "coalesce_leaders": 0,
+            "coalesce_followers": 0,
             "inflight": self.gate.inflight,
             "waiting": self.gate.waiting,
             "peak_pressure": self.gate.peak_pressure,
@@ -281,8 +265,6 @@ class CubeServer:
             "shed_entries": self.shed_entries,
             "shed_responses": self.shed_responses,
             "tenants": len(self.buckets),
-            "loop_calls": self.loop_calls,
-            "pool_calls": self.pool_calls,
         }
 
     # ------------------------------------------------------------------
@@ -373,6 +355,8 @@ class CubeServer:
         try:
             length = int(length)
         except ValueError:
+            length = -1
+        if length < 0:
             await self._write_error(writer, None, 400, "bad Content-Length")
             return None
         if length > MAX_BODY_BYTES:
@@ -400,7 +384,12 @@ class CubeServer:
                 or request.headers.get("content-type")
             )
             status, body, extra = await self._route(request)
-        except BadRequestError as exc:
+        except (
+            BadRequestError,
+            OutOfBoundsError,
+            InvalidRangeError,
+            DimensionMismatchError,
+        ) as exc:
             status, body, extra = 400, error_body(400, str(exc)), {}
         except UnsupportedMediaTypeError as exc:
             status, body, extra = 415, error_body(415, str(exc)), {}
@@ -438,7 +427,7 @@ class CubeServer:
         if path == "/healthz":
             if method != "GET":
                 return 405, error_body(405, "GET required"), {}
-            return await self._handle_healthz()
+            return self._handle_healthz()
         if path == "/metrics":
             if method != "GET":
                 return 405, error_body(405, "GET required"), {}
@@ -466,34 +455,23 @@ class CubeServer:
         denied = self._admit(parsed.tenant)
         if denied is not None:
             return denied
-        if parsed.batch:
-            if self.gate.would_overflow():
-                return self._overflow()
-            results = await self._gated(
-                len(parsed.ranges), self.engine.range_sum_many, parsed.ranges
-            )
-            coalesced = False
-        else:
-            (low, high) = parsed.ranges[0]
-            key = (parsed.tenant, "range_sum", low, high)
-            if not self.flights.holds(key) and self.gate.would_overflow():
-                return self._overflow()
-
-            async def supplier():
-                return await self._gated(1, self.engine.range_sum, low, high)
-
-            value, coalesced = await self.flights.run(key, supplier)
-            results = [value]
-            (self._followers_total if coalesced else self._leaders_total).inc()
+        if self.gate.would_overflow():
+            return self._overflow()
+        read = self.engine.range_sum_many if parsed.batch else self._range_sum
+        parts = await self._gated(read, parsed.ranges)
         body = query_response(
-            results,
+            [value for part in parts for value in part],
             batch=parsed.batch,
-            coalesced=coalesced,
+            coalesced=False,
             shed=self.shedding,
         )
         if body["shed"]:
             self.shed_responses += 1
         return 200, body, {}
+
+    def _range_sum(self, ranges) -> list:
+        ((low, high),) = ranges
+        return [self.engine.range_sum(low, high)]
 
     async def _handle_update(self, request: _HttpRequest):
         payload = codec_for(request.headers.get("content-type")).decode(
@@ -503,15 +481,19 @@ class CubeServer:
         denied = self._admit(parsed.tenant)
         if denied is not None:
             return denied
+        updates = parsed.updates
+        if len(updates) > _CHUNK:
+            # One chunk is checked whole by the engine; several are
+            # checked here, so a refused batch applies nothing.
+            for cell, _ in updates:
+                normalize_cell(cell, self.engine.shape)
         if self.gate.would_overflow():
             return self._overflow()
-        await self._gated(
-            len(parsed.updates), self.engine.add_many, parsed.updates
-        )
-        return 200, update_response(len(parsed.updates)), {}
+        await self._gated(self.engine.add_many, updates)
+        return 200, update_response(len(updates)), {}
 
-    async def _handle_healthz(self):
-        document = await self._call(1, evaluate_health, self.watchdog, self.engine)
+    def _handle_healthz(self):
+        document = evaluate_health(self.watchdog, self.engine)
         return (200 if document["healthy"] else 503), document, {}
 
     def _handle_metrics(self, request: _HttpRequest):
@@ -547,58 +529,26 @@ class CubeServer:
             {"Retry-After": self._retry_after()},
         )
 
-    async def _gated(self, items: int, fn, *args):
-        """Run an engine call carrying ``items`` under the concurrency gate.
+    async def _gated(self, call, items: tuple) -> list:
+        """Run ``call`` over ``items`` on the loop under the engine turn.
 
-        A call on the loop takes its slot too, so pressure,
-        ``peak_pressure`` and shedding see it.  Only pool calls hold a
-        slot across a yield, so with the pool idle ``acquire`` returns
-        without yielding.
+        ``call`` takes at most ``_CHUNK`` items at a time, with a yield
+        between calls; the turn is held from the first call to the last,
+        so no other engine call interleaves with a batch.  Returns each
+        call's result in order.  While the request holds or waits for
+        the turn, pressure, ``peak_pressure`` and shedding count it.
         """
         await self.gate.acquire()
         self._update_shed()
         try:
-            return await self._call(items, fn, *args)
+            parts = [call(items[:_CHUNK])]
+            for start in range(_CHUNK, len(items), _CHUNK):
+                await asyncio.sleep(0)
+                parts.append(call(items[start : start + _CHUNK]))
+            return parts
         finally:
             self.gate.release()
             self._update_shed()
-
-    def _on_loop(self, items: int) -> bool:
-        """The one decision between the event loop and the thread pool.
-
-        A call carrying one item runs on the loop when no submission is
-        pending in the pool: then no thread holds or awaits the engine's
-        lock, so the loop cannot block on it, and the call costs less
-        than the hand-off to a thread and back.  Batches hop, and so
-        does anything arriving while the pool is busy.
-        """
-        return items == 1 and self._pool_pending == 0
-
-    async def _call(self, items: int, fn, *args):
-        """Run blocking ``fn(*args)`` where :meth:`_on_loop` says."""
-        if self._on_loop(items):
-            self.loop_calls += 1
-            self._loop_calls_total.inc()
-            return fn(*args)
-        self.pool_calls += 1
-        self._pool_calls_total.inc()
-        work = self._pool.submit(fn, *args)
-        self._pool_pending += 1
-        try:
-            return await asyncio.wrap_future(work)
-        finally:
-            if work.done():
-                self._pool_pending -= 1
-            else:
-                # Cancelled while the thread still runs ``fn``: the pool
-                # stays busy until it returns.
-                loop = asyncio.get_running_loop()
-                work.add_done_callback(
-                    lambda _: loop.call_soon_threadsafe(self._pool_settled)
-                )
-
-    def _pool_settled(self) -> None:
-        self._pool_pending -= 1
 
     # ------------------------------------------------------------------
     # Response writing

@@ -3,10 +3,9 @@
 One request/response vocabulary, two byte encodings:
 
 * ``application/json`` — always available, the default.
-* ``application/msgpack`` — the binary twin.  The real ``msgpack``
-  package is used when installed (``pip install repro[serve]``);
-  otherwise the dependency-free :mod:`~repro.serve.msgpack_lite` packer
-  keeps the format available.
+* ``application/msgpack`` — the binary twin, registered only when the
+  ``msgpack`` package is installed (``pip install repro[serve]``);
+  without it the server is JSON-only and a msgpack request gets 415.
 
 Both codecs carry the *same* documents — :func:`decode_query` /
 :func:`decode_update` validate the decoded payload into plain tuples
@@ -69,24 +68,19 @@ def _build_codecs() -> dict[str, Codec]:
             "json", JSON_CONTENT_TYPE, _json_encode, _json_decode
         )
     }
-    try:  # the optional C implementation wins when present
+    try:
         import msgpack  # type: ignore[import-not-found]
-
-        packb = lambda obj: msgpack.packb(obj)  # noqa: E731
-        unpackb = lambda data: msgpack.unpackb(data, strict_map_key=False)  # noqa: E731
     except ImportError:
-        from .msgpack_lite import packb, unpackb
+        return codecs
 
     def _msgpack_decode(data: bytes) -> Any:
         try:
-            return unpackb(data)
-        except BadRequestError:
-            raise
+            return msgpack.unpackb(data, strict_map_key=False)
         except Exception as exc:
             raise BadRequestError(f"malformed msgpack body: {exc}") from exc
 
     codecs[MSGPACK_CONTENT_TYPE] = Codec(
-        "msgpack", MSGPACK_CONTENT_TYPE, packb, _msgpack_decode
+        "msgpack", MSGPACK_CONTENT_TYPE, msgpack.packb, _msgpack_decode
     )
     return codecs
 
@@ -316,8 +310,8 @@ def query_response(
 
     ``partial: true`` marks any answer the engine degraded (missing
     shards are named); ``shed: true`` marks a request served while the
-    server was load-shedding; ``coalesced: true`` marks a follower that
-    joined another request's in-flight engine call.
+    server was load-shedding.  ``coalesced`` is always false now that
+    no request joins another's engine call; the field stays on the wire.
     """
     entries = [_result_entry(value) for value in results]
     partial = any(entry.get("partial") for entry in entries)

@@ -231,20 +231,10 @@ class TestServeCommand:
             "--port", "0", "--duration", "0.2",
         ]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "served: coalesced 0 follower(s) onto 0 leader(s), "
-            "throttled 0, rejected 0, shed 0, "
-            "engine calls 0 on the loop / 0 in the pool"
+            "served: throttled 0, rejected 0, shed 0"
         )
-        stats = {
-            "coalesce_followers": 1, "coalesce_leaders": 2, "throttled": 3,
-            "overflow_rejected": 4, "shed_responses": 5,
-            "loop_calls": 6, "pool_calls": 7,
-        }
-        assert _serve_summary(stats) == (
-            "served: coalesced 1 follower(s) onto 2 leader(s), "
-            "throttled 3, rejected 4, shed 5, "
-            "engine calls 6 on the loop / 7 in the pool"
-        )
+        stats = {"throttled": 3, "overflow_rejected": 4, "shed_responses": 5}
+        assert _serve_summary(stats) == "served: throttled 3, rejected 4, shed 5"
 
 
 class TestParser:

@@ -716,14 +716,10 @@ class TestServedPathCost:
 #: ``docs/observability.md`` ("What a served request emits") lists them.
 SERVED_QUERY_SPANS = ("engine.range_sum", ("shard.range_sum", "shard.range_sum"))
 SERVED_UPDATE_SPANS = ("engine.add_many", ())
-_SERVED_COMMON = {
-    ("repro_serve_inflight", ()),
-    ("repro_serve_engine_calls_total", (("path", "loop"),)),
-}
+_SERVED_COMMON = {("repro_serve_inflight", ())}
 SERVED_QUERY_SERIES = _SERVED_COMMON | {
     ("repro_serve_requests_total", (("code", "200"), ("route", "/query"))),
     ("repro_serve_request_seconds", (("route", "/query"),)),
-    ("repro_serve_coalesced_total", (("role", "leader"),)),
     ("repro_engine_request_seconds", (("op", "range_sum"),)),
     ("repro_engine_cache_lookups_total", (("result", "miss"),)),
     ("repro_engine_shard_seconds", (("op", "range_sum"), ("shard", "0"))),
@@ -807,6 +803,33 @@ class TestServedInventory:
         emitted = {name for name, _ in SERVED_QUERY_SERIES | SERVED_UPDATE_SERIES}
         emitted |= {span.name for root in (query_root, update_root) for span in root.walk()}
         assert emitted.isdisjoint(DROPPED_UNDER_ENGINE)
+
+    def test_chunked_batch_opens_one_engine_span_per_chunk(self):
+        from repro.serve.server import _CHUNK
+
+        obs = Observability()
+        engine = _served_engine(obs)
+        size = 2 * _CHUNK + 1
+        ranges = [((0, 0), (i % 32, (i // 32) % 32)) for i in range(size)]
+        updates = [((i % 32, (i * 7) % 32), 1.0) for i in range(size)]
+
+        async def requests(client):
+            obs.tracer.clear()
+            query = await client.query_batch(ranges)
+            update = await client.update_many(updates)
+            assert query.status == update.status == 200
+
+        try:
+            _serve(engine, requests)
+        finally:
+            engine.close()
+        roots = obs.tracer.finished_roots()
+        assert [root.name for root in roots] == (
+            ["engine.range_sum_many"] * 3 + ["engine.add_many"] * 3
+        )
+        assert [root.attributes["queries"] for root in roots[:3]] == [
+            _CHUNK, _CHUNK, 1,
+        ]
 
     def test_docs_list_the_inventory_and_what_was_dropped(self):
         from pathlib import Path

@@ -95,7 +95,6 @@ def test_top_level_exports():
                 "QueryRequest",
                 "ServeClient",
                 "ServeResponse",
-                "SingleFlight",
                 "TenantBuckets",
                 "TokenBucket",
                 "UpdateRequest",

@@ -1,20 +1,24 @@
-"""The HTTP serving front-end: wire format, coalescing, admission,
-shedding, and graceful shutdown.
+"""The HTTP serving front-end: wire format, admission, shedding, the
+engine turn, and graceful shutdown.
 
 Every async scenario runs through ``asyncio.run`` inside a plain sync
 test (no pytest-asyncio dependency).  Server correctness is checked
-end-to-end over real sockets against locally computed range sums; the
-concurrency-sensitive behaviours (single-flight, overflow, drain) use
-an engine subclass whose reads block on a :class:`threading.Event`, so
-the tests control exactly when an in-flight engine call completes.
+end-to-end over real sockets against locally computed range sums.  The
+server runs every engine call on its event loop, so the tests that need
+a request to wait hold the engine turn themselves
+(``await server.gate.acquire()``), and the chunking tests use an engine
+double that records its calls and can sleep in each batch read.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.engine import FaultInjector, SerialExecutor, ShardedEngine
@@ -29,14 +33,14 @@ from repro.serve import (
     AdmissionPolicy,
     CubeServer,
     ServeClient,
-    SingleFlight,
     TokenBucket,
     available_codecs,
     codec_for,
     decode_query,
     decode_update,
 )
-from repro.serve.msgpack_lite import packb, unpackb
+from repro.serve.server import _CHUNK
+from repro.serve.wire import MAX_BATCH
 from repro.workloads import clustered
 
 SHAPE = (24, 24)
@@ -58,27 +62,30 @@ async def serving(engine, policy=None, **kwargs):
 
 
 class CountingEngine(ShardedEngine):
-    """Calls count, record the thread they ran on, and (optionally)
-    block on an event."""
+    """Records each call in order and the thread it ran on; each
+    ``range_sum_many`` sleeps ``read_delay`` seconds and then runs
+    ``on_read`` if set."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.read_calls = 0
+        self.calls: list[str] = []
         self.threads: dict[str, list[str]] = {}
-        self.gate_event: threading.Event | None = None
+        self.read_delay = 0.0
+        self.on_read = None
 
     def _enter(self, op):
+        self.calls.append(op)
         self.threads.setdefault(op, []).append(threading.current_thread().name)
-        if self.gate_event is not None:
-            assert self.gate_event.wait(timeout=10.0)
 
     def range_sum(self, low, high):
-        self.read_calls += 1
         self._enter("range_sum")
         return super().range_sum(low, high)
 
     def range_sum_many(self, ranges):
         self._enter("range_sum_many")
+        time.sleep(self.read_delay)
+        if self.on_read is not None:
+            self.on_read()
         return super().range_sum_many(ranges)
 
     def add_many(self, updates):
@@ -86,97 +93,43 @@ class CountingEngine(ShardedEngine):
         return super().add_many(updates)
 
     def resilience_info(self):
-        self.threads.setdefault("healthz", []).append(
-            threading.current_thread().name
-        )
+        self._enter("healthz")
         return super().resilience_info()
 
 
-async def park_batch(server):
-    """Send a two-range batch and return once it holds the pool.
-
-    With the engine's ``gate_event`` unset the batch blocks there, so
-    every later engine call must hop and wait behind it.
-    """
-    client = ServeClient("127.0.0.1", server.port)
-    task = asyncio.create_task(
-        client.query_batch([((0, 0), (3, 3)), ((4, 4), (7, 7))])
-    )
-    while server.gate.inflight == 0:
-        await asyncio.sleep(0.005)
-    return client, task
+def counting_engine():
+    return CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
 
 
-def in_pool(name):
-    return name.startswith("repro-serve")
+def covering_ranges(count):
+    """``count`` ranges that all contain cell (5, 5)."""
+    return [((0, 0), (5 + i % 19, 5 + (i // 19) % 19)) for i in range(count)]
 
 
-# ----------------------------------------------------------------------
-# msgpack_lite
-# ----------------------------------------------------------------------
+def range_total(data, low, high):
+    return int(data[low[0] : high[0] + 1, low[1] : high[1] + 1].sum())
 
 
-class TestMsgpackLite:
-    @pytest.mark.parametrize(
-        "value",
-        [
-            None,
-            True,
-            False,
-            0,
-            1,
-            127,
-            128,
-            255,
-            256,
-            65535,
-            65536,
-            -1,
-            -32,
-            -33,
-            -128,
-            -129,
-            -(1 << 40),
-            1 << 40,
-            1.5,
-            -2.25,
-            "",
-            "hello",
-            "x" * 40,
-            "ünïcødé",
-            b"",
-            b"\x00\xff" * 10,
-            [],
-            [1, [2, [3]]],
-            {},
-            {"a": 1, "b": [True, None]},
-            list(range(20)),
-            {"k" + str(i): i for i in range(20)},
-        ],
-    )
-    def test_round_trip(self, value):
-        assert unpackb(packb(value)) == value
+async def until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        await asyncio.sleep(0.001)
 
-    def test_known_byte_vectors(self):
-        # Spot-checks against the MessagePack spec so the fallback
-        # interoperates with real msgpack implementations.
-        assert packb(None) == b"\xc0"
-        assert packb(True) == b"\xc3"
-        assert packb(5) == b"\x05"
-        assert packb(-3) == b"\xfd"
-        assert packb(200) == b"\xcc\xc8"
-        assert packb("hi") == b"\xa2hi"
-        assert packb([1, 2]) == b"\x92\x01\x02"
-        assert packb({"a": 1}) == b"\x81\xa1a\x01"
-        assert packb(1.5) == b"\xcb?\xf8\x00\x00\x00\x00\x00\x00"
 
-    def test_truncated_and_trailing_input_rejected(self):
-        with pytest.raises(BadRequestError):
-            unpackb(packb([1, 2, 3])[:-1])
-        with pytest.raises(BadRequestError):
-            unpackb(packb(1) + b"\x01")
-        with pytest.raises(BadRequestError):
-            unpackb(b"")
+async def send_raw(port, payload: bytes):
+    """Open a bare connection and send ``payload`` — no client retries."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(payload)
+    await writer.drain()
+    return reader, writer
+
+
+def raw_post(path: str, body: bytes) -> bytes:
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode("latin-1") + body
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +142,11 @@ class TestWire:
         assert codec_for(None).name == "json"
         assert codec_for("*/*").name == "json"
         assert codec_for("application/json; charset=utf-8").name == "json"
-        assert codec_for("application/msgpack").name == "msgpack"
+        if "application/msgpack" in available_codecs():
+            assert codec_for("application/msgpack").name == "msgpack"
+        else:
+            with pytest.raises(UnsupportedMediaTypeError):
+                codec_for("application/msgpack")
         with pytest.raises(UnsupportedMediaTypeError):
             codec_for("text/csv")
 
@@ -317,12 +274,19 @@ class TestEndToEnd:
         engine.close()
 
     def test_json_msgpack_parity(self):
+        # Every codec the server registered answers alike.  msgpack is
+        # registered only with the package installed; without it the
+        # client refuses the codec up front.
+        names = [codec_for(content_type).name for content_type in available_codecs()]
+        if "msgpack" not in names:
+            with pytest.raises(UnsupportedMediaTypeError):
+                ServeClient("127.0.0.1", 1, codec="msgpack")
         engine, data = make_engine()
 
         async def scenario():
             server = await serving(engine)
             bodies = []
-            for codec in ("json", "msgpack"):
+            for codec in names:
                 async with ServeClient(
                     "127.0.0.1", server.port, codec=codec
                 ) as client:
@@ -335,7 +299,8 @@ class TestEndToEnd:
                     bodies.append(response.body)
                     response = await client.update([1, 1], 0)
                     assert response.status == 200
-            assert bodies[0] == bodies[1]
+            assert bodies[0]["value"] == int(data[:10, :10].sum())
+            assert all(body == bodies[0] for body in bodies)
             await server.stop()
 
         run(scenario())
@@ -358,6 +323,55 @@ class TestEndToEnd:
                     "POST", "/query", {"op": "range_sum", "low": [0], "high": [1]}
                 )
                 assert response.status == 400  # dimension mismatch
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_client_errors_are_400_and_a_refused_batch_applies_nothing(self):
+        engine, data = make_engine()
+        before = engine.to_dense()
+
+        async def scenario():
+            server = await serving(engine)
+            async with ServeClient("127.0.0.1", server.port) as client:
+                for response in (
+                    await client.query([5, 5], [2, 2]),  # low > high
+                    await client.query([0, 0], [99, 0]),
+                    await client.query_batch([((0, 0), (1, 1)), ((0, 0), (99, 0))]),
+                    await client.update([99, 0], 1),
+                    await client.update_many([((1, 1), 1), ((99, 0), 1)]),
+                ):
+                    assert response.status == 400
+                    assert response.body["status"] == 400
+                # More than one chunk, the last cell out of bounds.
+                cells = [(i % 24, (i // 24) % 24) for i in range(_CHUNK + 87)]
+                response = await client.update_many(
+                    [(cell, 1) for cell in cells] + [((99, 0), 1)]
+                )
+                assert response.status == 400
+                assert "out of bounds" in response.body["error"]
+                response = await client.query([0, 0], [23, 23])
+                assert response.body["value"] == int(data.sum())
+            await server.stop()
+
+        run(scenario())
+        assert np.array_equal(engine.to_dense(), before)
+        engine.close()
+
+    def test_negative_content_length_is_a_400(self):
+        engine, _ = make_engine()
+
+        async def scenario():
+            server = await serving(engine)
+            reader, writer = await send_raw(
+                server.port,
+                b"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: -5\r\n\r\n",
+            )
+            answer = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            assert answer.startswith(b"HTTP/1.1 400 ")
+            assert b"bad Content-Length" in answer
             await server.stop()
 
         run(scenario())
@@ -400,100 +414,13 @@ class TestEndToEnd:
                 response = await client.metrics()
                 assert response.status == 200
                 assert "repro_serve_requests_total" in response.body
-                assert "repro_serve_coalesced_total" in response.body
                 response = await client.metrics("json")
                 assert response.status == 200
-                assert response.body["serve"]["coalesce_leaders"] >= 1
+                assert response.body["serve"]["peak_pressure"] > 0
             await server.stop()
 
         run(scenario())
         engine.close()
-
-
-# ----------------------------------------------------------------------
-# Single-flight coalescing
-# ----------------------------------------------------------------------
-
-
-class TestCoalescing:
-    def test_n_concurrent_identical_queries_one_engine_call(self):
-        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
-        engine.gate_event = threading.Event()
-        followers = 8
-
-        async def scenario():
-            server = await serving(engine)
-            # A batch in the pool makes the leader's call hop too, so
-            # its flight stays open for followers to join.
-            batcher, batch = await park_batch(server)
-            clients = [
-                ServeClient("127.0.0.1", server.port)
-                for _ in range(followers + 1)
-            ]
-            tasks = [
-                asyncio.create_task(client.query([1, 1], [20, 20]))
-                for client in clients
-            ]
-            # Wait until every follower has joined the leader's flight,
-            # then let the batch and the single engine call finish.
-            while server.flights.followers < followers:
-                await asyncio.sleep(0.005)
-            engine.gate_event.set()
-            assert (await batch).status == 200
-            await batcher.close()
-            responses = await asyncio.gather(*tasks)
-            values = {response.body["value"] for response in responses}
-            assert len(values) == 1
-            assert all(response.status == 200 for response in responses)
-            coalesced = [r.body["coalesced"] for r in responses]
-            assert coalesced.count(True) == followers
-            assert coalesced.count(False) == 1
-            for client in clients:
-                await client.close()
-            await server.stop()
-
-        run(scenario())
-        assert engine.read_calls == 1
-        engine.close()
-
-    def test_different_tenants_do_not_coalesce(self):
-        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
-
-        async def scenario():
-            server = await serving(engine)
-            a = ServeClient("127.0.0.1", server.port, tenant="a")
-            b = ServeClient("127.0.0.1", server.port, tenant="b")
-            ra, rb = await asyncio.gather(
-                a.query([0, 0], [10, 10]), b.query([0, 0], [10, 10])
-            )
-            assert ra.body["value"] == rb.body["value"]
-            assert server.flights.leaders == 2
-            await a.close()
-            await b.close()
-            await server.stop()
-
-        run(scenario())
-        assert engine.read_calls == 2
-        engine.close()
-
-    def test_single_flight_exception_propagates_and_clears(self):
-        async def scenario():
-            flight = SingleFlight()
-
-            async def boom():
-                raise ValueError("x")
-
-            with pytest.raises(ValueError):
-                await flight.run("k", boom)
-            assert len(flight) == 0
-
-            async def fine():
-                return 41
-
-            value, coalesced = await flight.run("k", fine)
-            assert (value, coalesced) == (41, False)
-
-        run(scenario())
 
 
 # ----------------------------------------------------------------------
@@ -553,25 +480,24 @@ class TestAdmission:
         engine.close()
 
     def test_overflow_gets_503_with_retry_after(self):
-        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
-        engine.gate_event = threading.Event()
+        engine, data = make_engine()
         policy = AdmissionPolicy(
             max_concurrency=1, max_queue=0, retry_after_seconds=2.0
         )
 
         async def scenario():
             server = await serving(engine, policy=policy)
-            # Occupy the only slot with a batch parked in the pool, then
-            # overflow with a one-range query.
-            blocker, blocked = await park_batch(server)
+            # Hold the engine turn, the only unit of demand the policy
+            # allows, then overflow with a one-range query.
+            await server.gate.acquire()
             async with ServeClient("127.0.0.1", server.port) as client:
                 response = await client.query([2, 2], [3, 3])
                 assert response.status == 503
                 assert response.retry_after == pytest.approx(2.0)
-            engine.gate_event.set()
-            response = await blocked
-            assert response.status == 200
-            await blocker.close()
+                server.gate.release()
+                response = await client.query([2, 2], [3, 3])
+                assert response.status == 200
+                assert response.body["value"] == int(data[2:4, 2:4].sum())
             assert server.gate.rejected == 1
             await server.stop()
 
@@ -676,25 +602,17 @@ class TestHealthz:
 
 
 # ----------------------------------------------------------------------
-# Loop or pool: where an engine call runs
+# One thread: every engine call on the loop, batches in chunks
 # ----------------------------------------------------------------------
 
 
-class TestLoopOrPool:
+class TestOneThread:
     def test_idle_server_runs_one_item_calls_on_the_loop(self):
-        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
+        engine = counting_engine()
         data = clustered(SHAPE, seed=3)
 
         async def scenario():
             server = await serving(engine)
-            submitted = []
-            submit = server._pool.submit
-
-            def spy(fn, *args):
-                submitted.append(fn)
-                return submit(fn, *args)
-
-            server._pool.submit = spy
             loop_thread = threading.current_thread().name
             async with ServeClient("127.0.0.1", server.port) as client:
                 response = await client.query([2, 3], [10, 12])
@@ -703,73 +621,177 @@ class TestLoopOrPool:
                 assert response.status == 200
                 response = await client.healthz()
                 assert response.status == 200
-                response = await client.query([2, 3], [10, 12])
-                assert response.body["value"] == int(data[2:11, 3:13].sum()) + 7
-            assert engine.threads == {
-                "range_sum": [loop_thread, loop_thread],
-                "add_many": [loop_thread],
-                "healthz": [loop_thread],
-            }
-            assert submitted == []
-            stats = server.stats()
-            assert (stats["loop_calls"], stats["pool_calls"]) == (4, 0)
-            await server.stop()
-
-        run(scenario())
-        engine.close()
-
-    def test_one_range_query_hops_behind_a_parked_batch(self):
-        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
-        engine.gate_event = threading.Event()
-        data = clustered(SHAPE, seed=3)
-
-        async def scenario():
-            server = await serving(engine)
-            batcher, batch = await park_batch(server)
-            async with ServeClient("127.0.0.1", server.port) as client:
-                scalar = asyncio.create_task(client.query([1, 2], [9, 11]))
-                while server.stats()["pool_calls"] < 2:
-                    await asyncio.sleep(0.005)
-                # The loop stays free while the batch holds the pool.
-                async with ServeClient("127.0.0.1", server.port) as other:
-                    response = await asyncio.wait_for(other.metrics(), 1.0)
-                    assert response.status == 200
-                assert not scalar.done()
-                engine.gate_event.set()
-                response = await scalar
-                assert response.status == 200
-                assert response.body["value"] == int(data[1:10, 2:12].sum())
-            assert (await batch).status == 200
-            await batcher.close()
-            (thread,) = engine.threads["range_sum"]
-            assert in_pool(thread)
-            stats = server.stats()
-            assert (stats["loop_calls"], stats["pool_calls"]) == (0, 2)
-            await server.stop()
-
-        run(scenario())
-        engine.close()
-
-    def test_batches_always_hop(self):
-        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
-        data = clustered(SHAPE, seed=3)
-
-        async def scenario():
-            server = await serving(engine)
-            async with ServeClient("127.0.0.1", server.port) as client:
                 response = await client.query_batch(
                     [((0, 0), (4, 4)), ((5, 5), (9, 9))]
                 )
                 assert [entry["value"] for entry in response.body["results"]] == [
                     int(data[:5, :5].sum()),
-                    int(data[5:10, 5:10].sum()),
+                    int(data[5:10, 5:10].sum()) + 7,
                 ]
                 response = await client.update_many([((3, 4), 7), ((5, 6), -2)])
                 assert response.body == {"ok": True, "applied": 2}
-            assert all(in_pool(name) for name in engine.threads["range_sum_many"])
-            assert all(in_pool(name) for name in engine.threads["add_many"])
-            stats = server.stats()
-            assert (stats["loop_calls"], stats["pool_calls"]) == (0, 2)
+                response = await client.query([2, 3], [10, 12])
+                assert response.body["value"] == int(data[2:11, 3:13].sum()) + 12
+            assert engine.threads == {
+                "range_sum": [loop_thread, loop_thread],
+                "add_many": [loop_thread, loop_thread],
+                "healthz": [loop_thread],
+                "range_sum_many": [loop_thread],
+            }
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [name for name in names if name.startswith("repro-serve")]
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_metrics_answers_while_a_max_batch_computes(self):
+        engine = counting_engine()
+        engine.read_delay = 0.05
+        data = clustered(SHAPE, seed=3)
+        ranges = covering_ranges(MAX_BATCH)
+
+        async def scenario():
+            server = await serving(engine)
+            # What the batch had done when the server handled /metrics.
+            seen = []
+            handle_metrics = server._handle_metrics
+
+            def spy(request):
+                seen.append(
+                    (server.gate.inflight, engine.calls.count("range_sum_many"))
+                )
+                return handle_metrics(request)
+
+            server._handle_metrics = spy
+            async with ServeClient("127.0.0.1", server.port) as batcher, ServeClient(
+                "127.0.0.1", server.port
+            ) as other:
+                await other.healthz()  # connect before the batch starts
+                batch = asyncio.create_task(batcher.query_batch(ranges))
+                await until(lambda: engine.calls.count("range_sum_many") >= 1)
+                started = time.monotonic()
+                response = await asyncio.wait_for(other.metrics(), 1.0)
+                assert response.status == 200
+                assert time.monotonic() - started < 1.0
+                assert not batch.done()
+                ((holders, chunks_begun),) = seen
+                assert holders == 1 and chunks_begun < MAX_BATCH // _CHUNK
+                response = await batch
+                assert [entry["value"] for entry in response.body["results"]] == [
+                    range_total(data, low, high) for low, high in ranges
+                ]
+            assert engine.calls.count("range_sum_many") == MAX_BATCH // _CHUNK
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_a_write_queues_behind_a_chunked_read(self):
+        engine = counting_engine()
+        engine.read_delay = 0.02
+        data = clustered(SHAPE, seed=3)
+        ranges = covering_ranges(MAX_BATCH)
+
+        async def scenario():
+            server = await serving(engine)
+            async with ServeClient("127.0.0.1", server.port) as batcher, ServeClient(
+                "127.0.0.1", server.port
+            ) as writer:
+                await writer.healthz()
+                batch = asyncio.create_task(batcher.query_batch(ranges))
+                await until(lambda: "range_sum_many" in engine.calls)
+                write = asyncio.create_task(writer.update([5, 5], 7))
+                await until(lambda: server.gate.waiting == 1 or batch.done())
+                assert server.gate.waiting == 1 and not batch.done()
+                response = await batch
+                assert [entry["value"] for entry in response.body["results"]] == [
+                    range_total(data, low, high) for low, high in ranges
+                ]
+                assert (await write).status == 200
+                response = await writer.query([5, 5], [5, 5])
+                assert response.body["value"] == int(data[5, 5]) + 7
+            await server.stop()
+
+        run(scenario())
+        chunks = MAX_BATCH // _CHUNK
+        assert engine.calls == ["healthz"] + ["range_sum_many"] * chunks + [
+            "add_many",
+            "range_sum",
+        ]
+        engine.close()
+
+    def test_max_batch_reads_and_writes_equal_one_unchunked_call(self):
+        engine, data = make_engine()
+        twin = ShardedEngine.from_array(data, shards=4)
+        rng = np.random.default_rng(5)
+        corners = rng.integers(0, SHAPE[0], size=(MAX_BATCH, 2, 2))
+        ranges = [
+            (tuple(map(int, lo)), tuple(map(int, hi)))
+            for lo, hi in zip(corners.min(axis=1), corners.max(axis=1))
+        ]
+        cells = rng.integers(0, SHAPE[0], size=(MAX_BATCH, 2))
+        deltas = rng.integers(-5, 6, size=MAX_BATCH)
+        updates = [
+            (tuple(map(int, cell)), int(delta)) for cell, delta in zip(cells, deltas)
+        ]
+
+        async def scenario():
+            server = await serving(engine)
+            async with ServeClient("127.0.0.1", server.port) as client:
+                response = await client.query_batch(ranges)
+                served = [entry["value"] for entry in response.body["results"]]
+                assert served == twin.range_sum_many(ranges)
+                response = await client.update_many(updates)
+                assert response.body == {"ok": True, "applied": MAX_BATCH}
+                twin.add_many(updates)
+                response = await client.query_batch(ranges)
+                served = [entry["value"] for entry in response.body["results"]]
+                assert served == twin.range_sum_many(ranges)
+            await server.stop()
+
+        run(scenario())
+        assert np.array_equal(engine.to_dense(), twin.to_dense())
+        engine.close()
+        twin.close()
+
+    def test_a_cancelled_request_leaves_the_gate_empty(self):
+        engine = counting_engine()
+        data = clustered(SHAPE, seed=3)
+        query = raw_post("/query", b'{"op":"range_sum","low":[0,0],"high":[3,3]}')
+
+        def cancel_on_second_chunk():
+            if engine.calls.count("range_sum_many") == 2:
+                asyncio.current_task().cancel()
+
+        async def cancel_connections(server):
+            tasks = list(server._conn_tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.wait(tasks, timeout=5.0)
+
+        async def scenario():
+            server = await serving(engine)
+            # Cancelled while waiting for the turn.
+            await server.gate.acquire()
+            _, writer = await send_raw(server.port, query)
+            await until(lambda: server.gate.waiting == 1)
+            await cancel_connections(server)
+            writer.close()
+            assert (server.gate.inflight, server.gate.waiting) == (1, 0)
+            server.gate.release()
+            # Cancelled between two chunks of a batch.
+            engine.on_read = cancel_on_second_chunk
+            body = json.dumps({"ranges": [[[0, 0], [3, 3]]] * (2 * _CHUNK + 1)})
+            reader, writer = await send_raw(server.port, raw_post("/query", body.encode()))
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            assert engine.calls.count("range_sum_many") == 2
+            assert (server.gate.inflight, server.gate.waiting) == (0, 0)
+            engine.on_read = None
+            async with ServeClient("127.0.0.1", server.port) as client:
+                response = await client.query([0, 0], [3, 3])
+                assert response.body["value"] == int(data[:4, :4].sum())
             await server.stop()
 
         run(scenario())
@@ -783,20 +805,24 @@ class TestLoopOrPool:
 
 class TestShutdown:
     def test_drain_completes_inflight_requests(self):
-        engine = CountingEngine.from_array(clustered(SHAPE, seed=3), shards=4)
-        engine.gate_event = threading.Event()
+        engine, data = make_engine()
 
         async def scenario():
             server = await serving(engine)
-            client, inflight = await park_batch(server)
-            # Release the engine call shortly after stop() starts
-            # draining, then verify the response was still delivered.
+            # Hold the engine turn so a request waits in flight.
+            await server.gate.acquire()
+            client = ServeClient("127.0.0.1", server.port)
+            inflight = asyncio.create_task(client.query([0, 0], [3, 3]))
+            await until(lambda: server.gate.waiting == 1)
+            # Release the turn shortly after stop() starts draining,
+            # then verify the response was still delivered.
             stopper = asyncio.create_task(server.stop())
             await asyncio.sleep(0.05)
-            engine.gate_event.set()
+            server.gate.release()
             await stopper
             response = await inflight
             assert response.status == 200
+            assert response.body["value"] == int(data[:4, :4].sum())
             await client.close()
             # A fresh connection is refused once stopped.
             with pytest.raises((ConnectionError, OSError)):
