@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 import threading
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,13 @@ from ..methods.registry import method_class
 from ..obs import NULL_OBS
 from .cache import MISS, EpochLruCache
 from .executor import SerialExecutor
-from .resilience import CircuitBreaker, Deadline, PartialResult, ResiliencePolicy
+from .resilience import (
+    BREAKER_CLOSED,
+    CircuitBreaker,
+    Deadline,
+    PartialResult,
+    ResiliencePolicy,
+)
 from .sharding import ShardPlan
 
 __all__ = ["ShardedEngine"]
@@ -571,39 +578,88 @@ class ShardedEngine(RangeSumMethod):
         """Answer one missing range; caller holds the lock.  Returns
         ``(value, ops)`` like :meth:`_locked_compute`.
 
-        The scalar serving path: no batch dictionaries and no executor
-        dispatch — the shards a single range spans are read in turn in
-        the calling thread.  With a resilience policy attached every
-        read goes through the guarded fan-out instead, so deadlines,
-        retries, and breakers apply uniformly.
+        The scalar serving path, with and without a resilience policy:
+        no batch dictionaries and no executor dispatch — the shards a
+        single range spans are read in turn in the calling thread, and
+        under a policy each success lands in its shard's breaker.  The
+        read takes the guarded fan-out instead when the policy sets a
+        deadline, the executor is not a plain :class:`SerialExecutor`
+        (a ``FaultInjector``, the process pool), a touched breaker is
+        not closed, or a shard raises.  In the last case the outcomes
+        already read become the fan-out's first round, so retries and
+        breaker windows come out as if it had run from the start.
         """
-        if self.policy is not None:
-            ((_, value),), ops = self._locked_compute([key], parent)
-            return value, ops
+        policy = self.policy
+        if policy is not None and (
+            policy.deadline_seconds is not None
+            or type(self._executor) is not SerialExecutor
+        ):
+            return self._locked_compute_guarded(key, parent)
+        pieces = list(self.plan.decompose(*key))
+        breakers = self._breakers
+        if breakers is not None and any(
+            breakers[index].state != BREAKER_CLOSED for index, _, _ in pieces
+        ):
+            return self._locked_compute_guarded(key, parent)
         epochs = tuple(self._epochs)
-        ops = None if parent is None else OpCounter()
+        obs = self._obs
+        # A one-shard read's wait is that shard's latency.
+        timed = parent is not None and len(pieces) > 1
+        fanout_start = obs.clock.now() if timed else 0.0
+        if breakers is None:
+            reads = [self._locked_read_one(parent, piece) for piece in pieces]
+        else:
+            outcomes = self._executor.try_map(
+                partial(self._locked_read_one, parent), pieces
+            )
+            if any(error is not None for _, error in outcomes):
+                # Round 0 in the fan-out's own (sub_queries, values, ops)
+                # shape.
+                first_round = [
+                    (None, error)
+                    if error is not None
+                    else (([(0, low, high)], [read[0]], read[1]), None)
+                    for (_, low, high), (read, error) in zip(pieces, outcomes)
+                ]
+                return self._locked_compute_guarded(key, parent, first_round)
+            now = obs.clock.now()
+            for index, _, _ in pieces:
+                breakers[index].record_success(now)
+            reads = [read for read, _ in outcomes]
+        if timed:
+            self._obs_fanout_wait.observe(obs.clock.now() - fanout_start)
         total = self._zero()
-        dependencies = []
-        for index, local_low, local_high in self.plan.decompose(*key):
-            shard = self._shards[index]
-            self.stats.touch(shard)
-            if parent is None:
-                total = total + shard.range_sum(local_low, local_high)
-            else:
-                (value,), delta = self._read_shard(
-                    index, [(0, local_low, local_high)], parent
-                )
-                total = total + value
+        ops = None
+        for value, delta in reads:
+            total = total + value
+            if ops is None:
+                ops = delta
+            elif delta is not None:
                 ops.merge(delta)
-            dependencies.append(index)
         value = self.dtype.type(total)
-        self._cache.put(key, value, dependencies, epochs)
+        self._cache.put(key, value, [index for index, _, _ in pieces], epochs)
         if parent is not None:
             self._obs_cache_entries.set(len(self._cache))
         return value, ops
 
+    def _locked_read_one(self, parent, piece: tuple) -> tuple:
+        """Read one ``(shard index, local low, local high)`` piece of a
+        scalar miss; caller holds the lock.  Returns ``(value, ops)``."""
+        index, local_low, local_high = piece
+        shard = self._shards[index]
+        self.stats.touch(shard)
+        if parent is None:
+            return shard.range_sum(local_low, local_high), None
+        (value,), ops = self._read_shard(index, [(0, local_low, local_high)], parent)
+        return value, ops
+
+    def _locked_compute_guarded(self, key: tuple, parent, first_round=None) -> tuple:
+        """One range through the guarded fan-out; caller holds the lock."""
+        ((_, value),), ops = self._locked_compute([key], parent, first_round)
+        return value, ops
+
     def _locked_compute(
-        self, keys: list[tuple], parent
+        self, keys: list[tuple], parent, first_round: list | None = None
     ) -> tuple[list[tuple], OpCounter | None]:
         """Answer distinct missing ranges; caller holds the lock.
 
@@ -613,6 +669,9 @@ class ShardedEngine(RangeSumMethod):
         ``(key, value)`` pairs, every value cached stamped with the epoch
         snapshot taken before any shard work started, and — with obs
         on — the summed OpCounter deltas of the shards that computed.
+        ``first_round`` is a resilient fan-out's round-0 outcomes when
+        the scalar path already read them (see
+        :meth:`_locked_resilient_fanout`).
         """
         epochs = tuple(self._epochs)
         per_shard: dict[int, list[tuple[int, tuple, tuple]]] = {}
@@ -648,7 +707,7 @@ class ShardedEngine(RangeSumMethod):
             missing_by_key: dict[int, set[int]] = {}
         else:
             completed, failed = self._locked_resilient_fanout(
-                sorted(per_shard.items()), run_shard
+                sorted(per_shard.items()), run_shard, first_round
             )
             missing_by_key = self._locked_degrade(
                 failed, per_shard, dependencies, completed
@@ -685,7 +744,7 @@ class ShardedEngine(RangeSumMethod):
     # ------------------------------------------------------------------
 
     def _locked_resilient_fanout(
-        self, items: list[tuple], run_shard
+        self, items: list[tuple], run_shard, first_round: list | None = None
     ) -> tuple[list, dict]:
         """Fan ``items`` out under the resilience policy; caller holds
         the lock.
@@ -699,7 +758,10 @@ class ShardedEngine(RangeSumMethod):
         clock between rounds, the whole request bounded by one
         :class:`~repro.engine.resilience.Deadline`, and every outcome
         recorded into the per-shard breakers (whose refusals fail fast
-        without touching the shard at all).
+        without touching the shard at all).  ``first_round``, when given,
+        stands in for round 0's ``try_map`` outcomes: the scalar path
+        hands them over only with every breaker closed and no deadline,
+        so round 0 would have run every item.
         """
         policy = self.policy
         clock = self._obs.clock
@@ -736,10 +798,13 @@ class ShardedEngine(RangeSumMethod):
                     self._obs_timeouts.inc()
                     del pending[shard_index]
                 break
-            timeout = deadline.remaining(clock) if deadline is not None else None
-            outcomes = self._executor.try_map(
-                run_shard, runnable, timeout=timeout, clock=clock
-            )
+            if first_round is not None:
+                outcomes, first_round = first_round, None
+            else:
+                timeout = deadline.remaining(clock) if deadline is not None else None
+                outcomes = self._executor.try_map(
+                    run_shard, runnable, timeout=timeout, clock=clock
+                )
             now = clock.now()
             retrying = False
             for (shard_index, _), (value, error) in zip(runnable, outcomes):

@@ -150,9 +150,9 @@ class ConcurrencyGate:
     """The engine turn: one holder at a time, plus demand accounting.
 
     Loop-local; callers ``await acquire()`` / ``release()`` around their
-    engine calls.  An uncontended ``acquire`` takes the turn without
-    yielding.  ``pressure`` counts waiters too, so shedding reacts to
-    demand, not just to occupancy.
+    engine calls, or take a free turn synchronously with
+    :meth:`try_acquire`.  ``pressure`` counts waiters too, so shedding
+    reacts to demand, not just to occupancy.
     """
 
     def __init__(self, policy: AdmissionPolicy) -> None:
@@ -187,6 +187,20 @@ class ConcurrencyGate:
             self.waiting -= 1
         self.inflight += 1
 
+    def try_acquire(self) -> bool:
+        """Take the turn now if nobody holds or waits for it.
+
+        The caller runs its engine call synchronously and then calls
+        :meth:`release`; no other coroutine runs in between, so the lock
+        itself is not taken.
+        """
+        if self.inflight or self.waiting:
+            return False
+        self.inflight = 1
+        self.peak_pressure = max(self.peak_pressure, self.pressure)
+        return True
+
     def release(self) -> None:
         self.inflight -= 1
-        self._turn.release()
+        if self._turn.locked():  # taken by acquire(), not try_acquire()
+            self._turn.release()

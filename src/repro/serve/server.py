@@ -1,25 +1,35 @@
 """The asyncio HTTP front-end over a :class:`~repro.engine.ShardedEngine`.
 
-Pure-stdlib HTTP/1.1 (``asyncio.start_server`` + ``Content-Length``
-bodies, keep-alive) so the server runs everywhere the engine does — no
-web framework required.  Request flow for ``/query`` and ``/update``::
+Pure-stdlib HTTP/1.1 (one ``asyncio.Protocol`` per connection,
+``Content-Length`` bodies, keep-alive) so the server runs everywhere the
+engine does — no web framework required.  Request flow for ``/query``
+and ``/update``::
 
-    parse + validate (wire.py)
-      → per-tenant token bucket            (429 + Retry-After)
-      → overflow check                     (503 + Retry-After)
-      → engine turn                        (one engine call at a time)
+    frame (_Connection)                  400 / 408 / 413 / 431 / 501, close
+      → parse + validate (wire.py)
+      → per-tenant token bucket          (429 + Retry-After)
+      → overflow check                   (503 + Retry-After)
+      → engine turn                      (one engine call at a time)
       → engine call(s) on the event loop, ``_CHUNK`` items each
+      → encode + ``transport.write``
 
-The server has one thread.  Every engine call runs synchronously on the
-event loop while its request holds the **engine turn** (the lock inside
-:class:`~repro.serve.admission.ConcurrencyGate`).  A one-item call costs
-well under a millisecond, and an uncontended turn is taken without
-yielding, so a one-item request never leaves the loop.  A batch larger
-than ``_CHUNK`` runs as several engine calls with a yield between them;
-it keeps the turn throughout, so no other read or write interleaves
-with it while ``/metrics``, ``/healthz`` and request parsing stay live.
-A write batch is validated in full before its first chunk, so a refused
-batch applies nothing.
+The server has one thread.  Each connection frames requests out of its
+own buffer in ``data_received`` and answers them in arrival order.  A
+request runs **inline** — from bytes in to ``transport.write`` in one
+synchronous pass, with no task — when nobody holds or waits for the
+**engine turn** (the lock inside
+:class:`~repro.serve.admission.ConcurrencyGate`) and it has at most
+``_CHUNK`` items.  Otherwise it becomes a task that awaits the turn and
+runs ``_CHUNK`` items per engine call with a yield between calls,
+keeping the turn throughout, so no other read or write interleaves with
+a batch while ``/metrics``, ``/healthz`` and request parsing stay live.
+Its connection stops reading until that task has answered, which keeps
+responses in order; a client that stops reading its responses
+(``pause_writing``) stops the server reading its requests too.  A write
+batch is validated in full before its first chunk, so a refused batch
+applies nothing.  A partial request (head or body) older than
+``_REQUEST_TIMEOUT_S`` gets 408 and the connection closes; an idle
+keep-alive connection is never timed out.
 
 **Load shedding** watches the gate's pressure: above
 ``AdmissionPolicy.shed_watermark`` the server flips the engine's
@@ -38,6 +48,7 @@ endpoint cannot drift; it runs on the loop without taking the turn.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -74,7 +85,7 @@ __all__ = ["CubeServer"]
 #: loop memory past what ``MAX_BATCH`` already bounds logically.
 MAX_BODY_BYTES = 8 << 20
 
-#: Request-line + headers ceiling for ``readuntil``.
+#: Request-line + headers ceiling.
 MAX_HEAD_BYTES = 32 << 10
 
 #: Items per engine call of a batch: at least every method's fitted
@@ -83,31 +94,237 @@ MAX_HEAD_BYTES = 32 << 10
 #: the loop answering ``/metrics`` inside a second.
 _CHUNK = 512
 
+#: Seconds a connection may hold a partial request (head or body).
+_REQUEST_TIMEOUT_S = 10.0
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     415: "Unsupported Media Type",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
+#: Engine errors that are the request's fault.
+_CLIENT_ERRORS = (
+    BadRequestError,
+    OutOfBoundsError,
+    InvalidRangeError,
+    DimensionMismatchError,
+)
+
 
 class _HttpRequest:
-    """One parsed request: line, lowercased headers, raw body."""
+    """One framed request: line, lowercased headers, raw body."""
 
-    __slots__ = ("method", "path", "query", "headers", "body")
+    __slots__ = ("method", "path", "query", "headers", "body", "keep_alive")
 
-    def __init__(self, method, path, query, headers, body):
+    def __init__(self, method, path, query, headers, body, keep_alive):
         self.method = method
         self.path = path
         self.query = query
         self.headers = headers
         self.body = body
+        self.keep_alive = keep_alive
+
+
+class _Work:
+    """The engine work a routed request still has to do: ``call`` over
+    ``items`` under the engine turn, then ``finish(parts)`` builds the
+    response from each call's result."""
+
+    __slots__ = ("call", "items", "finish")
+
+    def __init__(self, call, items: tuple, finish) -> None:
+        self.call = call
+        self.items = items
+        self.finish = finish
+
+
+def _response_bytes(
+    codec: Codec, status: int, body: Any, extra: dict, keep_alive: bool
+) -> bytes:
+    if isinstance(body, str):
+        payload = body.encode("utf-8")
+        content_type = extra.pop("Content-Type", "text/plain")
+    else:
+        payload = codec.encode(body)
+        content_type = extra.pop("Content-Type", codec.content_type)
+    head = (
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+    )
+    for name, value in extra.items():
+        head += f"{name}: {value}\r\n"
+    return (head + "\r\n").encode("latin-1") + payload
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames requests out of its own buffer and
+    hands each to :meth:`CubeServer._answer`, in arrival order.
+
+    Reading pauses while a request's task is in flight or the transport
+    has asked for a pause (``pause_writing``), and resumes when both
+    are over.
+    """
+
+    __slots__ = ("server", "transport", "buffer", "task", "timer", "write_paused")
+
+    def __init__(self, server: "CubeServer") -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        #: The request answering in a task; reading waits for it.
+        self.task: asyncio.Task | None = None
+        #: The partial request's deadline (see ``_REQUEST_TIMEOUT_S``).
+        self.timer: asyncio.TimerHandle | None = None
+        self.write_paused = False
+
+    # asyncio.Protocol callbacks
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+        self._disarm()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._answer_buffered()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._answer_buffered()
+
+    # Requests
+
+    def _answer_buffered(self) -> None:
+        """Answer whole requests off the buffer until one has to wait."""
+        transport = self.transport
+        while (
+            self.task is None
+            and not self.write_paused
+            and not transport.is_closing()
+        ):
+            request = self._frame()
+            if request is None:
+                break
+            task = self.server._answer(self, request)
+            if task is not None:
+                self.task = task
+                task.add_done_callback(self._answered)
+        if self.task is not None or self.write_paused:
+            transport.pause_reading()
+        else:
+            transport.resume_reading()
+
+    def _answered(self, task: asyncio.Task) -> None:
+        self.task = None
+        if task.cancelled():
+            self.transport.close()
+        elif task.exception() is not None:
+            self.transport.close()
+            task.result()  # a bug: surface it through the loop's handler
+        else:
+            self._answer_buffered()
+
+    def send(self, payload: bytes, keep_alive: bool) -> None:
+        if self.transport.is_closing():
+            return
+        self.transport.write(payload)
+        if not keep_alive:
+            self.transport.close()
+
+    def _frame(self) -> _HttpRequest | None:
+        """Cut the next whole request off the buffer.
+
+        Returns ``None`` while it is incomplete — arming the partial
+        request's deadline — and after refusing a request whose framing
+        is broken (which closes the connection).
+        """
+        buffer = self.buffer
+        if not buffer:
+            return None
+        end = buffer.find(b"\r\n\r\n")
+        if end > MAX_HEAD_BYTES or (end < 0 and len(buffer) > MAX_HEAD_BYTES):
+            return self._refuse(431, "request head too large")
+        if end < 0:
+            self._arm()
+            return None
+        lines = buffer[:end].decode("latin-1").split("\r\n")
+        parts = lines[0].split(" ")
+        if len(parts) != 3:
+            return self._refuse(400, "malformed request line")
+        method, target, version = parts
+        headers: dict[str, str] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            return self._refuse(
+                501, "Transfer-Encoding is not supported; send Content-Length"
+            )
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            return self._refuse(400, "bad Content-Length")
+        if length > MAX_BODY_BYTES:
+            return self._refuse(413, "request body too large")
+        total = end + 4 + length
+        if len(buffer) < total:
+            self._arm()
+            return None
+        self._disarm()
+        body = bytes(buffer[end + 4 : total])
+        del buffer[:total]
+        if "?" in target or not target.startswith("/"):
+            split = urlsplit(target)
+            path, query = split.path, parse_qs(split.query)
+        else:
+            path, query = target, {}
+        connection = headers.get("connection", "").lower()
+        if version == "HTTP/1.0":
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+        return _HttpRequest(method.upper(), path, query, headers, body, keep_alive)
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a framing error and close: the stream cannot be trusted
+        past it."""
+        self._disarm()
+        payload = _response_bytes(
+            default_codec(), status, error_body(status, message), {}, False
+        )
+        self.send(payload, keep_alive=False)
+
+    def _arm(self) -> None:
+        if self.timer is None:
+            self.timer = asyncio.get_running_loop().call_later(
+                _REQUEST_TIMEOUT_S, self._refuse, 408, "request not completed in time"
+            )
+
+    def _disarm(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
 
 
 class CubeServer:
@@ -157,8 +374,7 @@ class CubeServer:
         self._server: asyncio.base_events.Server | None = None
         self._draining = False
         self._busy = 0
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._register_instruments()
 
     def _register_instruments(self) -> None:
@@ -195,8 +411,8 @@ class CubeServer:
         """Bind and start accepting connections."""
         if self._server is not None:
             raise ServeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_HEAD_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -213,27 +429,25 @@ class CubeServer:
             return
         self._draining = True
         self._server.close()
-        await self._server.wait_closed()
         if drain:
-            deadline = (
-                asyncio.get_running_loop().time() + self.policy.drain_seconds
-            )
-            while self._busy > 0:
-                if asyncio.get_running_loop().time() >= deadline:
-                    break
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + self.policy.drain_seconds
+            while self._busy > 0 and loop.time() < deadline:
                 await asyncio.sleep(0.005)
             self.drained += 1
-        for writer in list(self._writers):
-            writer.close()
-        # Closed transports deliver EOF to parked readers, so handlers
-        # exit on their own; cancellation is only the stragglers' path.
-        tasks = [task for task in self._conn_tasks if not task.done()]
+        connections = list(self._connections)
+        tasks = [conn.task for conn in connections if conn.task is not None]
+        for conn in connections:
+            conn.transport.close()
+        # A request still in a task past the drain finds its connection
+        # closed; cancellation is only the stragglers' path.
         if tasks:
             _, pending = await asyncio.wait(tasks, timeout=1.0)
             for task in pending:
                 task.cancel()
             if pending:
                 await asyncio.wait(pending, timeout=1.0)
+        await self._server.wait_closed()
         self._server = None
 
     async def serve_forever(self) -> None:
@@ -290,115 +504,47 @@ class CubeServer:
             self.shedding = False
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Answering
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._writers.add(writer)
-        try:
-            while not self._draining:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                self._busy += 1
-                self._inflight_gauge.set(self._busy)
-                try:
-                    keep_alive = await self._dispatch(request, writer)
-                finally:
-                    self._busy -= 1
-                    self._inflight_gauge.set(self._busy)
-                if not keep_alive or self._draining:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # shutdown reaping a parked keep-alive connection
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> _HttpRequest | None:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None
-        except asyncio.LimitOverrunError:
-            await self._write_error(writer, None, 431, "request head too large")
-            return None
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) != 3:
-            await self._write_error(writer, None, 400, "malformed request line")
-            return None
-        method, target, _version = parts
-        split = urlsplit(target)
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = headers.get("content-length", "0")
-        try:
-            length = int(length)
-        except ValueError:
-            length = -1
-        if length < 0:
-            await self._write_error(writer, None, 400, "bad Content-Length")
-            return None
-        if length > MAX_BODY_BYTES:
-            await self._write_error(writer, None, 413, "request body too large")
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return _HttpRequest(
-            method.upper(), split.path, parse_qs(split.query), headers, body
-        )
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-
-    async def _dispatch(
-        self, request: _HttpRequest, writer: asyncio.StreamWriter
-    ) -> bool:
-        route = request.path
+    def _answer(self, conn: _Connection, request: _HttpRequest):
+        """Answer ``request`` inline when it needs no wait; otherwise
+        return the task that answers it."""
         start = self.obs.clock.now()
+        self._busy += 1
+        self._inflight_gauge.set(self._busy)
         codec = default_codec()
-        status = 500
         try:
-            codec = codec_for(
-                request.headers.get("accept")
-                or request.headers.get("content-type")
-            )
-            status, body, extra = await self._route(request)
-        except (
-            BadRequestError,
-            OutOfBoundsError,
-            InvalidRangeError,
-            DimensionMismatchError,
-        ) as exc:
-            status, body, extra = 400, error_body(400, str(exc)), {}
-        except UnsupportedMediaTypeError as exc:
-            status, body, extra = 415, error_body(415, str(exc)), {}
-        except (CircuitOpenError, DeadlineExceededError) as exc:
-            status = 503
-            body = error_body(503, str(exc))
-            extra = {"Retry-After": self._retry_after()}
+            headers = request.headers
+            codec = codec_for(headers.get("accept") or headers.get("content-type"))
+            outcome = self._route(request, codec)
+            if type(outcome) is _Work:
+                if len(outcome.items) > _CHUNK or not self.gate.try_acquire():
+                    return asyncio.get_running_loop().create_task(
+                        self._answer_later(conn, request, codec, start, outcome)
+                    )
+                outcome = outcome.finish(self._run_now(outcome))
         except ReproError as exc:
-            status, body, extra = 500, error_body(500, str(exc)), {}
+            outcome = self._failure(exc)
+        except BaseException:
+            self._settle()
+            raise
+        self._respond(conn, request, codec, start, outcome)
+        return None
+
+    async def _answer_later(self, conn, request, codec, start, work: _Work) -> None:
+        try:
+            outcome = work.finish(await self._gated(work.call, work.items))
+        except ReproError as exc:
+            outcome = self._failure(exc)
+        except BaseException:  # cancelled: no answer, no longer in flight
+            self._settle()
+            raise
+        self._respond(conn, request, codec, start, outcome)
+
+    def _respond(self, conn, request, codec, start, outcome: tuple) -> None:
+        status, body, extra = outcome
+        route = request.path
         instruments = self._route_instruments.get((route, status))
         if instruments is None:
             instruments = self._route_instruments[(route, status)] = (
@@ -408,22 +554,36 @@ class CubeServer:
         requests, seconds = instruments
         requests.inc()
         seconds.observe(max(0.0, self.obs.clock.now() - start))
-        keep_alive = self._keep_alive(request)
-        await self._write_response(
-            writer, codec, status, body, extra, keep_alive
-        )
-        return keep_alive
+        keep_alive = request.keep_alive and not self._draining
+        conn.send(_response_bytes(codec, status, body, extra, keep_alive), keep_alive)
+        self._settle()
 
-    async def _route(self, request: _HttpRequest):
+    def _settle(self) -> None:
+        self._busy -= 1
+        self._inflight_gauge.set(self._busy)
+
+    def _failure(self, exc: ReproError) -> tuple:
+        """The response an error raised while answering maps to."""
+        if isinstance(exc, _CLIENT_ERRORS):
+            return 400, error_body(400, str(exc)), {}
+        if isinstance(exc, UnsupportedMediaTypeError):
+            return 415, error_body(415, str(exc)), {}
+        if isinstance(exc, (CircuitOpenError, DeadlineExceededError)):
+            return 503, error_body(503, str(exc)), {"Retry-After": self._retry_after()}
+        return 500, error_body(500, str(exc)), {}
+
+    def _route(self, request: _HttpRequest, codec: Codec):
+        """A response ``(status, body, extra)``, or the :class:`_Work`
+        a ``/query`` or ``/update`` still has to do."""
         path, method = request.path, request.method
         if path == "/query":
             if method != "POST":
                 return 405, error_body(405, "POST required"), {}
-            return await self._handle_query(request)
+            return self._handle_query(request, codec)
         if path == "/update":
             if method != "POST":
                 return 405, error_body(405, "POST required"), {}
-            return await self._handle_update(request)
+            return self._handle_update(request, codec)
         if path == "/healthz":
             if method != "GET":
                 return 405, error_body(405, "GET required"), {}
@@ -434,12 +594,6 @@ class CubeServer:
             return self._handle_metrics(request)
         return 404, error_body(404, f"no route {path!r}"), {}
 
-    def _keep_alive(self, request: _HttpRequest) -> bool:
-        if self._draining:
-            return False
-        connection = request.headers.get("connection", "").lower()
-        return connection != "close"
-
     def _retry_after(self) -> str:
         return f"{self.policy.retry_after_seconds:g}"
 
@@ -447,21 +601,34 @@ class CubeServer:
     # Endpoints
     # ------------------------------------------------------------------
 
-    async def _handle_query(self, request: _HttpRequest):
-        payload = codec_for(request.headers.get("content-type")).decode(
-            request.body
-        )
-        parsed = decode_query(payload, self.dims)
+    @staticmethod
+    def _payload(request: _HttpRequest, codec: Codec):
+        """The decoded body; ``codec`` already answers ``Content-Type``
+        unless ``Accept`` named another type."""
+        content_type = request.headers.get("content-type")
+        accept = request.headers.get("accept")
+        if accept and accept != content_type:
+            codec = codec_for(content_type)
+        return codec.decode(request.body)
+
+    def _handle_query(self, request: _HttpRequest, codec: Codec):
+        parsed = decode_query(self._payload(request, codec), self.dims)
         denied = self._admit(parsed.tenant)
         if denied is not None:
             return denied
         if self.gate.would_overflow():
             return self._overflow()
         read = self.engine.range_sum_many if parsed.batch else self._range_sum
-        parts = await self._gated(read, parsed.ranges)
+        return _Work(read, parsed.ranges, partial(self._query_answered, parsed.batch))
+
+    def _range_sum(self, ranges) -> list:
+        ((low, high),) = ranges
+        return [self.engine.range_sum(low, high)]
+
+    def _query_answered(self, batch: bool, parts: list) -> tuple:
         body = query_response(
             [value for part in parts for value in part],
-            batch=parsed.batch,
+            batch=batch,
             coalesced=False,
             shed=self.shedding,
         )
@@ -469,15 +636,10 @@ class CubeServer:
             self.shed_responses += 1
         return 200, body, {}
 
-    def _range_sum(self, ranges) -> list:
-        ((low, high),) = ranges
-        return [self.engine.range_sum(low, high)]
-
-    async def _handle_update(self, request: _HttpRequest):
-        payload = codec_for(request.headers.get("content-type")).decode(
-            request.body
+    def _handle_update(self, request: _HttpRequest, codec: Codec):
+        parsed = decode_update(
+            self._payload(request, codec), self.dims, integer=self._integer_deltas
         )
-        parsed = decode_update(payload, self.dims, integer=self._integer_deltas)
         denied = self._admit(parsed.tenant)
         if denied is not None:
             return denied
@@ -489,8 +651,8 @@ class CubeServer:
                 normalize_cell(cell, self.engine.shape)
         if self.gate.would_overflow():
             return self._overflow()
-        await self._gated(self.engine.add_many, updates)
-        return 200, update_response(len(updates)), {}
+        response = (200, update_response(len(updates)), {})
+        return _Work(self.engine.add_many, updates, lambda _: response)
 
     def _handle_healthz(self):
         document = evaluate_health(self.watchdog, self.engine)
@@ -529,6 +691,15 @@ class CubeServer:
             {"Retry-After": self._retry_after()},
         )
 
+    def _run_now(self, work: _Work) -> list:
+        """Run a one-chunk request under a turn ``try_acquire`` took."""
+        self._update_shed()
+        try:
+            return [work.call(work.items)]
+        finally:
+            self.gate.release()
+            self._update_shed()
+
     async def _gated(self, call, items: tuple) -> list:
         """Run ``call`` over ``items`` on the loop under the engine turn.
 
@@ -549,48 +720,3 @@ class CubeServer:
         finally:
             self.gate.release()
             self._update_shed()
-
-    # ------------------------------------------------------------------
-    # Response writing
-    # ------------------------------------------------------------------
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        codec: Codec,
-        status: int,
-        body: Any,
-        extra: dict,
-        keep_alive: bool,
-    ) -> None:
-        if isinstance(body, str):
-            payload = body.encode("utf-8")
-            content_type = extra.pop("Content-Type", "text/plain")
-        else:
-            payload = codec.encode(body)
-            content_type = extra.pop("Content-Type", codec.content_type)
-        reason = _STATUS_TEXT.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra.items())
-        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + payload)
-        try:
-            await writer.drain()
-        except ConnectionError:
-            pass
-
-    async def _write_error(
-        self, writer, codec, status: int, message: str
-    ) -> None:
-        await self._write_response(
-            writer,
-            codec or default_codec(),
-            status,
-            error_body(status, message),
-            {},
-            keep_alive=False,
-        )

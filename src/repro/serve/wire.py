@@ -17,6 +17,7 @@ See ``docs/serving.md`` for the full request/response schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -51,8 +52,12 @@ class Codec:
     decode: Callable[[bytes], Any]
 
 
+#: One compact encoder for every response, built once.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_encode(obj: Any) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return _JSON_ENCODER.encode(obj).encode("utf-8")
 
 
 def _json_decode(data: bytes) -> Any:
@@ -235,7 +240,8 @@ def decode_update(payload: Any, dims: int, integer: bool = False) -> UpdateReque
     ``integer`` is the numeric contract of an integer cube: every delta
     must be a whole number within int64 (``2.0`` is accepted as ``2``),
     so a fraction is refused here instead of being truncated by the
-    cube's dtype.
+    cube's dtype.  A float cube takes any finite number; NaN and the
+    infinities are refused.
     """
     payload = _require_mapping(payload)
     tenant = _tenant_of(payload)
@@ -270,6 +276,14 @@ def _delta(value: Any, integer: bool) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequestError("'delta' must be a number")
     if not integer:
+        # NaN or an infinity (or an int past float range) would poison
+        # every later sum over the cell, and JSON cannot carry the answer.
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise BadRequestError(f"'delta' must be a finite number, got {value!r}")
         return value
     if isinstance(value, float) and not value.is_integer():
         raise BadRequestError(

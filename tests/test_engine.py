@@ -357,3 +357,98 @@ class TestEngineIntrospection:
         with ShardedEngine.from_array(data, shards=4) as engine:
             assert int(engine.total()) == int(baseline.total())
             assert engine.memory_cells() > 0
+
+
+class TestScalarMissUnderPolicy:
+    """A one-range miss under a resilience policy reads its shards
+    directly, and takes the guarded fan-out only when it must."""
+
+    SHAPE = (16, 8)
+
+    def _engine(self, executor=None, **policy):
+        from repro.engine import FaultInjector, ResiliencePolicy
+        from repro.obs import ManualClock, Observability
+
+        clock = ManualClock()
+        if executor == "injector":
+            executor = FaultInjector(SerialExecutor(), clock=clock)
+        data = clustered(self.SHAPE, seed=41)
+        engine = ShardedEngine.from_array(
+            data,
+            shards=4,
+            obs=Observability(clock=clock),
+            resilience=ResiliencePolicy(**policy),
+            executor=executor,
+        )
+        return engine, data
+
+    @staticmethod
+    def _count_fanouts(monkeypatch, engine):
+        calls = []
+        fanout = engine._locked_resilient_fanout
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fanout(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_locked_resilient_fanout", spy)
+        return calls
+
+    @staticmethod
+    def _raise_once(shard):
+        from repro.exceptions import InjectedFaultError
+
+        read = shard.range_sum
+        raised = []
+
+        def flaky(low, high):
+            if not raised:
+                raised.append(True)
+                raise InjectedFaultError("shard double: first read fails")
+            return read(low, high)
+
+        shard.range_sum = flaky
+
+    def test_a_healthy_miss_skips_the_guarded_fanout(self, monkeypatch):
+        engine, data = self._engine()
+        calls = self._count_fanouts(monkeypatch, engine)
+        assert engine.range_sum((1, 0), (14, 7)) == int(data[1:15].sum())
+        assert calls == []
+        # Every touched shard's success is in its breaker window.
+        assert [breaker._outcomes for breaker in engine._breakers] == [[False]] * 4
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "reason", ["deadline", "executor", "breaker"]
+    )
+    def test_a_miss_takes_the_guarded_fanout_when_it_must(self, monkeypatch, reason):
+        engine, data = self._engine(
+            executor="injector" if reason == "executor" else None,
+            deadline_seconds=1.0 if reason == "deadline" else None,
+        )
+        if reason == "breaker":
+            engine._breakers[2].state = "half-open"
+        calls = self._count_fanouts(monkeypatch, engine)
+        assert engine.range_sum((1, 0), (14, 7)) == int(data[1:15].sum())
+        assert len(calls) == 1
+        engine.close()
+
+    def test_a_raising_shard_records_what_the_guarded_fanout_records(
+        self, monkeypatch
+    ):
+        direct, data = self._engine(max_retries=2)
+        guarded, _ = self._engine(executor="injector", max_retries=2)
+        answers = []
+        for engine in (direct, guarded):
+            self._raise_once(engine._shards[1])
+            calls = self._count_fanouts(monkeypatch, engine)
+            answers.append(engine.range_sum((1, 0), (10, 7)))
+            assert len(calls) == 1
+        assert answers == [int(data[1:11].sum())] * 2
+        for engine in (direct, guarded):
+            retries = engine.obs.metrics.get("repro_engine_retries_total")
+            assert retries.labels(shard="1").value == 1
+            assert [breaker._outcomes for breaker in engine._breakers] == [
+                [False], [True, False], [False], [],
+            ]
+            engine.close()

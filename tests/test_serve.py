@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import socket
 import threading
 import time
 
@@ -39,7 +40,7 @@ from repro.serve import (
     decode_query,
     decode_update,
 )
-from repro.serve.server import _CHUNK
+from repro.serve.server import _CHUNK, MAX_BODY_BYTES, MAX_HEAD_BYTES
 from repro.serve.wire import MAX_BATCH
 from repro.workloads import clustered
 
@@ -132,6 +133,24 @@ def raw_post(path: str, body: bytes) -> bytes:
     ).encode("latin-1") + body
 
 
+def raw_query(low, high) -> bytes:
+    document = {"op": "range_sum", "low": list(low), "high": list(high)}
+    return raw_post("/query", json.dumps(document).encode())
+
+
+async def read_response(reader):
+    """One response off a raw connection: ``(status, headers, body)``."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 5.0)
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        if name:
+            headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(lines[0].split(" ")[1]), headers, body
+
+
 # ----------------------------------------------------------------------
 # Wire validation
 # ----------------------------------------------------------------------
@@ -198,9 +217,12 @@ class TestWire:
                 decode_update({"cell": [1, 2], "delta": delta}, 2, integer=True)
         with pytest.raises(BadRequestError, match="whole number"):
             decode_update({"updates": [[[1, 2], 1], [[0, 0], 0.5]]}, 2, integer=True)
-        # A float cube keeps taking fractions.
+        # A float cube keeps taking fractions, but only finite numbers.
         update = decode_update({"cell": [1, 2], "delta": 2.5}, 2)
         assert update.updates == (((1, 2), 2.5),)
+        for delta in (float("nan"), float("inf"), -float("inf"), 10**400):
+            with pytest.raises(BadRequestError, match="finite"):
+                decode_update({"cell": [1, 2], "delta": delta}, 2)
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +293,35 @@ class TestEndToEnd:
             await server.stop()
 
         run(scenario())
+        engine.close()
+
+    def test_a_non_finite_delta_is_a_400_and_the_cube_stays_valid(self):
+        data = clustered(SHAPE, seed=3).astype(float)
+        engine = ShardedEngine.from_array(data, shards=4)
+        before = engine.to_dense()
+
+        def refuse(constant):
+            raise AssertionError(f"response carries {constant}")
+
+        async def scenario():
+            server = await serving(engine)
+            reader, writer = await send_raw(server.port, b"")
+            for literal in (b"NaN", b"Infinity", b"-Infinity"):
+                body = b'{"cell":[1,1],"delta":' + literal + b"}"
+                writer.write(raw_post("/update", body))
+                status, _, answer = await read_response(reader)
+                assert status == 400
+                assert "finite" in json.loads(answer)["error"]
+                writer.write(raw_query((0, 0), (3, 3)))
+                status, _, answer = await read_response(reader)
+                assert status == 200
+                document = json.loads(answer, parse_constant=refuse)
+                assert document["value"] == data[:4, :4].sum()
+            writer.close()
+            await server.stop()
+
+        run(scenario())
+        assert np.array_equal(engine.to_dense(), before)
         engine.close()
 
     def test_json_msgpack_parity(self):
@@ -764,8 +815,8 @@ class TestOneThread:
             if engine.calls.count("range_sum_many") == 2:
                 asyncio.current_task().cancel()
 
-        async def cancel_connections(server):
-            tasks = list(server._conn_tasks)
+        async def cancel_waiting_requests(server):
+            tasks = [conn.task for conn in server._connections if conn.task]
             for task in tasks:
                 task.cancel()
             await asyncio.wait(tasks, timeout=5.0)
@@ -776,7 +827,7 @@ class TestOneThread:
             await server.gate.acquire()
             _, writer = await send_raw(server.port, query)
             await until(lambda: server.gate.waiting == 1)
-            await cancel_connections(server)
+            await cancel_waiting_requests(server)
             writer.close()
             assert (server.gate.inflight, server.gate.waiting) == (1, 0)
             server.gate.release()
@@ -792,6 +843,218 @@ class TestOneThread:
             async with ServeClient("127.0.0.1", server.port) as client:
                 response = await client.query([0, 0], [3, 3])
                 assert response.body["value"] == int(data[:4, :4].sum())
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# Framing: the connection's own request parser
+# ----------------------------------------------------------------------
+
+
+class TestFraming:
+    def test_pipelined_requests_in_one_write_are_answered_in_order(self):
+        engine, data = make_engine()
+        ranges = covering_ranges(2 * _CHUNK + 1)
+        batch = json.dumps({"ranges": [[list(lo), list(hi)] for lo, hi in ranges]})
+
+        async def scenario():
+            server = await serving(engine)
+            # The batch answers in a task; what follows it must wait.
+            reader, writer = await send_raw(
+                server.port,
+                raw_query((0, 0), (5, 5))
+                + raw_post("/query", batch.encode())
+                + raw_post("/update", b'{"cell":[5,5],"delta":7}')
+                + raw_query((0, 0), (5, 5)),
+            )
+            answers = [await read_response(reader) for _ in range(4)]
+            assert [status for status, _, _ in answers] == [200] * 4
+            bodies = [json.loads(body) for _, _, body in answers]
+            assert bodies[0]["value"] == range_total(data, (0, 0), (5, 5))
+            assert [entry["value"] for entry in bodies[1]["results"]] == [
+                range_total(data, low, high) for low, high in ranges
+            ]
+            assert bodies[2] == {"ok": True, "applied": 1}
+            assert bodies[3]["value"] == range_total(data, (0, 0), (5, 5)) + 7
+            writer.close()
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_a_request_sent_one_byte_per_write_is_parsed(self):
+        engine, data = make_engine()
+
+        async def scenario():
+            server = await serving(engine)
+            reader, writer = await send_raw(server.port, b"")
+            for byte in raw_query((2, 3), (10, 12)):
+                writer.write(bytes([byte]))
+                await writer.drain()
+                await asyncio.sleep(0)
+            status, _, body = await read_response(reader)
+            assert status == 200
+            assert json.loads(body)["value"] == range_total(data, (2, 3), (10, 12))
+            writer.close()
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, message",
+        [
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"a" * (MAX_HEAD_BYTES + 8)
+                + b"\r\n\r\n",
+                431,
+                b"request head too large",
+            ),
+            (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (MAX_HEAD_BYTES + 8), 431, b"too large"),
+            (
+                f"POST /update HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}"
+                "\r\n\r\n".encode(),
+                413,
+                b"request body too large",
+            ),
+            (b"GARBAGE\r\n\r\n", 400, b"malformed request line"),
+            (
+                b"POST /update HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b'18\r\n{"cell":[1,1],"delta":1}\r\n0\r\n\r\n',
+                501,
+                b"Transfer-Encoding",
+            ),
+        ],
+        ids=["head-431", "unterminated-head-431", "body-413", "line-400", "chunked-501"],
+    )
+    def test_a_broken_frame_gets_one_error_and_the_connection_closes(
+        self, request_bytes, status, message
+    ):
+        engine, _ = make_engine()
+        before = engine.to_dense()
+
+        async def scenario():
+            server = await serving(engine)
+            reader, writer = await send_raw(server.port, request_bytes)
+            answer = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            assert answer.startswith(f"HTTP/1.1 {status} ".encode())
+            assert answer.count(b"HTTP/1.1") == 1
+            assert b"Connection: close" in answer
+            assert message in answer
+            await server.stop()
+
+        run(scenario())
+        assert np.array_equal(engine.to_dense(), before)
+        engine.close()
+
+    def test_http_1_0_closes_unless_it_asks_for_keep_alive(self):
+        engine, _ = make_engine()
+
+        async def scenario():
+            server = await serving(engine)
+            reader, writer = await send_raw(
+                server.port, b"GET /healthz HTTP/1.0\r\n\r\n"
+            )
+            answer = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            assert answer.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: close" in answer
+            request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            reader, writer = await send_raw(server.port, request)
+            for _ in range(2):
+                status, headers, _ = await read_response(reader)
+                assert (status, headers["connection"]) == (200, "keep-alive")
+                writer.write(request)
+            writer.close()
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "partial",
+        [b"POST /query HTTP/1.1\r\nHost", raw_query((0, 0), (3, 3))[:-5]],
+        ids=["head", "body"],
+    )
+    def test_a_partial_request_times_out_with_408(self, monkeypatch, partial):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "_REQUEST_TIMEOUT_S", 0.05)
+        engine, _ = make_engine()
+
+        async def scenario():
+            server = await serving(engine)
+            reader, writer = await send_raw(server.port, partial)
+            answer = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            assert answer.startswith(b"HTTP/1.1 408 ")
+            assert b"Connection: close" in answer
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_an_idle_keep_alive_connection_is_never_timed_out(self, monkeypatch):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "_REQUEST_TIMEOUT_S", 0.05)
+        engine, data = make_engine()
+
+        async def scenario():
+            server = await serving(engine)
+            reader, writer = await send_raw(server.port, raw_query((0, 0), (3, 3)))
+            assert (await read_response(reader))[0] == 200
+            await asyncio.sleep(0.25)
+            writer.write(raw_query((0, 0), (3, 3)))
+            status, _, body = await read_response(reader)
+            assert status == 200
+            assert json.loads(body)["value"] == range_total(data, (0, 0), (3, 3))
+            writer.close()
+            await server.stop()
+
+        run(scenario())
+        engine.close()
+
+    def test_a_client_that_does_not_read_pauses_the_server_reading(self):
+        engine, data = make_engine()
+        high_water = 8192
+        count = 3000
+        expected = range_total(data, (0, 0), (5, 5))
+
+        async def scenario():
+            server = await serving(engine)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", server.port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            await until(lambda: len(server._connections) == 1)
+            (conn,) = server._connections
+            transport = conn.transport
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            transport.set_write_buffer_limits(high=high_water)
+            writer.write(raw_query((0, 0), (5, 5)))
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            one_response = len(head) + len(await reader.readexactly(length))
+            writer.write(raw_query((0, 0), (5, 5)) * count)
+            await until(lambda: conn.write_paused)
+            peak = 0
+            for _ in range(20):
+                assert not transport.is_reading()
+                peak = max(peak, transport.get_write_buffer_size())
+                await asyncio.sleep(0.005)
+            assert 0 < peak <= high_water + one_response
+            answers = [await read_response(reader) for _ in range(count)]
+            assert {status for status, _, _ in answers} == {200}
+            assert {json.loads(body)["value"] for _, _, body in answers} == {expected}
+            writer.close()
             await server.stop()
 
         run(scenario())
