@@ -2,10 +2,10 @@
 
 Scalar query latency (``benchmarks/e2e``: ``ddc_mixed_2d``
 ``read_p50_us``, ``methods.query_us``) lives and dies on the scalar
-descent loops — the per-level ``while`` walks
-in ``DynamicDataCube._prefix_walk``, the B^c-tree descents, the Fenwick
-index loops.  A comprehension, generator expression, or closure created
-*inside* one of those loops allocates on every level of every query; at
+descent loops — the per-level ``while`` walks in
+``DynamicDataCube._walk_under`` / ``_add_at``, the B^c-tree descents,
+the Fenwick index loops.  A comprehension, generator expression, or
+closure created *inside* one of those loops allocates on every level of every query; at
 millions of queries that is pure allocator pressure the prefix-sum
 trade-off literature says to engineer away (hoist the allocation, reuse
 a buffer, or vectorise the level).
@@ -47,6 +47,9 @@ HOT_FUNCTIONS = frozenset(
         "_descend",
         "_box_contribution",
         "_walk_under",
+        "_add_at",
+        "_fill_complete",
+        "_split_up",
         "prefix_one",
         "add_one",
         "gather_level",

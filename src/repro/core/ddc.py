@@ -78,10 +78,13 @@ class DynamicDataCube(RangeSumMethod):
     name = "ddc"
     #: Below this batch size the per-node bucketing and contribution
     #: cache of the path-sharing traversal cost more than they share.
-    #: Calibrated at first use: uniform batches share few paths, so
-    #: the measured break-even lands far above zipf's (~16 vs ~128 on
-    #: the reference machine) and the probe picks the machine-local
-    #: value instead of a constant tuned elsewhere.
+    #: Calibrated at first use on uniform batches, which share few
+    #: paths; clustered (zipf) batches share far more node visits and
+    #: break even lower.  On a 2-core machine the probe mostly fits 257
+    #: ("scalar up to 256"), and zipf batches up to 256 are faster as
+    #: scalar walks there too, at several times the node visits
+    #: (docs/algorithms.md §8).  The probe picks the machine-local value
+    #: instead of a constant tuned elsewhere.
     batch_crossover = "auto"
     _overlay_class = TreeOverlay
 
@@ -172,27 +175,44 @@ class DynamicDataCube(RangeSumMethod):
     # ------------------------------------------------------------------
     # Point access
     # ------------------------------------------------------------------
+    #
+    # Every descent carries the target as a list ``r`` of offsets
+    # relative to the node being visited.  At a node of side ``2 * half``
+    # the covering child's bit ``t`` is set when ``r[t] >= half``, and
+    # ``r[t]`` then drops by ``half`` — so after the cover step ``r`` is
+    # relative to the covering child, and equally to every overlay box
+    # of that node on the axes the box shares with it.  Tallies are kept
+    # in locals and added to the shared ``OpCounter`` once per call; the
+    # tracker (a simulated buffer pool) still sees every touch, in the
+    # same order: node, its overlays in submask order, then the leaf.
 
     def get(self, cell: Sequence[int] | int):
         """Read ``A[cell]`` by descending to its leaf block — O(log n)."""
-        cell = geometry.normalize_cell(cell, self.shape)
+        r = list(geometry.normalize_cell(cell, self.shape))
+        tracker = self.stats.tracker
+        axes = range(self.dims)
         node = self._root
         side = self._capacity
-        anchor = (0,) * self.dims
+        visits = 0
         while isinstance(node, _Node):
-            self.stats.node_visits += 1
-            self.stats.touch(node)
-            half = side // 2
-            mask = self._covering_mask(cell, anchor, half)
-            anchor = self._child_anchor(anchor, mask, half)
+            if tracker is not None:
+                tracker.access(node)
+            visits += 1
+            half = side >> 1
+            mask = 0
+            for axis in axes:
+                if r[axis] >= half:
+                    mask |= 1 << axis
+                    r[axis] -= half
             node = node.children[mask]
             side = half
+        self.stats.node_visits += visits
         if node is None:
             return self._zero()
-        self.stats.touch(node)
+        if tracker is not None:
+            tracker.access(node)
         self.stats.cell_reads += 1
-        offsets = tuple(c - a for c, a in zip(cell, anchor))
-        return self.dtype.type(node[offsets])
+        return self.dtype.type(node[tuple(r)])
 
     def add(self, cell: Sequence[int] | int, delta) -> None:
         """Point update: one overlay box per level plus one leaf write.
@@ -205,36 +225,52 @@ class DynamicDataCube(RangeSumMethod):
         delta = self.dtype.type(delta).item()
         if delta == 0:
             return
+        depth = self._add_at(cell, delta)
+        if self._obs.enabled:
+            self._obs_update_depth.observe(depth)
+
+    def _add_at(self, cell: Sequence[int], delta) -> int:
+        """Apply a non-zero, already-typed ``delta`` at an in-range cell.
+
+        Returns the number of levels walked.  A parent overlay updates
+        its recursive secondary cube through here: it has already
+        checked the cell and typed the delta.
+        """
+        r = list(cell)
         if self._root is None:
             self._root = self._new_root()
+        tracker = self.stats.tracker
+        axes = range(self.dims)
         node = self._root
         side = self._capacity
-        anchor = (0,) * self.dims
         depth = 0
         while isinstance(node, _Node):
-            self.stats.node_visits += 1
-            self.stats.touch(node)
+            if tracker is not None:
+                tracker.access(node)
             depth += 1
-            half = side // 2
-            mask = self._covering_mask(cell, anchor, half)
-            anchor = self._child_anchor(anchor, mask, half)
+            half = side >> 1
+            mask = 0
+            for axis in axes:
+                if r[axis] >= half:
+                    mask |= 1 << axis
+                    r[axis] -= half
             overlay = node.overlays[mask]
             if overlay is None:
                 overlay = node.overlays[mask] = self._new_overlay(half)
-            offsets = tuple(c - a for c, a in zip(cell, anchor))
-            overlay.apply_delta(offsets, delta)
+            overlay.apply_delta(r, delta)
             child = node.children[mask]
             if child is None:
                 child = node.children[mask] = self._new_child(half)
             node = child
             side = half
-        offsets = tuple(c - a for c, a in zip(cell, anchor))
-        self.stats.touch(node)
-        node[offsets] += delta
-        self.stats.cell_writes += 1
+        if tracker is not None:
+            tracker.access(node)
+        node[tuple(r)] += delta
+        stats = self.stats
+        stats.node_visits += depth
+        stats.cell_writes += 1
         self._total += delta
-        if self._obs.enabled:
-            self._obs_update_depth.observe(depth)
+        return depth
 
     def set(self, cell: Sequence[int] | int, value) -> None:
         cell = geometry.normalize_cell(cell, self.shape)
@@ -253,14 +289,8 @@ class DynamicDataCube(RangeSumMethod):
             return np.zeros((side,) * self.dims, dtype=self.dtype)
         return _Node(self._fan)
 
-    def _covering_mask(self, cell: tuple, anchor: tuple, half: int) -> int:
-        mask = 0
-        for axis in range(self.dims):
-            if cell[axis] >= anchor[axis] + half:
-                mask |= 1 << axis
-        return mask
-
     def _child_anchor(self, anchor: tuple, mask: int, half: int) -> tuple:
+        """Absolute anchor of child ``mask`` (audit and iteration only)."""
         return tuple(
             anchor[axis] + (half if mask >> axis & 1 else 0)
             for axis in range(self.dims)
@@ -297,64 +327,107 @@ class DynamicDataCube(RangeSumMethod):
         cell = geometry.normalize_cell(cell, self.shape)
         if self._root is None:
             return self._zero(), 0
-        return self._walk_under(self._root, self._capacity, (0,) * self.dims, cell)
+        acc, depth = self._walk_under(self._root, self._capacity, list(cell))
+        return self.dtype.type(acc), depth
 
-    def _walk_under(self, node, side: int, anchor: tuple, cell: tuple):
+    def _prefix_at(self, cell: Sequence[int]):
+        """Prefix sum at an in-range cell, as a plain Python number.
+
+        A parent overlay reads its recursive secondary cube through
+        here: the cross is in range by construction, so the public entry
+        point's normalisation and observability checks would only add
+        cost.
+        """
+        if self._root is None:
+            return 0
+        acc = self._walk_under(self._root, self._capacity, list(cell))[0]
+        return self.dtype.type(acc).item()
+
+    def _walk_under(self, node, side: int, r: list):
         """Scalar Figure 10 descent from an arbitrary subtree position.
 
-        Shared by the scalar entry point (from the root) and the batch
-        traversal, which drops to this walk the moment a cover bucket
-        narrows to a single query — from there down the bucketed
-        bookkeeping (cover dicts, read caches, position lists) is pure
-        overhead over the plain descent.
+        ``r`` is the target's offsets relative to ``node`` and is
+        consumed.  Returns ``(sum, levels walked)`` with the sum as a
+        plain Python number.  Shared by the scalar entry points (from the
+        root) and the batch traversal, which drops to this walk the
+        moment a cover bucket narrows to a single query — from there down
+        the bucketed bookkeeping (cover dicts, read caches, position
+        lists) is pure overhead over the plain descent.
+
+        The proper submasks of the covering mask are exactly the boxes
+        the target region intersects without covering the target cell.
+        Box ``mask`` is complete on the axes ``cover ^ mask`` (lower half
+        while the target sits in the upper half): complete on every
+        axis, it contributes its subtotal; otherwise one row-sum value of
+        the group on its lowest complete axis, at the cross-position
+        ``half - 1`` on the other complete axes and ``r`` elsewhere.
         """
+        stats = self.stats
+        tracker = stats.tracker
+        full = self._full_mask
+        axes = range(self.dims)
         acc = 0
         depth = 0
+        reads = 0
         while isinstance(node, _Node):
-            self.stats.node_visits += 1
-            self.stats.touch(node)
+            if tracker is not None:
+                tracker.access(node)
             depth += 1
-            half = side // 2
-            cover = self._covering_mask(cell, anchor, half)
-            submask = (cover - 1) & cover
-            while cover:
-                # Proper submasks of the covering mask are exactly the
-                # boxes the target region intersects without covering
-                # the target cell (lower half in at least one dimension
-                # where the cell sits in the upper half).
-                acc += self._box_contribution(node, submask, cover, cell, anchor, half)
-                if submask == 0:
-                    break
-                submask = (submask - 1) & cover
-            anchor = self._child_anchor(anchor, cover, half)
+            half = side >> 1
+            cover = 0
+            for axis in axes:
+                if r[axis] >= half:
+                    cover |= 1 << axis
+                    r[axis] -= half
+            if cover:
+                overlays = node.overlays
+                submask = (cover - 1) & cover
+                while True:
+                    overlay = overlays[submask]
+                    if overlay is not None:
+                        complete = cover ^ submask
+                        if complete == full:
+                            if tracker is not None:
+                                tracker.access(overlay)
+                            reads += 1
+                            acc += overlay._subtotal
+                        else:
+                            group = (complete & -complete).bit_length() - 1
+                            cross = r.copy()
+                            del cross[group]
+                            if complete & (complete - 1):
+                                self._fill_complete(cross, complete, half - 1)
+                            acc += overlay.row_value(group, cross)
+                    if submask == 0:
+                        break
+                    submask = (submask - 1) & cover
             node = node.children[cover]
             side = half
             if node is None:
-                return self.dtype.type(acc), depth
-        offsets = tuple(c - a for c, a in zip(cell, anchor))
-        self.stats.touch(node)
-        region = tuple(slice(0, o + 1) for o in offsets)
-        acc += node[region].sum().item()
-        self.stats.cell_reads += geometry.range_cell_count((0,) * self.dims, offsets)
-        return self.dtype.type(acc), depth
+                stats.node_visits += depth
+                stats.cell_reads += reads
+                return acc, depth
+        if tracker is not None:
+            tracker.access(node)
+        acc += node[tuple(slice(0, offset + 1) for offset in r)].sum().item()
+        stats.node_visits += depth
+        stats.cell_reads += reads + geometry.range_cell_count((0,) * self.dims, r)
+        return acc, depth
 
-    def _box_contribution(
-        self, node: _Node, mask: int, cover: int, cell: tuple, anchor: tuple, half: int
-    ):
-        """Value contributed by the overlay box ``mask`` (``mask ⊊ cover``)."""
-        overlay = node.overlays[mask]
-        if overlay is None:
-            return 0
-        complete = cover & ~mask
-        if complete == self._full_mask:
-            return overlay.subtotal()
-        box_anchor = self._child_anchor(anchor, mask, half)
-        offsets = tuple(
-            min(cell[axis] - box_anchor[axis], half - 1) for axis in range(self.dims)
-        )
-        group = (complete & -complete).bit_length() - 1
-        cross = offsets[:group] + offsets[group + 1 :]
-        return overlay.row_value(group, cross)
+    @staticmethod
+    def _fill_complete(cross: list, complete: int, top: int) -> None:
+        """Set ``top`` on ``cross`` at every complete axis but the lowest.
+
+        ``cross`` is a box-relative cell with the lowest complete axis
+        (the row-sum group) already deleted, so every other axis ``a``
+        of ``complete`` sits at index ``a - 1``.  Only cubes of three or
+        more dimensions have a second complete axis.
+        """
+        rest = complete & (complete - 1)
+        while rest:
+            low = rest & -rest
+            cross[low.bit_length() - 2] = top
+            rest ^= low
 
     # ------------------------------------------------------------------
     # Batch queries (path-sharing traversal)
@@ -386,7 +459,7 @@ class DynamicDataCube(RangeSumMethod):
             return []
         distinct = list(order)
         values = self._prefix_many(
-            self._root, self._capacity, (0,) * self.dims, distinct
+            self._root, self._capacity, [list(cell) for cell in distinct]
         )
         results: list = [None] * len(normalized)
         for cell, value in zip(distinct, values):
@@ -395,75 +468,77 @@ class DynamicDataCube(RangeSumMethod):
                 results[position] = typed
         return results
 
-    def _prefix_many(self, node, side: int, anchor: tuple, cells: list) -> list:
-        """Answer distinct prefix cells under ``node`` (results in order)."""
+    def _prefix_many(self, node, side: int, targets: list) -> list:
+        """Answer distinct prefix queries under ``node`` (results in order).
+
+        ``targets`` holds one offset list per query, relative to
+        ``node``; each is consumed like the scalar walk's ``r``.
+        """
         if node is None:
-            return [0] * len(cells)
+            return [0] * len(targets)
+        stats = self.stats
         if not isinstance(node, _Node):
-            self.stats.touch(node)
+            stats.touch(node)
             out = []
-            for cell in cells:
-                offsets = tuple(c - a for c, a in zip(cell, anchor))
-                region = tuple(slice(0, o + 1) for o in offsets)
-                out.append(node[region].sum().item())
-                self.stats.cell_reads += geometry.range_cell_count(
-                    (0,) * self.dims, offsets
-                )
+            for r in targets:
+                out.append(node[tuple(slice(0, o + 1) for o in r)].sum().item())
+                stats.cell_reads += geometry.range_cell_count((0,) * self.dims, r)
             return out
-        if len(cells) == 1:
-            return [self._walk_under(node, side, anchor, cells[0])[0]]
-        self.stats.node_visits += 1
-        self.stats.touch(node)
-        half = side // 2
+        if len(targets) == 1:
+            return [self._walk_under(node, side, targets[0])[0]]
+        stats.node_visits += 1
+        stats.touch(node)
+        half = side >> 1
+        axes = range(self.dims)
         by_cover: dict[int, tuple[list[int], list]] = {}
-        for position, cell in enumerate(cells):
-            cover = self._covering_mask(cell, anchor, half)
+        for position, r in enumerate(targets):
+            cover = 0
+            for axis in axes:
+                if r[axis] >= half:
+                    cover |= 1 << axis
+                    r[axis] -= half
             entry = by_cover.get(cover)
             if entry is None:
                 by_cover[cover] = entry = ([], [])
             entry[0].append(position)
-            entry[1].append(cell)
-        out = [0] * len(cells)
+            entry[1].append(r)
+        out = [0] * len(targets)
         # Contributions already read at this node, shared across covers:
         # ``(mask, None)`` for a subtotal, ``(mask, group, cross)`` for a
-        # row-sum value.
+        # row-sum value (``cross`` is box-relative, so keys agree across
+        # covers).
         cache: dict = {}
-        for cover, (positions, group_cells) in by_cover.items():
+        for cover, (positions, group_targets) in by_cover.items():
             if cover:
                 submask = (cover - 1) & cover
                 while True:
                     self._batch_box(
-                        node, submask, cover, group_cells, positions,
-                        anchor, half, cache, out,
+                        node.overlays[submask], submask, cover,
+                        group_targets, positions, half, cache, out,
                     )
                     if submask == 0:
                         break
                     submask = (submask - 1) & cover
-            child_anchor = self._child_anchor(anchor, cover, half)
-            sub = self._prefix_many(
-                node.children[cover], half, child_anchor, group_cells
-            )
+            sub = self._prefix_many(node.children[cover], half, group_targets)
             for position, value in zip(positions, sub):
                 out[position] += value
         return out
 
     def _batch_box(
         self,
-        node: _Node,
+        overlay,
         mask: int,
         cover: int,
-        group_cells: list,
+        group_targets: list,
         positions: list[int],
-        anchor: tuple,
         half: int,
         cache: dict,
         out: list,
     ) -> None:
         """Add overlay box ``mask``'s contribution for one cover bucket."""
-        overlay = node.overlays[mask]
         if overlay is None:
             return
-        complete = cover & ~mask
+        complete = cover ^ mask
         if complete == self._full_mask:
             key = (mask, None)
             if key not in cache:
@@ -472,36 +547,29 @@ class DynamicDataCube(RangeSumMethod):
             for position in positions:
                 out[position] += value
             return
-        box_anchor = self._child_anchor(anchor, mask, half)
         group = (complete & -complete).bit_length() - 1
-        if len(group_cells) < _ROW_MANY_MIN:
+        top = half - 1
+        keys = []
+        for r in group_targets:
+            cross = r.copy()
+            del cross[group]
+            if complete & (complete - 1):
+                self._fill_complete(cross, complete, top)
+            keys.append((mask, group, tuple(cross)))
+        if len(group_targets) < _ROW_MANY_MIN:
             # Small buckets: read each distinct row value as a plain
             # walk the moment it is first needed — the cache still
             # dedupes, and the batched secondary descent's bucket
             # bookkeeping costs more than a handful of walks.
-            for position, cell in zip(positions, group_cells):
-                offsets = tuple(
-                    min(cell[axis] - box_anchor[axis], half - 1)
-                    for axis in range(self.dims)
-                )
-                cross = offsets[:group] + offsets[group + 1 :]
-                key = (mask, group, cross)
+            for position, key in zip(positions, keys):
                 value = cache.get(key)
                 if value is None:
-                    value = cache[key] = overlay.row_value(group, cross)
+                    value = cache[key] = overlay.row_value(group, key[2])
                 out[position] += value
             return
-        per_query_keys = []
         missing: list[tuple] = []
         seen: set = set()
-        for cell in group_cells:
-            offsets = tuple(
-                min(cell[axis] - box_anchor[axis], half - 1)
-                for axis in range(self.dims)
-            )
-            cross = offsets[:group] + offsets[group + 1 :]
-            key = (mask, group, cross)
-            per_query_keys.append(key)
+        for key in keys:
             if key not in cache and key not in seen:
                 seen.add(key)
                 missing.append(key)
@@ -509,7 +577,7 @@ class DynamicDataCube(RangeSumMethod):
             values = overlay.row_value_many(group, [key[2] for key in missing])
             for key, value in zip(missing, values):
                 cache[key] = value
-        for position, key in zip(positions, per_query_keys):
+        for position, key in zip(positions, keys):
             out[position] += cache[key]
 
     # ------------------------------------------------------------------
@@ -530,45 +598,49 @@ class DynamicDataCube(RangeSumMethod):
         for cell, delta in self._combined_updates(updates):
             delta = self.dtype.type(delta).item()
             if delta != 0:
-                combined.append((cell, delta))
+                combined.append((list(cell), delta))
         if not combined:
             return
         if self._root is None:
             self._root = self._new_root()
-        self._add_many_node(self._root, self._capacity, (0,) * self.dims, combined)
+        self._add_many_node(self._root, self._capacity, combined)
         self._total += sum(delta for _, delta in combined)
 
-    def _add_many_node(self, node, side: int, anchor: tuple, items: list) -> None:
-        """Apply ``(cell, delta)`` items to the subtree rooted at ``node``."""
+    def _add_many_node(self, node, side: int, items: list) -> None:
+        """Apply ``(offsets, delta)`` items to the subtree rooted at ``node``.
+
+        Offsets are relative to ``node`` and consumed as in the scalar
+        descent.
+        """
+        stats = self.stats
         if not isinstance(node, _Node):
-            self.stats.touch(node)
-            for cell, delta in items:
-                offsets = tuple(c - a for c, a in zip(cell, anchor))
-                node[offsets] += delta
-            self.stats.cell_writes += len(items)
+            stats.touch(node)
+            for r, delta in items:
+                node[tuple(r)] += delta
+            stats.cell_writes += len(items)
             return
-        self.stats.node_visits += 1
-        self.stats.touch(node)
-        half = side // 2
+        stats.node_visits += 1
+        stats.touch(node)
+        half = side >> 1
+        axes = range(self.dims)
         by_mask: dict[int, list] = {}
-        for cell, delta in items:
-            mask = self._covering_mask(cell, anchor, half)
-            by_mask.setdefault(mask, []).append((cell, delta))
+        for item in items:
+            r = item[0]
+            mask = 0
+            for axis in axes:
+                if r[axis] >= half:
+                    mask |= 1 << axis
+                    r[axis] -= half
+            by_mask.setdefault(mask, []).append(item)
         for mask, group_items in by_mask.items():
-            child_anchor = self._child_anchor(anchor, mask, half)
             overlay = node.overlays[mask]
             if overlay is None:
                 overlay = node.overlays[mask] = self._new_overlay(half)
-            overlay.apply_delta_many(
-                [
-                    (tuple(c - a for c, a in zip(cell, child_anchor)), delta)
-                    for cell, delta in group_items
-                ]
-            )
+            overlay.apply_delta_many(group_items)
             child = node.children[mask]
             if child is None:
                 child = node.children[mask] = self._new_child(half)
-            self._add_many_node(child, half, child_anchor, group_items)
+            self._add_many_node(child, half, group_items)
 
     # ------------------------------------------------------------------
     # Dynamic growth (Section 5)

@@ -129,29 +129,40 @@ class KeyedBcTree:
         return self._total
 
     def prefix_sum(self, key: int):
-        """Sum of all rows with key <= ``key`` (the cumulative row sum)."""
+        """Sum of all rows with key <= ``key`` (the cumulative row sum).
+
+        Each internal node bisects its max keys for the first child
+        that can hold a key above ``key``; every STS before it is read.
+        Sums are folded with ``+=`` in key order (never ``sum()``, whose
+        float form is compensated and would round differently).
+        """
+        stats = self.stats
+        tracker = stats.tracker
         node = self._root
         acc = 0
-        while isinstance(node, _Internal):
-            self.stats.node_visits += 1
-            self.stats.touch(node)
-            descend = None
-            for index, max_key in enumerate(node.max_keys):
-                if max_key <= key:
-                    acc += node.sums[index]
-                    self.stats.cell_reads += 1
-                else:
-                    descend = node.children[index]
-                    break
-            if descend is None:
+        visits = 1
+        reads = 0
+        while type(node) is _Internal:
+            if tracker is not None:
+                tracker.access(node)
+            max_keys = node.max_keys
+            index = bisect_right(max_keys, key)
+            for value in node.sums[:index]:
+                acc += value
+            reads += index
+            if index == len(max_keys):
+                stats.node_visits += visits
+                stats.cell_reads += reads
                 return acc
-            node = descend
-        self.stats.node_visits += 1
-        self.stats.touch(node)
+            node = node.children[index]
+            visits += 1
+        if tracker is not None:
+            tracker.access(node)
         stop = bisect_right(node.keys, key)
-        for position in range(stop):
-            acc += node.values[position]
-            self.stats.cell_reads += 1
+        for value in node.values[:stop]:
+            acc += value
+        stats.node_visits += visits
+        stats.cell_reads += reads + stop
         return acc
 
     def prefix_sum_many(self, keys: Sequence[int]) -> list:
@@ -228,18 +239,16 @@ class KeyedBcTree:
     def get(self, key: int):
         """Value of the row at ``key`` (0 when the row is unpopulated)."""
         node = self._root
-        while isinstance(node, _Internal):
-            self.stats.node_visits += 1
+        visits = 1
+        while type(node) is _Internal:
             self.stats.touch(node)
-            descend = None
-            for index, max_key in enumerate(node.max_keys):
-                if key <= max_key:
-                    descend = node.children[index]
-                    break
-            if descend is None:
+            index = bisect_left(node.max_keys, key)
+            if index == len(node.max_keys):
+                self.stats.node_visits += visits
                 return 0
-            node = descend
-        self.stats.node_visits += 1
+            node = node.children[index]
+            visits += 1
+        self.stats.node_visits += visits
         self.stats.touch(node)
         position = bisect_left(node.keys, key)
         if position < len(node.keys) and node.keys[position] == key:
@@ -263,18 +272,85 @@ class KeyedBcTree:
     # ------------------------------------------------------------------
 
     def add(self, key: int, delta) -> None:
-        """Add ``delta`` to the row at ``key``, creating it if absent."""
+        """Add ``delta`` to the row at ``key``, creating it if absent.
+
+        One descent: each internal node bisects its max keys for the
+        first child whose max key fits (clamped to the last child) and
+        updates that child's STS on the way down.  A leaf that overflows
+        splits, and the split climbs the recorded path.
+        """
         if delta == 0:
             return
-        split = self._add(self._root, key, delta)
-        if split is not None:
-            left_summary, right_node, right_summary = split
-            self._root = _Internal(
-                [self._root, right_node],
-                [left_summary[0], right_summary[0]],
-                [left_summary[1], right_summary[1]],
-            )
+        stats = self.stats
+        tracker = stats.tracker
+        path = []
+        node = self._root
+        while type(node) is _Internal:
+            if tracker is not None:
+                tracker.access(node)
+            max_keys = node.max_keys
+            index = bisect_left(max_keys, key)
+            if index == len(max_keys):
+                index -= 1
+                max_keys[index] = key
+            node.sums[index] += delta
+            path.append((node, index))
+            node = node.children[index]
+        if tracker is not None:
+            tracker.access(node)
+        keys = node.keys
+        position = bisect_left(keys, key)
+        if position < len(keys) and keys[position] == key:
+            node.values[position] += delta
+        else:
+            keys.insert(position, key)
+            node.values.insert(position, delta)
+            self._size += 1
+        stats.node_visits += len(path) + 1
+        stats.cell_writes += len(path) + 1
         self._total += delta
+        if len(keys) > self.fanout:
+            self._split_up(node, path)
+
+    def _split_up(self, node, path: list) -> None:
+        """Split the overfull ``node`` and carry the split up ``path``.
+
+        ``path`` holds ``(parent, child index)`` from the root down to
+        ``node``'s parent; the root grows a level when it splits too.
+        """
+        while True:
+            if type(node) is _Internal:
+                middle = len(node.children) // 2
+                right = _Internal(
+                    node.children[middle:], node.max_keys[middle:], node.sums[middle:]
+                )
+                node.children = node.children[:middle]
+                node.max_keys = node.max_keys[:middle]
+                node.sums = node.sums[:middle]
+                left_summary = (node.max_keys[-1], sum(node.sums))
+                right_summary = (right.max_keys[-1], sum(right.sums))
+            else:
+                middle = len(node.keys) // 2
+                right = _Leaf(node.keys[middle:], node.values[middle:])
+                node.keys = node.keys[:middle]
+                node.values = node.values[:middle]
+                left_summary = (node.keys[-1], sum(node.values))
+                right_summary = (right.keys[-1], sum(right.values))
+            if not path:
+                self._root = _Internal(
+                    [node, right],
+                    [left_summary[0], right_summary[0]],
+                    [left_summary[1], right_summary[1]],
+                )
+                return
+            parent, index = path.pop()
+            parent.max_keys[index], parent.sums[index] = left_summary
+            parent.children.insert(index + 1, right)
+            parent.max_keys.insert(index + 1, right_summary[0])
+            parent.sums.insert(index + 1, right_summary[1])
+            if len(parent.children) <= self.fanout:
+                return
+            node = parent
 
     def set(self, key: int, value) -> None:
         """Make the row at ``key`` hold exactly ``value``."""
@@ -402,67 +478,6 @@ class KeyedBcTree:
                 piece = _Internal(children, max_keys, sums)
             pieces.append((piece, max_keys[-1], sum(sums)))
         return pieces
-
-    def _add(self, node, key: int, delta):
-        """Recursive upsert; returns split info or ``None``.
-
-        Split info is ``((left_max_key, left_sum), right_node,
-        (right_max_key, right_sum))``.
-        """
-        self.stats.node_visits += 1
-        self.stats.touch(node)
-        if isinstance(node, _Leaf):
-            position = bisect_left(node.keys, key)
-            if position < len(node.keys) and node.keys[position] == key:
-                node.values[position] += delta
-            else:
-                node.keys.insert(position, key)
-                node.values.insert(position, delta)
-                self._size += 1
-            self.stats.cell_writes += 1
-            if len(node.keys) <= self.fanout:
-                return None
-            middle = len(node.keys) // 2
-            right = _Leaf(node.keys[middle:], node.values[middle:])
-            node.keys = node.keys[:middle]
-            node.values = node.values[:middle]
-            return (
-                (node.keys[-1], sum(node.values)),
-                right,
-                (right.keys[-1], sum(right.values)),
-            )
-
-        child_index = len(node.children) - 1
-        for index, max_key in enumerate(node.max_keys):
-            if key <= max_key:
-                child_index = index
-                break
-        split = self._add(node.children[child_index], key, delta)
-        node.sums[child_index] += delta
-        node.max_keys[child_index] = max(node.max_keys[child_index], key)
-        self.stats.cell_writes += 1
-        if split is None:
-            return None
-        left_summary, right_node, right_summary = split
-        node.max_keys[child_index] = left_summary[0]
-        node.sums[child_index] = left_summary[1]
-        node.children.insert(child_index + 1, right_node)
-        node.max_keys.insert(child_index + 1, right_summary[0])
-        node.sums.insert(child_index + 1, right_summary[1])
-        if len(node.children) <= self.fanout:
-            return None
-        middle = len(node.children) // 2
-        right = _Internal(
-            node.children[middle:], node.max_keys[middle:], node.sums[middle:]
-        )
-        node.children = node.children[:middle]
-        node.max_keys = node.max_keys[:middle]
-        node.sums = node.sums[:middle]
-        return (
-            (node.max_keys[-1], sum(node.sums)),
-            right,
-            (right.max_keys[-1], sum(right.sums)),
-        )
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -32,7 +32,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..counters import OpCounter
-from .bc_tree import BcTree
 from .keyed_bc_tree import KeyedBcTree
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "TreeOverlay",
     "OVERLAY_KINDS",
 ]
-
-_ONE_DIM_SECONDARIES = (BcTree, KeyedBcTree)
 
 Cross = tuple[int, ...]
 
@@ -124,7 +121,7 @@ class ArrayOverlay:
     def row_value(self, group: int, cross: Cross):
         self._counter.touch(self)
         self._counter.cell_reads += 1
-        return self._groups[group][cross].item()
+        return self._groups[group][tuple(cross)].item()
 
     def row_value_many(self, group: int, crosses: Sequence[Cross]) -> list:
         """Batch row-sum reads as one fancy-index gather."""
@@ -329,14 +326,19 @@ class TreeOverlay:
         return self._subtotal
 
     def row_value(self, group: int, cross: Cross):
-        self._counter.touch(self)
+        # The 2-D hot case first: a one-dimensional group in a B^c tree.
+        tracker = self._counter.tracker
+        if tracker is not None:
+            tracker.access(self)
         secondary = self._groups[group]
+        if type(secondary) is KeyedBcTree:
+            return secondary.prefix_sum(cross[0])
         if secondary is None:
             return 0
-        if isinstance(secondary, _ONE_DIM_SECONDARIES):
-            return secondary.prefix_sum(cross[0])
-        value = secondary.prefix_sum(cross)
-        return value.item() if hasattr(value, "item") else value
+        if self._secondary_kind == "fenwick":
+            value = secondary.prefix_sum(cross)
+            return value.item() if hasattr(value, "item") else value
+        return secondary._prefix_at(cross)
 
     def row_value_many(self, group: int, crosses: Sequence[Cross]) -> list:
         """Batch row-sum reads as one shared descent of the secondary."""
@@ -344,7 +346,7 @@ class TreeOverlay:
         secondary = self._groups[group]
         if secondary is None:
             return [0] * len(crosses)
-        if isinstance(secondary, _ONE_DIM_SECONDARIES):
+        if type(secondary) is KeyedBcTree:
             return secondary.prefix_sum_many([cross[0] for cross in crosses])
         values = secondary.prefix_sum_many(list(crosses))
         return [
@@ -353,18 +355,24 @@ class TreeOverlay:
 
     def apply_delta(self, offsets: Cross, delta) -> None:
         """One point update per group — O(d * log^(d-1) k) total."""
-        self._counter.touch(self)
+        tracker = self._counter.tracker
+        if tracker is not None:
+            tracker.access(self)
         self._subtotal += delta
         self._counter.cell_writes += 1
-        for axis in range(len(self._groups)):
-            secondary = self._groups[axis]
+        groups = self._groups
+        for axis in range(len(groups)):
+            secondary = groups[axis]
             if secondary is None:
-                secondary = self._groups[axis] = self._new_secondary()
-            cross = _drop_axis(offsets, axis)
-            if isinstance(secondary, _ONE_DIM_SECONDARIES):
-                secondary.add(cross[0], delta)
+                secondary = groups[axis] = self._new_secondary()
+            if type(secondary) is KeyedBcTree:
+                # A one-dimensional group only exists in a 2-D box: its
+                # cross-position is the other axis's offset.
+                secondary.add(offsets[1 - axis], delta)
+            elif self._secondary_kind == "fenwick":
+                secondary.add(_drop_axis(offsets, axis), delta)
             else:
-                secondary.add(cross, delta)
+                secondary._add_at(_drop_axis(offsets, axis), delta)
 
     def apply_delta_many(self, items: Sequence[tuple[Cross, object]]) -> None:
         """Batch update: one shared subtotal write, one batch per group.
@@ -381,7 +389,7 @@ class TreeOverlay:
             if secondary is None:
                 secondary = self._groups[axis] = self._new_secondary()
             updates = [(_drop_axis(offsets, axis), delta) for offsets, delta in items]
-            if isinstance(secondary, _ONE_DIM_SECONDARIES):
+            if type(secondary) is KeyedBcTree:
                 secondary.add_many([(cross[0], delta) for cross, delta in updates])
             else:
                 secondary.add_many(updates)

@@ -35,6 +35,17 @@ def _query_cells(shape, count, seed):
     return cells + cells[: max(1, count // 8)]
 
 
+def _query_ranges(shape, count, seed):
+    """Uniform inclusive ``(low, high)`` ranges."""
+    rng = np.random.default_rng(seed)
+    ranges = []
+    for _ in range(count):
+        low = tuple(int(rng.integers(0, size)) for size in shape)
+        high = tuple(int(rng.integers(l, size)) for l, size in zip(low, shape))
+        ranges.append((low, high))
+    return ranges
+
+
 # ----------------------------------------------------------------------
 # Equivalence across every method and workload
 # ----------------------------------------------------------------------
@@ -53,14 +64,7 @@ def test_prefix_sum_many_matches_scalar(method_name, workload):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_range_sum_many_matches_scalar(method_name, workload):
     data = WORKLOADS[workload]()
-    rng = np.random.default_rng(11)
-    ranges = []
-    for _ in range(20):
-        low = tuple(int(rng.integers(0, size)) for size in data.shape)
-        high = tuple(
-            int(rng.integers(l, size)) for l, size in zip(low, data.shape)
-        )
-        ranges.append((low, high))
+    ranges = _query_ranges(data.shape, 20, seed=11)
     method = build_method(method_name, data)
     expected = [int(method.range_sum(low, high)) for low, high in ranges]
     # Plain (low, high) pairs and RangeQuery objects both work.
@@ -68,6 +72,52 @@ def test_range_sum_many_matches_scalar(method_name, workload):
     queries = [RangeQuery(low, high) for low, high in ranges]
     assert [int(v) for v in method.range_sum_many(queries)] == expected
     assert method.range_sum_many([]) == []
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("tree_method", ["ddc", "basic-ddc"])
+def test_prefix_sum_many_forced_batch_matches_scalar(tree_method, workload):
+    """The path-sharing traversal itself, whatever the probe picks."""
+    data = WORKLOADS[workload]()
+    method = build_method(tree_method, data)
+    method.batch_crossover_override = 1
+    cells = _query_cells(data.shape, 40, seed=10)
+    batch = method.prefix_sum_many(cells)
+    assert method.last_batch_path == "batch"
+    scalar = [method.prefix_sum(cell) for cell in cells]
+    assert [int(value) for value in batch] == [int(value) for value in scalar]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("tree_method", ["ddc", "basic-ddc"])
+def test_range_sum_many_forced_batch_matches_scalar(tree_method, workload):
+    data = WORKLOADS[workload]()
+    ranges = _query_ranges(data.shape, 20, seed=11)
+    method = build_method(tree_method, data)
+    method.batch_crossover_override = 1
+    expected = [int(method.range_sum(low, high)) for low, high in ranges]
+    assert [int(v) for v in method.range_sum_many(ranges)] == expected
+    assert method.last_batch_path == "batch"
+
+
+@pytest.mark.parametrize("tree_method", ["ddc", "basic-ddc"])
+def test_dispatch_is_batch_exactly_from_the_crossover(tree_method):
+    data = WORKLOADS["dense"]()
+    method = build_method(tree_method, data)
+    cells = _query_cells(data.shape, 16, seed=15)
+    for crossover in (1, 5, 9):
+        method.batch_crossover_override = crossover
+        assert method._effective_crossover() == crossover
+        for count in range(1, 12):
+            method.prefix_sum_many(cells[:count])
+            expected = "batch" if count >= crossover else "scalar"
+            assert method.last_batch_path == expected, (crossover, count)
+    # Unpinned: the calibrated threshold decides, at its exact edge.
+    method.batch_crossover_override = None
+    threshold = method._effective_crossover()
+    for count in (threshold - 1, threshold):
+        method.prefix_sum_many((cells * threshold)[:count])
+        assert method.last_batch_path == ("batch" if count >= threshold else "scalar")
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -120,9 +170,14 @@ def test_empty_batches(method_name):
 
 
 def test_ddc_clustered_batch_shares_node_visits():
-    """256 clustered queries on a 256x256 cube: batch visits < scalar."""
+    """256 clustered queries on a 256x256 cube: batch visits < scalar.
+
+    The crossover is pinned so the traversal under test runs whatever
+    the machine-local calibration probe would pick for this batch size.
+    """
     data = clustered((256, 256), clusters=4, points_per_cluster=100, seed=20)
     method = build_method("ddc", data)
+    method.batch_crossover_override = 1
     cells = query_stream((256, 256), 256, locality="zipf", seed=21)
     method.stats.reset()
     batch = method.prefix_sum_many(cells)
