@@ -74,6 +74,8 @@ _MUTATOR_METHODS = frozenset(
         "discard",
         "put",
         "get",  # EpochLruCache.get mutates LRU order + invalidation books
+        "log_cell",  # EpochLruCache write logs
+        "log_cells",
     }
 )
 

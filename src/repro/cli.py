@@ -297,6 +297,7 @@ def _command_serve_stats(args) -> int:
         f"cache:     {info['hits']} hits / {info['misses']} misses "
         f"(hit rate {info['hit_rate']:.2%}), {info['size']}/{info['capacity']} "
         f"entries, {info['invalidations']} invalidations, "
+        f"{info['revalidations']} revalidations, "
         f"{info['evictions']} evictions ({info['stale_evictions']} stale)"
     )
     merged = engine.aggregate_stats()
@@ -414,7 +415,8 @@ def _render_top_frame(obs, engine, watchdog, frame: int) -> str:
     lines.append(
         f"cache: {info['hits']} hits / {info['misses']} misses "
         f"(hit rate {info['hit_rate']:.2%}), "
-        f"{info['size']}/{info['capacity']} entries"
+        f"{info['size']}/{info['capacity']} entries, "
+        f"{info['revalidations']} revalidations"
     )
     pool = engine.pool_info()
     if pool is not None:

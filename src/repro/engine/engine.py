@@ -18,8 +18,9 @@ shards (each one any registered method, DDC by default), and serves:
   ``add_many`` call and the per-shard path-sharing machinery keeps
   working inside the shard;
 * **repeat reads** from a hot-range LRU cache validated by the per-shard
-  epochs, so a read-heavy workload skips tree traversal entirely while
-  interleaved writes stay exactly visible.
+  epochs and a log of the cells written since, so a read-heavy workload
+  skips tree traversal entirely, a write stales only the cached ranges
+  that contain its cell, and interleaved writes stay exactly visible.
 
 Concurrency model: public operations serialise on one reentrant lock;
 *within* a read, per-shard sub-queries go through the executor (they
@@ -377,7 +378,9 @@ class ShardedEngine(RangeSumMethod):
         self.stats.touch(shard)
         shard.add(self.plan.to_local(index, cell), delta)
         self._epochs[index] += 1
-        return self._epochs[index]
+        epoch = self._epochs[index]
+        self._cache.log_cell(index, epoch, cell)
+        return epoch
 
     def add_many(self, updates: Sequence[tuple]) -> None:
         """Apply a write batch: group per shard, one epoch bump per shard.
@@ -386,18 +389,20 @@ class ShardedEngine(RangeSumMethod):
         each touched shard applies its whole share through its own
         ``add_many`` (the per-shard batch machinery — grouped descents,
         cascade crossovers — keeps working).  The shard's epoch advances
-        once per batch, so every cached range overlapping it revalidates
-        as stale while ranges over untouched shards stay warm.
+        once per batch and the cache logs the batch's cells, so only
+        cached ranges containing one of them go stale.
         """
         combined = self._combined_updates(updates)
         if not combined:
             return
-        grouped: dict[int, list[tuple]] = {}
+        grouped: dict[int, tuple[list[tuple], list[tuple]]] = {}
         for cell, delta in combined:
             index = self.plan.owner(cell)
-            grouped.setdefault(index, []).append(
-                (self.plan.to_local(index, cell), delta)
-            )
+            share = grouped.get(index)
+            if share is None:
+                share = grouped[index] = ([], [])
+            share[0].append((self.plan.to_local(index, cell), delta))
+            share[1].append(cell)
         obs = self._obs
         traced = obs.enabled
         start = obs.clock.now() if traced else 0.0
@@ -410,16 +415,21 @@ class ShardedEngine(RangeSumMethod):
             for index, epoch in epochs.items():
                 self._obs_shard_epoch[index].set(epoch)
 
-    def _locked_add_groups(self, grouped: dict[int, list[tuple]]) -> dict[int, int]:
-        """Apply per-shard update groups; caller holds the lock.  Returns
-        the post-batch epoch of every touched shard."""
+    def _locked_add_groups(
+        self, grouped: dict[int, tuple[list[tuple], list[tuple]]]
+    ) -> dict[int, int]:
+        """Apply per-shard ``(local updates, global cells)`` groups;
+        caller holds the lock.  Returns the post-batch epoch of every
+        touched shard."""
         epochs: dict[int, int] = {}
         for index in sorted(grouped):
+            updates, cells = grouped[index]
             shard = self._shards[index]
             self.stats.touch(shard)
-            shard.add_many(grouped[index])
+            shard.add_many(updates)
             self._epochs[index] += 1
-            epochs[index] = self._epochs[index]
+            epochs[index] = epoch = self._epochs[index]
+            self._cache.log_cells(index, epoch, cells)
         return epochs
 
     # ------------------------------------------------------------------
@@ -979,6 +989,7 @@ class ShardedEngine(RangeSumMethod):
                 "misses": self.stats.cache_misses,
                 "hit_rate": self.stats.cache_hit_rate,
                 "invalidations": self._cache.invalidations,
+                "revalidations": self._cache.revalidations,
                 "evictions": self._cache.evictions,
                 "stale_evictions": self._cache.stale_evictions,
             }

@@ -146,6 +146,7 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "p50us" in out and "p95us" in out and "p99us" in out
         assert "stale)" in out  # cache line includes stale evictions
+        assert " revalidations, " in out
 
     def test_metrics_prometheus_exposition(self, capsys):
         assert main(["metrics", *self.ARGS, "--format", "prom"]) == 0

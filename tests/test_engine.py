@@ -327,6 +327,139 @@ class TestEngineCache:
             assert engine.cache_info()["size"] == 0
 
 
+class TestExactInvalidation:
+    """A write stales only the cached ranges that contain its cell."""
+
+    BOX = ((2, 1), (5, 6))  # one shard's entry in the cache-level tests
+
+    def _cached(self, capacity=8):
+        cache = EpochLruCache(capacity)
+        epochs = [0, 0]
+        cache.put(self.BOX, 7, (0,), epochs)
+        return cache, epochs
+
+    @staticmethod
+    def _write(cache, epochs, shard, cell):
+        epochs[shard] += 1
+        cache.log_cell(shard, epochs[shard], cell)
+
+    @pytest.mark.parametrize("cell", [(2, 1), (5, 6), (2, 6), (5, 1)])
+    def test_a_write_at_a_corner_invalidates(self, cell):
+        cache, epochs = self._cached()
+        self._write(cache, epochs, 0, cell)
+        assert cache.get(self.BOX, epochs) is MISS
+        assert cache.invalidations == 1 and cache.revalidations == 0
+
+    @pytest.mark.parametrize("cell", [(1, 3), (6, 3), (3, 0), (3, 7)])
+    def test_a_write_one_cell_outside_a_face_keeps_the_entry(self, cell):
+        cache, epochs = self._cached()
+        self._write(cache, epochs, 0, cell)
+        assert cache.get(self.BOX, epochs) == 7
+        assert cache.revalidations == 1 and cache.invalidations == 0
+        # Re-stamped: the next lookup is a plain hit.
+        assert cache.get(self.BOX, epochs) == 7
+        assert cache.revalidations == 1
+
+    def test_an_epoch_bump_with_no_logged_cells_invalidates(self):
+        cache, epochs = self._cached()
+        epochs[0] += 1  # e.g. a bulk load
+        assert cache.get(self.BOX, epochs) is MISS
+        assert cache.invalidations == 1
+
+    def test_an_unlogged_bump_between_logged_writes_invalidates(self):
+        cache, epochs = self._cached()
+        self._write(cache, epochs, 0, (9, 9))
+        epochs[0] += 1  # a gap in the log
+        self._write(cache, epochs, 0, (9, 9))
+        assert cache.get(self.BOX, epochs) is MISS
+        # The log restarted at the gap: a later stamp checks again.
+        cache.put(self.BOX, 8, (0,), epochs)
+        self._write(cache, epochs, 0, (9, 9))
+        assert cache.get(self.BOX, epochs) == 8
+
+    def test_a_stamp_older_than_the_log_window_invalidates(self):
+        cache, epochs = self._cached(capacity=4)
+        for _ in range(5):  # the fifth cell trims the oldest records
+            self._write(cache, epochs, 0, (9, 9))
+        assert cache.get(self.BOX, epochs) is MISS
+        assert cache.invalidations == 1
+
+    def test_a_batch_is_checked_cell_by_cell(self):
+        cache, epochs = self._cached()
+        epochs[0] += 1
+        cache.log_cells(0, epochs[0], [(0, 0), (9, 9), (6, 6)])
+        assert cache.get(self.BOX, epochs) == 7
+        epochs[0] += 1
+        cache.log_cells(0, epochs[0], [(0, 0), (4, 4)])
+        assert cache.get(self.BOX, epochs) is MISS
+
+    def test_the_log_is_bounded_in_cells(self):
+        cache = EpochLruCache(8)
+        rng = np.random.default_rng(3)
+        epoch = 0
+        for _ in range(200):
+            epoch += 1
+            if rng.random() < 0.5:
+                cache.log_cell(0, epoch, (1, 1))
+            else:
+                cache.log_cells(0, epoch, [(1, 1)] * int(rng.integers(1, 12)))
+            log = cache._logs[0]
+            cells = sum(
+                len(record) if type(record) is list else 1
+                for record in log.records
+            )
+            assert cells <= 8
+            assert log.base + len(log.records) == epoch
+
+    def test_a_behind_stamp_is_the_eviction_victim_even_if_it_would_revalidate(
+        self,
+    ):
+        cache = EpochLruCache(2)
+        epochs = [0, 0]
+        live, behind = ((0, 0), (1, 1)), ((8, 0), (9, 1))
+        cache.put(live, 1, (0,), epochs)
+        cache.put(behind, 2, (1,), epochs)
+        self._write(cache, epochs, 1, (9, 9))  # outside ``behind``
+        cache.put(((0, 2), (1, 3)), 3, (0,), epochs)
+        assert behind not in cache and live in cache
+        assert cache.stale_evictions == 1
+
+    def test_a_range_over_two_shards_survives_a_write_outside_it(self):
+        data = clustered((16, 8), seed=27)
+        with ShardedEngine.from_array(data, shards=4) as engine:
+            low, high = (2, 1), (5, 3)  # rows 0-3 are shard 0, 4-7 shard 1
+            value = int(engine.range_sum(low, high))
+            engine.add((6, 7), 5)  # shard 1, outside the range
+            hits = engine.stats.cache_hits
+            assert int(engine.range_sum(low, high)) == value
+            assert engine.stats.cache_hits == hits + 1
+            assert engine.cache_info()["revalidations"] == 1
+            engine.add((5, 3), 5)  # shard 1, the range's high corner
+            assert int(engine.range_sum(low, high)) == value + 5
+            assert engine.cache_info()["invalidations"] == 1
+
+    def test_add_many_stales_only_the_ranges_it_touches(self):
+        data = clustered((16, 8), seed=28)
+        dense = data.astype(np.int64).copy()
+        boxes = [((0, 0), (3, 3)), ((5, 2), (10, 5)), ((12, 0), (15, 5))]
+        with ShardedEngine.from_array(data, shards=4) as engine:
+            engine.range_sum_many(boxes)
+            # Shards 0, 2 and 3; only (9, 4) lies inside a cached range.
+            updates = [((1, 6), 3), ((9, 4), 4), ((11, 0), 2), ((14, 7), 1)]
+            engine.add_many(updates)
+            for cell, delta in updates:
+                dense[cell] += delta
+            engine.reset_stats()
+            values = engine.range_sum_many(boxes)
+            assert [int(v) for v in values] == [
+                int(dense[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].sum())
+                for lo, hi in boxes
+            ]
+            assert engine.stats.cache_hits == 2
+            info = engine.cache_info()
+            assert info["invalidations"] == 1 and info["revalidations"] == 2
+
+
 class TestEngineIntrospection:
     def test_shard_report_and_aggregate_stats(self):
         data = clustered((12, 6), seed=31)

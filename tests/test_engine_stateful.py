@@ -65,6 +65,8 @@ class EngineMachine(RuleBasedStateMachine):
             workers=2 if executor == "process" else None,
             cache_size=4,
         )
+        #: Recently read ranges, for ``reread``.
+        self.read: list = []
 
     def expected(self, box) -> int:
         low, high = box
@@ -85,9 +87,27 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(box=boxes)
     def range_sum(self, box):
         assert int(self.engine.range_sum(*box)) == self.expected(box)
+        self.remember([box])
 
     @rule(batch=st.lists(boxes, max_size=24))
     def range_sum_many(self, batch):
+        self.check_batch(batch)
+        self.remember(batch)
+
+    @precondition(lambda self: self.read)
+    @rule(data=st.data())
+    def reread(self, data):
+        """Re-issue ranges read before, so lookups find entries whose
+        stamps writes have moved past: revalidated hits meet the oracle."""
+        box = data.draw(st.sampled_from(self.read))
+        assert int(self.engine.range_sum(*box)) == self.expected(box)
+        self.check_batch(data.draw(st.lists(st.sampled_from(self.read), max_size=6)))
+
+    def remember(self, batch):
+        # As many as the cache holds, so a re-read can still find them.
+        self.read = (self.read + list(batch))[-4:]
+
+    def check_batch(self, batch):
         values = self.engine.range_sum_many(batch)
         assert [int(value) for value in values] == [
             self.expected(box) for box in batch

@@ -548,6 +548,7 @@ class TestCliSurface:
         assert "repro top" in out
         assert "slo: HEALTHY" in out
         assert "worker" in out
+        assert " revalidations" in out  # on the cache line
 
     def test_metrics_cli_shows_worker_families(self, capsys):
         from repro.cli import main

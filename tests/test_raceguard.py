@@ -148,6 +148,8 @@ class TestEngineAttachment:
             assert engine.prefix_sum(20) == data[:21].sum()
             engine.add(3, 7)
             assert engine.prefix_sum(20) == data[:21].sum() + 7
+            engine.add_many([(5, 1), (40, 2)])  # logs cells under the lock
+            assert engine.prefix_sum(20) == data[:21].sum() + 8
         assert lock_sanitizer.violations == []
         assert any(e.kind == "acquire" for e in lock_sanitizer.events)
         assert lock_sanitizer.held_by_current_thread() == ()
@@ -160,6 +162,10 @@ class TestEngineAttachment:
                 engine._epochs[0] += 1
             with pytest.raises(UnguardedMutationError):
                 engine._cache.clear()
+            with pytest.raises(UnguardedMutationError):
+                engine._cache.log_cell(0, 1, (0,))
+            with pytest.raises(UnguardedMutationError):
+                engine._cache.log_cells(0, 1, [(0,)])
 
 
 class TestChaosSanitize:
