@@ -15,12 +15,8 @@ all of it:
   a structure after every mutating operation (for tests and fuzzing);
 * :mod:`repro.analysis.lint` — an AST-based project-rule linter
   (REP001–REP008), runnable as ``python -m repro.analysis.lint src/``;
-* :mod:`repro.analysis.flow` — CFG/dataflow analyses (REP009–REP012:
-  unguarded shared-state writes, lock-order cycles, escaping
-  exceptions, hot-path allocations), runnable as ``repro analyze``;
-* :mod:`repro.analysis.raceguard` — the runtime
-  :class:`~repro.analysis.raceguard.LockSanitizer`, the dynamic twin of
-  REP009/REP010 for tests and ``repro chaos --sanitize``.
+* :mod:`repro.analysis.flow` — flow analyses (REP011–REP012: escaping
+  exceptions, hot-path allocations), runnable as ``repro analyze``.
 """
 
 from __future__ import annotations
@@ -42,10 +38,6 @@ def __getattr__(name: str):
         from . import flow
 
         return getattr(flow, name)
-    if name in ("LockSanitizer", "attach_engine"):
-        from . import raceguard
-
-        return getattr(raceguard, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -58,8 +50,6 @@ __all__ = [
     "lint_paths",
     "FlowFinding",
     "analyze_paths",
-    "LockSanitizer",
-    "attach_engine",
     "Sanitized",
     "sanitize",
 ]

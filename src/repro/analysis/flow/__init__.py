@@ -1,13 +1,9 @@
-"""CFG/dataflow analyses over the repro source tree (REP009–REP012).
+"""Flow analyses over the repro source tree (REP011–REP012).
 
 The package splits along classic static-analysis lines:
 
-* :mod:`~repro.analysis.flow.cfg` — basic-block control-flow graphs
-  over function ASTs, with ``with`` desugaring and exception edges;
-* :mod:`~repro.analysis.flow.dataflow` — generic forward/backward
-  fixed-point solvers plus a call-graph summary fixpoint;
-* :mod:`~repro.analysis.flow.locks` — held-lock-set analysis (REP009
-  unguarded shared-state writes, REP010 lock-order cycles);
+* :mod:`~repro.analysis.flow.dataflow` — the call-graph summary
+  fixpoint;
 * :mod:`~repro.analysis.flow.raises` — escaping-exception analysis
   (REP011 undeclared non-ReproError escapes);
 * :mod:`~repro.analysis.flow.hotpath` — descent-loop allocation checks
@@ -19,8 +15,7 @@ Run ``repro analyze src/ --baseline benchmarks/baselines/analyze.json``
 to reproduce the CI hygiene gate locally.
 """
 
-from .cfg import BasicBlock, ControlFlowGraph, WithEnter, WithExit, build_cfg
-from .dataflow import UNREACHED, fixpoint, solve_backward, solve_forward
+from .dataflow import fixpoint
 from .driver import (
     analyze_paths,
     analyze_sources,
@@ -33,19 +28,10 @@ from .driver import (
 )
 from .findings import FLOW_RULES, FlowFinding
 from .hotpath import HOT_FUNCTIONS, allocation_findings
-from .locks import GUARDED_ATTRS, LockAnalyzer, LockState
 from .raises import EscapeAnalyzer, exception_hierarchy
 
 __all__ = [
-    "BasicBlock",
-    "ControlFlowGraph",
-    "WithEnter",
-    "WithExit",
-    "build_cfg",
-    "UNREACHED",
     "fixpoint",
-    "solve_backward",
-    "solve_forward",
     "analyze_paths",
     "analyze_sources",
     "baseline_document",
@@ -58,9 +44,6 @@ __all__ = [
     "FlowFinding",
     "HOT_FUNCTIONS",
     "allocation_findings",
-    "GUARDED_ATTRS",
-    "LockAnalyzer",
-    "LockState",
     "EscapeAnalyzer",
     "exception_hierarchy",
 ]

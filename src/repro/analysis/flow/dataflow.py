@@ -1,124 +1,22 @@
-"""Generic fixed-point dataflow solving over a :class:`ControlFlowGraph`.
+"""Call-graph summary fixpoint for the flow analyses.
 
-Analyses supply three things — an initial state for the entry (forward)
-or the exits (backward), a per-block *transfer* function, and a lattice
-*join* — and get back the state at every block boundary once the
-worklist reaches a fixed point.  The framework is deliberately small:
-
-* :data:`UNREACHED` is the implicit top element: the state of a block no
-  path has delivered a value to yet.  ``join(UNREACHED, x) == x`` is
-  handled here, so analyses never see the sentinel.
-* A *must* analysis (lock sets: "held on **every** path") joins with set
-  intersection; a *may* analysis (reaching writes, liveness) joins with
-  union.  Both are ordinary functions of two states.
-* Termination needs the usual conditions — a join that only moves states
-  down a finite lattice and a monotone transfer.  Every analysis in this
-  package uses finite sets of names drawn from one function's AST, so
-  the chains are trivially finite.
-
-:func:`fixpoint` is the companion for *summary* problems that live on a
-call graph instead of a CFG (the escaping-exception sets of
-:mod:`~repro.analysis.flow.raises`, the transitive lock-acquisition sets
-of :mod:`~repro.analysis.flow.locks`).
+:func:`fixpoint` solves *summary* problems that live on a call graph
+(the escaping-exception sets of :mod:`~repro.analysis.flow.raises`):
+each node's state is recomputed from the current states of the nodes it
+depends on until no state changes.  Termination needs the usual
+conditions — a monotone step over a finite lattice; the escape sets are
+finite sets of exception names drawn from the analysed modules, so the
+chains are trivially finite.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, TypeVar
 
-from .cfg import BasicBlock, ControlFlowGraph
-
-__all__ = [
-    "UNREACHED",
-    "solve_forward",
-    "solve_backward",
-    "fixpoint",
-]
+__all__ = ["fixpoint"]
 
 State = TypeVar("State")
 Node = TypeVar("Node", bound=Hashable)
-
-
-class _Unreached:
-    """Singleton top element for blocks no path has reached yet."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNREACHED"
-
-
-UNREACHED = _Unreached()
-
-
-def _join(join: Callable[[State, State], State], left: object, right: State) -> State:
-    if isinstance(left, _Unreached):
-        return right
-    return join(left, right)  # type: ignore[arg-type]
-
-
-def solve_forward(
-    cfg: ControlFlowGraph,
-    transfer: Callable[[BasicBlock, State], State],
-    initial: State,
-    join: Callable[[State, State], State],
-) -> dict[int, State | _Unreached]:
-    """Forward worklist solve; returns the *input* state of every block.
-
-    ``transfer(block, state)`` folds the block's statements over the
-    incoming state and returns the outgoing state.  Blocks never reached
-    from the entry keep :data:`UNREACHED` as their input.
-    """
-    states: dict[int, State | _Unreached] = {
-        block.index: UNREACHED for block in cfg.blocks
-    }
-    states[cfg.entry] = initial
-    worklist: list[int] = [cfg.entry]
-    while worklist:
-        index = worklist.pop()
-        in_state = states[index]
-        if isinstance(in_state, _Unreached):
-            continue
-        out_state = transfer(cfg.blocks[index], in_state)
-        for successor in cfg.blocks[index].successors:
-            merged = _join(join, states[successor], out_state)
-            if merged != states[successor]:
-                states[successor] = merged
-                worklist.append(successor)
-    return states
-
-
-def solve_backward(
-    cfg: ControlFlowGraph,
-    transfer: Callable[[BasicBlock, State], State],
-    initial: State,
-    join: Callable[[State, State], State],
-) -> dict[int, State | _Unreached]:
-    """Backward worklist solve; returns the *output* state of every block.
-
-    ``transfer(block, state)`` folds the block's statements in reverse
-    over the state flowing in from its successors.  Exit blocks (no
-    successors) start from ``initial``.
-    """
-    predecessors = cfg.predecessors()
-    states: dict[int, State | _Unreached] = {
-        block.index: UNREACHED for block in cfg.blocks
-    }
-    worklist: list[int] = []
-    for block in cfg.blocks:
-        if not block.successors:
-            states[block.index] = initial
-            worklist.append(block.index)
-    while worklist:
-        index = worklist.pop()
-        out_state = states[index]
-        if isinstance(out_state, _Unreached):
-            continue
-        in_state = transfer(cfg.blocks[index], out_state)
-        for predecessor in predecessors[index]:
-            merged = _join(join, states[predecessor], in_state)
-            if merged != states[predecessor]:
-                states[predecessor] = merged
-                worklist.append(predecessor)
-    return states
 
 
 def fixpoint(
@@ -128,10 +26,10 @@ def fixpoint(
 ) -> dict[Node, State]:
     """Iterate ``step`` over ``nodes`` until no state changes.
 
-    The call-graph analogue of the CFG solvers: ``step(node, states)``
-    recomputes one node's summary from the current summaries of every
-    node it depends on.  Iteration order is the given ``nodes`` order,
-    repeated until stable, so results are deterministic.
+    ``step(node, states)`` recomputes one node's summary from the
+    current summaries of every node it depends on.  Iteration order is
+    the given ``nodes`` order, repeated until stable, so results are
+    deterministic.
     """
     states: dict[Node, State] = {node: initial(node) for node in nodes}
     changed = True

@@ -2,8 +2,6 @@
 
 The scope rules mirror where each analysis has something to say:
 
-* lock analysis (REP009/REP010) — modules under ``engine/`` (the shared
-  mutable serving state lives there; everywhere else is single-owner);
 * exception-flow (REP011) — ``engine/`` and ``methods/`` (the public
   serving and query entry points callers program against);
 * hot-path allocation (REP012) — ``core/`` and ``methods/`` (the scalar
@@ -17,7 +15,7 @@ baseline (``benchmarks/baselines/analyze.json``) and CI diffing.
 The baseline is an :mod:`repro.artifacts` document whose rows are
 accepted findings keyed by ``(path, rule, symbol)``; ``repro analyze
 --update-baseline`` rewrites it.  One-off suppressions can instead use a
-line pragma, ``# noqa: REP009`` etc., exactly as with the lint rules.
+line pragma, ``# noqa: REP011`` etc., exactly as with the lint rules.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from ...artifacts import load_document, make_document, write_document
 from ..lint import _suppressed
 from .findings import FLOW_RULES, FlowFinding
 from .hotpath import allocation_findings
-from .locks import LockAnalyzer
 from .raises import EscapeAnalyzer
 
 __all__ = [
@@ -46,7 +43,6 @@ __all__ = [
 ]
 
 #: Directory-name gates per analysis family.
-_LOCK_DIRS = frozenset({"engine"})
 _RAISES_DIRS = frozenset({"engine", "methods"})
 _HOTPATH_DIRS = frozenset({"core", "methods"})
 
@@ -67,7 +63,6 @@ def analyze_sources(sources: Sequence[tuple[str, str]]) -> list[FlowFinding]:
     from the filesystem.  Findings carrying a matching ``# noqa:``
     pragma on their line are dropped, and the result is fully sorted.
     """
-    lock_analyzer = LockAnalyzer()
     escape_analyzer = EscapeAnalyzer()
     findings: list[FlowFinding] = []
     lines_by_path: dict[str, list[str]] = {}
@@ -88,14 +83,10 @@ def analyze_sources(sources: Sequence[tuple[str, str]]) -> list[FlowFinding]:
                 )
             )
             continue
-        if _LOCK_DIRS & parts:
-            findings.extend(lock_analyzer.analyze_module(tree, path_text))
         if _RAISES_DIRS & parts:
             findings.extend(escape_analyzer.analyze_module(tree, path_text))
         if _HOTPATH_DIRS & parts:
             findings.extend(allocation_findings(tree, path_text))
-
-    findings.extend(lock_analyzer.order_findings())
 
     kept = [
         finding

@@ -1,7 +1,6 @@
 """The finding record shared by every flow analysis.
 
-Kept in its own module so the analyses (:mod:`locks`, :mod:`raises`,
-:mod:`hotpath`) and the driver can all import it without cycles.
+Kept in its own module so the analyses (:mod:`raises`, :mod:`hotpath`) and the driver can all import it without cycles.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ __all__ = ["FlowFinding", "FLOW_RULES"]
 #: Rules produced by the dataflow analyses (REP001–REP008 live in
 #: :mod:`repro.analysis.lint`).
 FLOW_RULES = {
-    "REP009": "shared state written on a path holding no lock (dataflow)",
-    "REP010": "cross-function lock-acquisition-order cycle (potential deadlock)",
     "REP011": "public entry point leaks an undeclared non-ReproError exception",
     "REP012": "allocation inside a per-query descent loop",
 }

@@ -49,15 +49,12 @@ Examples::
     # against the unsharded reference (non-zero exit on any mismatch)
     python -m repro chaos --events 400 --fault-rate 0.25 --mode fallback
 
-    # same soak with the runtime lock sanitizer attached: lock-order
-    # inversions and unguarded shared-state mutations exit 2
-    python -m repro chaos --sanitize
-
     # soak the worker-process pool, SIGKILLing real workers mid-query;
-    # recovery must stay exact (slabs + ledger replay survive the kill)
+    # recovery must stay exact (slabs + ledger replay survive the kill),
+    # and a seed replays the same injections run after run
     python -m repro chaos --executor process --kill-rate 0.05
 
-    # CFG/dataflow analyses (REP009-REP012) against the committed baseline
+    # flow analyses (REP011-REP012) against the committed baseline
     python -m repro analyze src/ --baseline benchmarks/baselines/analyze.json
 
 Those are all fifteen subcommands.  None of them measures performance:
@@ -249,7 +246,6 @@ def _replay_engine(args, obs):
         executor=args.executor,
         cache_size=args.cache,
         obs=obs,
-        ipc_reads=args.ipc_reads,
     )
 
 
@@ -326,8 +322,7 @@ def _command_serve_stats(args) -> int:
     if pool is not None:
         print(
             f"pool:      {pool['workers']} worker(s) "
-            f"({pool['start_method']} start, "
-            f"{'ipc' if pool['ipc_reads'] else 'direct'} reads), "
+            f"({pool['start_method']} start), "
             f"{pool['restarts']} restart(s), "
             f"{pool['buffered_deltas']} buffered delta(s)"
         )
@@ -599,7 +594,7 @@ def _serve_summary(stats: dict) -> str:
 
 
 def _command_analyze(args) -> int:
-    """Run the flow analyses (REP009-REP012) and diff against a baseline.
+    """Run the flow analyses (REP011-REP012) and diff against a baseline.
 
     Exit codes: 0 clean (after baseline subtraction), 1 un-baselined
     findings, 2 usage error (missing path, baseline flags misused).
@@ -679,30 +674,15 @@ def _quantile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank]
 
 
-def _chaos_exit_code(mismatches: int, sanitizer_violations: int) -> int:
-    """Chaos exit-code contract: sanitizer findings outrank mismatches.
-
-    2 — the lock sanitizer recorded violations (lock-order inversion or
-    unguarded shared-state mutation): a concurrency bug exists even if
-    every answer happened to come out right this run.
-    1 — un-marked answer mismatches against the unsharded reference.
-    0 — clean soak.
-    """
-    if sanitizer_violations:
-        return 2
-    return 1 if mismatches else 0
-
-
 def _command_chaos(args) -> int:
     """Seeded fault-injection soak with correctness cross-checking.
 
     Runs entirely on a :class:`~repro.obs.clock.ManualClock`, so latency
     spikes, stuck-shard hangs, and retry backoff all burn *virtual* time
     — the soak is deterministic and instant, yet the deadline budget and
-    the tail-latency report behave as they would on a wall clock.  With
-    ``--sanitize`` a :class:`~repro.analysis.raceguard.LockSanitizer`
-    (record mode, same virtual clock) watches the engine's lock
-    discipline throughout; its violations dominate the exit code.
+    the tail-latency report behave as they would on a wall clock.
+    Exit codes: 1 on any un-marked answer mismatch against the
+    unsharded reference, 0 on a clean soak.
     """
     from .engine import (
         FaultInjector,
@@ -771,10 +751,10 @@ def _command_chaos(args) -> int:
 
     if args.executor == "process":
         # Soak the real worker pool: shards live in shared-memory
-        # slabs, reads round-trip through worker pipes (``ipc_reads``)
-        # so injected kills genuinely interrupt in-flight queries, and
-        # the injector interposes *in front of* the already-running
-        # pool — workers keep their slab attachments across the wrap.
+        # slabs, injected kills SIGKILL live workers with writes in
+        # flight, and the injector interposes *in front of* the
+        # already-running pool — workers keep their slab attachments
+        # across the wrap.
         engine = ShardedEngine.from_array(
             data,
             shards=args.shards,
@@ -783,7 +763,6 @@ def _command_chaos(args) -> int:
             obs=obs,
             resilience=policy,
             executor="process",
-            ipc_reads=True,
         )
         engine.wrap_executor(make_injector)
         injector = engine.executor
@@ -798,14 +777,6 @@ def _command_chaos(args) -> int:
             resilience=policy,
             executor=injector,
         )
-    sanitizer = None
-    if args.sanitize:
-        from .analysis.raceguard import LockSanitizer, attach_engine
-
-        # Record mode: the soak runs to completion and reports every
-        # violation at once instead of dying on the first.
-        sanitizer = LockSanitizer(clock, strict=False)
-        attach_engine(engine, sanitizer)
 
     exact = degraded = mismatches = request_errors = 0
     latencies: list[float] = []
@@ -884,11 +855,6 @@ def _command_chaos(args) -> int:
                 f"breaker:    shard {breaker['shard']} {breaker['state']} "
                 f"(failure rate {breaker['failure_rate']:.2f})"
             )
-    if sanitizer is not None:
-        print(
-            f"sanitizer:  {len(sanitizer.events)} lock events, "
-            f"{len(sanitizer.violations)} violations"
-        )
 
     row = {
         "shape": list(shape),
@@ -918,10 +884,6 @@ def _command_chaos(args) -> int:
         "p50_ms": p50,
         "p95_ms": p95,
         "p99_ms": p99,
-        "sanitized": bool(sanitizer is not None),
-        "sanitizer_violations": (
-            len(sanitizer.violations) if sanitizer is not None else 0
-        ),
     }
     if args.json:
         _merge_artifact_row(
@@ -936,18 +898,7 @@ def _command_chaos(args) -> int:
             f"unsharded reference",
             file=sys.stderr,
         )
-    if sanitizer is not None and sanitizer.violations:
-        print(
-            f"FAIL: lock sanitizer recorded "
-            f"{len(sanitizer.violations)} violation(s):",
-            file=sys.stderr,
-        )
-        for line in sanitizer.report():
-            print(f"  {line}", file=sys.stderr)
-    return _chaos_exit_code(
-        mismatches,
-        len(sanitizer.violations) if sanitizer is not None else 0,
-    )
+    return 1 if mismatches else 0
 
 
 def _command_table1(args) -> int:
@@ -1052,13 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache", type=int, default=1024, help="result-cache capacity"
         )
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument(
-            "--ipc-reads",
-            action="store_true",
-            dest="ipc_reads",
-            help="process executor only: route reads through the worker "
-            "pipes (worker spans then appear in harvested traces)",
-        )
     serve_stats.set_defaults(handler=_command_serve_stats)
     metrics.add_argument(
         "--format",
@@ -1285,16 +1229,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also merge the soak row into this JSON artifact "
         "(rows keyed per configuration)",
     )
-    chaos.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="attach the runtime lock sanitizer; violations exit 2",
-    )
     chaos.set_defaults(handler=_command_chaos)
 
     analyze = commands.add_parser(
         "analyze",
-        help="run the CFG/dataflow analyses (REP009-REP012) over source "
+        help="run the flow analyses (REP011-REP012) over source "
         "trees and diff against a committed baseline",
     )
     analyze.add_argument(

@@ -28,8 +28,8 @@ Each shard's log holds at most ``capacity`` cells, the cache's own
 entry bound.  Once it grows past that, its oldest records are dropped
 down to half, so trimming is amortised over many writes.
 
-The cache itself is not thread-safe; the engine serialises access
-through its lock (flow rule REP009 checks this on every path).
+The cache itself is not thread-safe, and needs not be: one thread owns
+the engine that owns it (``docs/api.md``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The sharded serving engine: parallel decomposition + epoch-safe cache.
+"""The sharded serving engine: shard decomposition + epoch-safe cache.
 
 :class:`ShardedEngine` is the serving layer the ROADMAP's scaling arc
 points at.  It *is* a :class:`~repro.methods.base.RangeSumMethod` — the
@@ -10,9 +10,10 @@ shards (each one any registered method, DDC by default), and serves:
   bumping that shard's epoch counter;
 * **range / prefix queries** by decomposing the range into at most one
   local sub-range per overlapping shard, fanning the sub-queries out
-  over an executor (in the calling thread by default, a pool of worker
-  processes with ``executor="process"``), and summing the partial
-  results — correct because the slabs are disjoint;
+  over an executor (every executor runs them in turn on the calling
+  thread; ``executor="process"`` gathers them off shared-memory slabs
+  whose writes a pool of worker processes applies), and summing the
+  partial results — correct because the slabs are disjoint;
 * **batches** by grouping all sub-queries / updates per shard first, so
   each shard answers its whole share through one ``range_sum_many`` /
   ``add_many`` call and the per-shard path-sharing machinery keeps
@@ -22,18 +23,16 @@ shards (each one any registered method, DDC by default), and serves:
   skips tree traversal entirely, a write stales only the cached ranges
   that contain its cell, and interleaved writes stay exactly visible.
 
-Concurrency model: public operations serialise on one reentrant lock;
-*within* a read, per-shard sub-queries go through the executor (they
-touch disjoint shards, and the lock keeps writers out for the
-duration).  Shared mutable state — the epoch list and the cache — is
-only touched under the lock or inside ``_locked_*`` helpers, which flow
-rule REP009 (``repro analyze``) enforces mechanically.
+Concurrency model: one thread owns an engine (``docs/api.md``).  The
+engine takes no lock: every public operation runs to completion on the
+owner's thread, so a read's fan-out never interleaves with a write, and
+the epoch list and the cache need no guard.  The HTTP server's event
+loop is that owner for a served engine.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from functools import partial
 from typing import Sequence
 
@@ -119,11 +118,6 @@ class ShardedEngine(RangeSumMethod):
             persistent worker-process pool, side-stepping the GIL
             entirely (``method`` then only labels reports; the slab
             layout and its read kernel are fixed).
-        ipc_reads: process mode only — route every read through the
-            owning worker's pipe instead of gathering directly off the
-            shared slab.  Slower, but it makes reads themselves cross
-            the process boundary, which is what the chaos harness wants
-            when it kills workers mid-query.
     """
 
     name = "engine"
@@ -140,7 +134,6 @@ class ShardedEngine(RangeSumMethod):
         obs=None,
         resilience: ResiliencePolicy | None = None,
         executor=None,
-        ipc_reads: bool = False,
     ) -> None:
         super().__init__(shape, dtype=dtype)
         self.plan = ShardPlan(self.shape, shards)
@@ -170,8 +163,7 @@ class ShardedEngine(RangeSumMethod):
 
             self._store = ShardSlabStore(self.plan, dtype=self.dtype)
             self._process_pool = ProcessExecutor(
-                self._store, workers=workers, obs=self.obs,
-                ipc_reads=ipc_reads,
+                self._store, workers=workers, obs=self.obs
             )
             self._shards: list[RangeSumMethod] = [
                 ShmShardReplica(
@@ -200,7 +192,6 @@ class ShardedEngine(RangeSumMethod):
         else:
             self._executor = SerialExecutor()
             self.executor_kind = "serial"
-        self._lock = threading.RLock()
         self._epochs = [0] * self.plan.count
         self._cache = EpochLruCache(cache_size)
         self.policy = resilience
@@ -321,26 +312,25 @@ class ShardedEngine(RangeSumMethod):
         """
         array = np.asarray(array)
         engine = cls(array.shape, dtype=kwargs.pop("dtype", array.dtype), **kwargs)
-        with engine._lock:
-            if engine._store is not None:
-                # Process mode: the payload lives in the shared slab
-                # store; recomputing the prefix slabs in place is the bulk
-                # load (attached workers see the pages directly).  No
-                # posted delta may race the rewrite.
-                engine._process_pool.flush()
-                engine._store.load_array(array.astype(engine.dtype))
-            else:
-                shard_cls = method_class(engine.method_name)
-                for index in range(engine.plan.count):
-                    slab = array[engine.plan.slab(index)].astype(engine.dtype)
-                    engine._shards[index] = shard_cls.from_array(
-                        slab, dtype=engine.dtype, **engine._method_kwargs
-                    )
-            # The epoch bumps invalidate anything cached against the
-            # empty cube.
+        if engine._store is not None:
+            # Process mode: the payload lives in the shared slab
+            # store; recomputing the prefix slabs in place is the bulk
+            # load (attached workers see the pages directly).  No
+            # posted delta may race the rewrite.
+            engine._process_pool.flush()
+            engine._store.load_array(array.astype(engine.dtype))
+        else:
+            shard_cls = method_class(engine.method_name)
             for index in range(engine.plan.count):
-                engine._epochs[index] += 1
-                engine._obs_shard_epoch[index].set(engine._epochs[index])
+                slab = array[engine.plan.slab(index)].astype(engine.dtype)
+                engine._shards[index] = shard_cls.from_array(
+                    slab, dtype=engine.dtype, **engine._method_kwargs
+                )
+        # The epoch bumps invalidate anything cached against the
+        # empty cube.
+        for index in range(engine.plan.count):
+            engine._epochs[index] += 1
+            engine._obs_shard_epoch[index].set(engine._epochs[index])
         return engine
 
     # ------------------------------------------------------------------
@@ -359,21 +349,20 @@ class ShardedEngine(RangeSumMethod):
         index = self.plan.owner(cell)
         obs = self._obs
         traced = obs.enabled
-        start = obs.clock.now() if traced else 0.0
-        with self._lock:
-            if not traced:
-                self._locked_add_one(index, cell, delta)
-                return
-            with obs.tracer.span("engine.add", shard=index):
-                epoch = self._locked_add_one(index, cell, delta)
+        if not traced:
+            self._add_one(index, cell, delta)
+            return
+        start = obs.clock.now()
+        with obs.tracer.span("engine.add", shard=index):
+            epoch = self._add_one(index, cell, delta)
         elapsed = obs.clock.now() - start
         self._obs_request_seconds["add"].observe(elapsed)
         self._obs_shard_add_seconds[index].observe(elapsed)
         self._obs_shard_epoch[index].set(epoch)
 
-    def _locked_add_one(self, index: int, cell: tuple, delta) -> int:
-        """Apply one routed update; caller holds the lock.  Returns the
-        shard's post-update epoch."""
+    def _add_one(self, index: int, cell: tuple, delta) -> int:
+        """Apply one routed update.  Returns the shard's post-update
+        epoch."""
         shard = self._shards[index]
         self.stats.touch(shard)
         shard.add(self.plan.to_local(index, cell), delta)
@@ -406,21 +395,20 @@ class ShardedEngine(RangeSumMethod):
         obs = self._obs
         traced = obs.enabled
         start = obs.clock.now() if traced else 0.0
-        with self._lock, obs.tracer.span(
+        with obs.tracer.span(
             "engine.add_many", updates=len(combined), shards=len(grouped)
         ):
-            epochs = self._locked_add_groups(grouped)
+            epochs = self._add_groups(grouped)
         if traced:
             self._obs_request_seconds["add_many"].observe(obs.clock.now() - start)
             for index, epoch in epochs.items():
                 self._obs_shard_epoch[index].set(epoch)
 
-    def _locked_add_groups(
+    def _add_groups(
         self, grouped: dict[int, tuple[list[tuple], list[tuple]]]
     ) -> dict[int, int]:
-        """Apply per-shard ``(local updates, global cells)`` groups;
-        caller holds the lock.  Returns the post-batch epoch of every
-        touched shard."""
+        """Apply per-shard ``(local updates, global cells)`` groups.
+        Returns the post-batch epoch of every touched shard."""
         epochs: dict[int, int] = {}
         for index in sorted(grouped):
             updates, cells = grouped[index]
@@ -444,8 +432,7 @@ class ShardedEngine(RangeSumMethod):
     def range_sum(self, low: Sequence[int] | int, high: Sequence[int] | int):
         """One cached, shard-decomposed range sum.
 
-        The serving loop's read path: a hit is one lock acquisition and
-        one LRU probe; a miss skips the batch bookkeeping and goes
+        The serving loop's read path: a hit is one LRU probe; a miss skips the batch bookkeeping and goes
         straight to the per-shard computation.  With observability wired
         the lookup outcome is classified hit / miss / stale (present but
         epoch-invalidated) and every miss is offered to the slow-query
@@ -456,23 +443,22 @@ class ShardedEngine(RangeSumMethod):
         obs = self._obs
         traced = obs.enabled
         start = obs.clock.now() if traced else 0.0
-        with self._lock:
-            invalidations = self._cache.invalidations
-            value = self._cache.get(key, self._epochs)
-            hit = value is not MISS
-            if hit:
-                self.stats.cache_hits += 1
-            else:
-                self.stats.cache_misses += 1
-            if not traced:
-                return value if hit else self._locked_compute_one(key, None)[0]
-            outcome = "hit" if hit else (
-                "stale" if self._cache.invalidations > invalidations else "miss"
-            )
-            ops = None
-            with obs.tracer.span("engine.range_sum", cache=outcome) as span:
-                if not hit:
-                    value, ops = self._locked_compute_one(key, span)
+        invalidations = self._cache.invalidations
+        value = self._cache.get(key, self._epochs)
+        hit = value is not MISS
+        if hit:
+            self.stats.cache_hits += 1
+        else:
+            self.stats.cache_misses += 1
+        if not traced:
+            return value if hit else self._compute_one(key, None)[0]
+        outcome = "hit" if hit else (
+            "stale" if self._cache.invalidations > invalidations else "miss"
+        )
+        ops = None
+        with obs.tracer.span("engine.range_sum", cache=outcome) as span:
+            if not hit:
+                value, ops = self._compute_one(key, span)
         self._obs_cache_lookups[outcome].inc()
         self._observe_read("range_sum", start, span, ops, cache=outcome)
         return value
@@ -500,10 +486,10 @@ class ShardedEngine(RangeSumMethod):
         obs = self._obs
         traced = obs.enabled
         start = obs.clock.now() if traced else 0.0
-        with self._lock, obs.tracer.span(
+        with obs.tracer.span(
             "engine.range_sum_many", queries=len(queries)
         ) as span:
-            hits, misses, stale, ops = self._locked_serve_batch(
+            hits, misses, stale, ops = self._serve_batch(
                 queries, results, span if traced else None
             )
             span.set(hits=hits, misses=misses, stale=stale)
@@ -529,10 +515,10 @@ class ShardedEngine(RangeSumMethod):
                 executor=self.executor_kind,
             )
 
-    def _locked_serve_batch(
+    def _serve_batch(
         self, queries: list[tuple], results: list, parent
     ) -> tuple[int, int, int, OpCounter | None]:
-        """Serve one query batch; caller holds the lock.
+        """Serve one query batch.
 
         Fills ``results`` in place and returns ``(hits, distinct misses,
         stale lookups, ops)`` where ``ops`` is the OpCounter delta of the
@@ -559,7 +545,7 @@ class ShardedEngine(RangeSumMethod):
         stale = self._cache.invalidations - invalidations
         ops = None
         if missing:
-            answers, ops = self._locked_compute(list(missing), parent)
+            answers, ops = self._compute(list(missing), parent)
             for key, value in answers:
                 for position in missing[key]:
                     results[position] = value
@@ -584,9 +570,9 @@ class ShardedEngine(RangeSumMethod):
         self._obs_shard_read_seconds[index].observe(obs.clock.now() - start)
         return values, ops
 
-    def _locked_compute_one(self, key: tuple, parent) -> tuple:
-        """Answer one missing range; caller holds the lock.  Returns
-        ``(value, ops)`` like :meth:`_locked_compute`.
+    def _compute_one(self, key: tuple, parent) -> tuple:
+        """Answer one missing range.  Returns ``(value, ops)`` like
+        :meth:`_compute`.
 
         The scalar serving path, with and without a resilience policy:
         no batch dictionaries and no executor dispatch — the shards a
@@ -604,23 +590,23 @@ class ShardedEngine(RangeSumMethod):
             policy.deadline_seconds is not None
             or type(self._executor) is not SerialExecutor
         ):
-            return self._locked_compute_guarded(key, parent)
+            return self._compute_guarded(key, parent)
         pieces = list(self.plan.decompose(*key))
         breakers = self._breakers
         if breakers is not None and any(
             breakers[index].state != BREAKER_CLOSED for index, _, _ in pieces
         ):
-            return self._locked_compute_guarded(key, parent)
+            return self._compute_guarded(key, parent)
         epochs = tuple(self._epochs)
         obs = self._obs
         # A one-shard read's wait is that shard's latency.
         timed = parent is not None and len(pieces) > 1
         fanout_start = obs.clock.now() if timed else 0.0
         if breakers is None:
-            reads = [self._locked_read_one(parent, piece) for piece in pieces]
+            reads = [self._read_one(parent, piece) for piece in pieces]
         else:
             outcomes = self._executor.try_map(
-                partial(self._locked_read_one, parent), pieces
+                partial(self._read_one, parent), pieces
             )
             if any(error is not None for _, error in outcomes):
                 # Round 0 in the fan-out's own (sub_queries, values, ops)
@@ -631,7 +617,7 @@ class ShardedEngine(RangeSumMethod):
                     else (([(0, low, high)], [read[0]], read[1]), None)
                     for (_, low, high), (read, error) in zip(pieces, outcomes)
                 ]
-                return self._locked_compute_guarded(key, parent, first_round)
+                return self._compute_guarded(key, parent, first_round)
             now = obs.clock.now()
             for index, _, _ in pieces:
                 breakers[index].record_success(now)
@@ -652,9 +638,9 @@ class ShardedEngine(RangeSumMethod):
             self._obs_cache_entries.set(len(self._cache))
         return value, ops
 
-    def _locked_read_one(self, parent, piece: tuple) -> tuple:
+    def _read_one(self, parent, piece: tuple) -> tuple:
         """Read one ``(shard index, local low, local high)`` piece of a
-        scalar miss; caller holds the lock.  Returns ``(value, ops)``."""
+        scalar miss.  Returns ``(value, ops)``."""
         index, local_low, local_high = piece
         shard = self._shards[index]
         self.stats.touch(shard)
@@ -663,25 +649,25 @@ class ShardedEngine(RangeSumMethod):
         (value,), ops = self._read_shard(index, [(0, local_low, local_high)], parent)
         return value, ops
 
-    def _locked_compute_guarded(self, key: tuple, parent, first_round=None) -> tuple:
-        """One range through the guarded fan-out; caller holds the lock."""
-        ((_, value),), ops = self._locked_compute([key], parent, first_round)
+    def _compute_guarded(self, key: tuple, parent, first_round=None) -> tuple:
+        """One range through the guarded fan-out."""
+        ((_, value),), ops = self._compute([key], parent, first_round)
         return value, ops
 
-    def _locked_compute(
+    def _compute(
         self, keys: list[tuple], parent, first_round: list | None = None
     ) -> tuple[list[tuple], OpCounter | None]:
-        """Answer distinct missing ranges; caller holds the lock.
+        """Answer distinct missing ranges.
 
         ``parent`` is the request span (``None`` with obs off); shard
-        spans attach to it explicitly, because they may run on executor
-        threads whose span stacks are empty.  Returns ``(answers, ops)``:
+        spans name it as their parent, and its being ``None`` is what
+        skips the per-shard timing.  Returns ``(answers, ops)``:
         ``(key, value)`` pairs, every value cached stamped with the epoch
         snapshot taken before any shard work started, and — with obs
         on — the summed OpCounter deltas of the shards that computed.
         ``first_round`` is a resilient fan-out's round-0 outcomes when
         the scalar path already read them (see
-        :meth:`_locked_resilient_fanout`).
+        :meth:`_resilient_fanout`).
         """
         epochs = tuple(self._epochs)
         per_shard: dict[int, list[tuple[int, tuple, tuple]]] = {}
@@ -716,10 +702,10 @@ class ShardedEngine(RangeSumMethod):
             completed = self._executor.map(run_shard, sorted(per_shard.items()))
             missing_by_key: dict[int, set[int]] = {}
         else:
-            completed, failed = self._locked_resilient_fanout(
+            completed, failed = self._resilient_fanout(
                 sorted(per_shard.items()), run_shard, first_round
             )
-            missing_by_key = self._locked_degrade(
+            missing_by_key = self._degrade(
                 failed, per_shard, dependencies, completed
             )
         for sub_queries, values, delta in completed:
@@ -753,11 +739,10 @@ class ShardedEngine(RangeSumMethod):
     # Resilient fan-out (deadlines, retries, breakers, degradation)
     # ------------------------------------------------------------------
 
-    def _locked_resilient_fanout(
+    def _resilient_fanout(
         self, items: list[tuple], run_shard, first_round: list | None = None
     ) -> tuple[list, dict]:
-        """Fan ``items`` out under the resilience policy; caller holds
-        the lock.
+        """Fan ``items`` out under the resilience policy.
 
         Returns ``(completed, failed)`` where ``completed`` holds the
         successful ``run_shard`` results and ``failed`` maps each
@@ -850,22 +835,20 @@ class ShardedEngine(RangeSumMethod):
             round_index += 1
         return completed, failed
 
-    def _locked_degrade(
+    def _degrade(
         self,
         failed: dict[int, Exception],
         per_shard: dict[int, list],
         dependencies: list[list[int]],
         completed: list,
     ) -> dict[int, set[int]]:
-        """Apply the degradation policy to permanently-failed shards;
-        caller holds the lock.
+        """Apply the degradation policy to permanently-failed shards.
 
         * ``strict`` — raise: :class:`DeadlineExceededError` when the
           budget ran out, else :class:`ShardFailedError` naming every
           failed shard (chained to the first underlying error).
         * ``fallback`` — recompute each failed shard's sub-queries
-          synchronously in the request thread (the direct,
-          executor-free path), append the exact results to
+          directly (the executor-free path), append the exact results to
           ``completed``, and return no missing keys.
         * ``partial`` — return ``{key_index: missing shard set}`` so
           the caller wraps affected answers in
@@ -953,8 +936,7 @@ class ShardedEngine(RangeSumMethod):
         workers and shm attachments, the injector just sits in front of
         the fan-out.
         """
-        with self._lock:
-            self._executor = wrap(self._executor)
+        self._executor = wrap(self._executor)
 
     def pool_info(self) -> dict | None:
         """Worker-pool snapshot (None outside process mode)."""
@@ -976,28 +958,25 @@ class ShardedEngine(RangeSumMethod):
     @property
     def epochs(self) -> tuple[int, ...]:
         """Current per-shard write epochs."""
-        with self._lock:
-            return tuple(self._epochs)
+        return tuple(self._epochs)
 
     def cache_info(self) -> dict:
         """Cache occupancy and hit/miss tallies as one plain dict."""
-        with self._lock:
-            return {
-                "size": len(self._cache),
-                "capacity": self._cache.capacity,
-                "hits": self.stats.cache_hits,
-                "misses": self.stats.cache_misses,
-                "hit_rate": self.stats.cache_hit_rate,
-                "invalidations": self._cache.invalidations,
-                "revalidations": self._cache.revalidations,
-                "evictions": self._cache.evictions,
-                "stale_evictions": self._cache.stale_evictions,
-            }
+        return {
+            "size": len(self._cache),
+            "capacity": self._cache.capacity,
+            "hits": self.stats.cache_hits,
+            "misses": self.stats.cache_misses,
+            "hit_rate": self.stats.cache_hit_rate,
+            "invalidations": self._cache.invalidations,
+            "revalidations": self._cache.revalidations,
+            "evictions": self._cache.evictions,
+            "stale_evictions": self._cache.stale_evictions,
+        }
 
     def clear_cache(self) -> None:
         """Drop all cached results (epochs keep advancing monotonically)."""
-        with self._lock:
-            self._cache.clear()
+        self._cache.clear()
 
     def aggregate_stats(self) -> OpCounter:
         """Engine-level counters merged with every shard's counters."""
@@ -1015,9 +994,7 @@ class ShardedEngine(RangeSumMethod):
     def shard_report(self) -> list[dict]:
         """One row per shard: span, epoch, storage, and op tallies."""
         rows = []
-        with self._lock:
-            epochs = tuple(self._epochs)
-        for span, epoch, shard in zip(self.plan.spans, epochs, self._shards):
+        for span, epoch, shard in zip(self.plan.spans, self._epochs, self._shards):
             rows.append(
                 {
                     "shard": span.index,
@@ -1042,9 +1019,9 @@ class ShardedEngine(RangeSumMethod):
         ``partial`` when admission pressure crosses its watermark and
         back when it subsides, so slow shards stop holding answers
         hostage exactly when capacity is scarce.  Returns the previous
-        mode.  The swap happens under the request lock, so an in-flight
-        read finishes under the policy it started with and the next
-        read sees the new mode.
+        mode.  The swap happens between requests on the owner's thread,
+        so an in-flight read finishes under the policy it started with
+        and the next read sees the new mode.
         """
         if self.policy is None:
             raise ConfigurationError(
@@ -1052,12 +1029,11 @@ class ShardedEngine(RangeSumMethod):
             )
         from dataclasses import replace
 
-        with self._lock:
-            previous = self.policy.degradation
-            if mode != previous:
-                # replace() re-runs ResiliencePolicy.__post_init__, so an
-                # unknown mode raises ConfigurationError here.
-                self.policy = replace(self.policy, degradation=mode)
+        previous = self.policy.degradation
+        if mode != previous:
+            # replace() re-runs ResiliencePolicy.__post_init__, so an
+            # unknown mode raises ConfigurationError here.
+            self.policy = replace(self.policy, degradation=mode)
         return previous
 
     def resilience_info(self) -> dict | None:
@@ -1065,15 +1041,14 @@ class ShardedEngine(RangeSumMethod):
         no policy is attached)."""
         if self.policy is None:
             return None
-        with self._lock:
-            breakers = [
-                {
-                    "shard": index,
-                    "state": breaker.state,
-                    "failure_rate": breaker.failure_rate(),
-                }
-                for index, breaker in enumerate(self._breakers)
-            ]
+        breakers = [
+            {
+                "shard": index,
+                "state": breaker.state,
+                "failure_rate": breaker.failure_rate(),
+            }
+            for index, breaker in enumerate(self._breakers)
+        ]
         return {
             "deadline_seconds": self.policy.deadline_seconds,
             "max_retries": self.policy.max_retries,

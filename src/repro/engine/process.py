@@ -2,18 +2,19 @@
 
 Threads in one interpreter cannot overlap shard work — every DDC
 descent is pure-python bytecode under the GIL — so the engine's only
-parallel executor is this one, which moves shard serving into a
-**persistent pool of worker processes**:
+parallel executor is this one, which moves every shard's write work
+into a **persistent pool of worker processes** while the parent serves
+reads straight off shared memory:
 
 * each worker owns a fixed subset of shards (``shard % workers``) and
   attaches their prefix-sum slabs from the
   :class:`~repro.engine.shm.ShardSlabStore` at startup — zero-copy,
   built once at plan time;
 * the parent keeps the engine's ``map`` / ``try_map`` contract by
-  reusing the thread-pool fan-out (:class:`~.executor.ThreadFanout`):
-  each pool thread blocks on its worker's pipe, releasing the GIL, so
-  ``ResiliencePolicy`` deadlines, retries, circuit breakers, and the
-  ``FaultInjector`` compose completely unchanged;
+  inheriting the serial fan-out (:class:`~.executor.SerialExecutor`):
+  every sub-query runs on the caller's thread, because no read waits on
+  a worker, so ``ResiliencePolicy`` deadlines, retries, circuit
+  breakers, and the ``FaultInjector`` compose completely unchanged;
 * writes ship as compact ``(cell, delta)`` tuples over the owning
   worker's pipe and are applied as suffix rectangles on the shared
   slab — the worker is the single writer for its shards, so deltas
@@ -22,7 +23,7 @@ parallel executor is this one, which moves shard serving into a
   :data:`~ProcessExecutor.ship_threshold` at a time (one worker
   wake-up per batch instead of per write), and the ack is collected
   lazily by the next operation that touches the lane
-  (:meth:`ProcessExecutor.fence` / :meth:`ProcessExecutor.call` /
+  (:meth:`ProcessExecutor.fence` / :meth:`ProcessExecutor.post` /
   :meth:`ProcessExecutor.flush`), hiding the worker's wake-up latency
   behind the parent's own work;
 * reads are **zero-copy gathers on the parent's own mapping** of the
@@ -30,14 +31,11 @@ parallel executor is this one, which moves shard serving into a
   with a single-writer seqlock (see :mod:`repro.engine.shm`) that
   detects a torn gather, and the parent folds its own
   posted-but-unapplied deltas back into the result from a per-shard
-  ledger — exact, because the parent is the only poster.  The gather
-  is C-level numpy that releases the GIL, and a pipe round-trip costs
-  more than the gather itself.  ``ipc_reads=True`` routes reads
-  through the owning worker instead — the mode a remote shard store
-  would use, and the mode the crash-semantics tests exercise.  State
-  lives in the shared slabs, **not** in the workers, so a SIGKILLed
-  worker costs exactly one failed sub-operation: the next call
-  respawns the process, which reattaches and answers exactly.  Even
+  ledger — exact, because the parent is the only poster.  A pipe
+  round-trip would cost more than the gather itself.  State lives in
+  the shared slabs, **not** in the workers, so a SIGKILLed worker loses
+  nothing: reads never needed it, and the next write or fence respawns
+  the process, which reattaches and applies exactly.  Even
   pipelined writes in flight survive the kill — the parent's delta
   ledger holds every posted-but-unacknowledged batch, and once the
   worker is dead the parent (now the shard's only writer) replays the
@@ -61,9 +59,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -74,16 +70,9 @@ from ..methods.base import RangeSumMethod
 from ..obs import NULL_OBS
 from ..obs.clock import MonotonicClock
 from ..obs.metrics import NULL_INSTRUMENT
-from ..obs.remote import (
-    MetricsHarvester,
-    WorkerMetricsShard,
-    graft_spans,
-    span_payload,
-    worker_metrics_layout,
-)
-from ..obs.trace import Span
+from ..obs.remote import MetricsHarvester, WorkerMetricsShard, worker_metrics_layout
 from . import shm
-from .executor import ThreadFanout
+from .executor import SerialExecutor
 
 __all__ = ["ProcessExecutor", "ShmShardReplica"]
 
@@ -95,25 +84,23 @@ def _pool_worker_main(
     conn,
     telemetry=None,
 ) -> None:
-    """Serve slab operations for this worker's shards (child process).
+    """Apply delta batches to this worker's shards (child process).
 
-    One blocking request/reply loop per worker: the parent serialises
-    access per lane, so no concurrency exists inside a worker and the
-    slab math needs no locks.  Requests are ``(op, index, payload)`` or
-    ``(op, index, payload, trace_ctx)`` when the parent propagates a
-    trace context; replies are ``("ok", value)``, ``("ok", value,
-    spans)`` for traced ops, or ``("error", detail)``.  An unreadable
-    pipe means the parent is gone and the loop exits.
+    One blocking request/reply loop per worker: the parent is the only
+    sender, so no concurrency exists inside a worker and the slab math
+    needs no locks.  Requests are ``(op, index, payload)``; replies are
+    ``("ok", value)`` or ``("error", detail)``.  An unreadable pipe
+    means the parent is gone and the loop exits.
 
     ``telemetry`` is the harvester's ``(layout, segment name)`` pair:
     when present the worker attaches its shared-memory metrics shard
-    (see :mod:`repro.obs.remote`) and publishes gather/apply timings
-    and op tallies lock-free — the parent harvests them on demand, and
-    they survive this process being SIGKILLed.
+    (see :mod:`repro.obs.remote`) and publishes apply timings and op
+    tallies lock-free — the parent harvests them on demand, and they
+    survive this process being SIGKILLed.
     """
     clock = MonotonicClock()
     shard_metrics = None
-    gather_seconds = apply_seconds = apply_batch = None
+    apply_seconds = apply_batch = None
     op_tallies = {}
     if telemetry is not None:
         layout, segment_name = telemetry
@@ -122,12 +109,11 @@ def _pool_worker_main(
         except (FileNotFoundError, OSError):  # pragma: no cover - races teardown
             shard_metrics = None
     if shard_metrics is not None:
-        gather_seconds = shard_metrics.histogram("repro_worker_gather_seconds")
         apply_seconds = shard_metrics.histogram("repro_worker_apply_seconds")
         apply_batch = shard_metrics.histogram("repro_worker_apply_batch_updates")
         op_tallies = {
             op: shard_metrics.counter("repro_worker_ops_total", op=op)
-            for op in ("query_many", "apply", "ping")
+            for op in ("apply", "ping")
         }
     segments = {}
     headers = {}
@@ -147,35 +133,10 @@ def _pool_worker_main(
             if op == "stop":
                 conn.send(("ok", None))
                 break
-            trace_ctx = message[3] if len(message) > 3 else None
-            timed = shard_metrics is not None or trace_ctx is not None
-            spans = None
             try:
-                if op == "query_many":
-                    index, ranges = message[1], message[2]
-                    op_start = clock.now() if timed else 0.0
-                    reply = shm.slab_range_sum_many_vector(views[index], ranges)
-                    elapsed = clock.now() - op_start if timed else 0.0
-                    if shard_metrics is not None:
-                        gather_seconds.observe(elapsed)
-                        op_tallies["query_many"].inc()
-                    if trace_ctx is not None:
-                        spans = [
-                            span_payload(
-                                "worker.query_many",
-                                0.0,
-                                elapsed,
-                                {
-                                    "worker": worker_index,
-                                    "shard": index,
-                                    "queries": len(ranges),
-                                },
-                                [span_payload("worker.gather", 0.0, elapsed)],
-                            )
-                        ]
-                elif op == "apply":
+                if op == "apply":
                     index, updates = message[1], message[2]
-                    op_start = clock.now() if timed else 0.0
+                    op_start = clock.now() if shard_metrics is not None else 0.0
                     # Single-writer seqlock: odd seq brackets the
                     # in-place suffix adds so the parent's zero-copy
                     # readers can detect (and retry around) a torn
@@ -187,31 +148,17 @@ def _pool_worker_main(
                     header[shm.HEADER_APPLIED] += 1
                     header[shm.HEADER_SEQ] += 1
                     reply = len(updates)
-                    elapsed = clock.now() - op_start if timed else 0.0
                     if shard_metrics is not None:
-                        apply_seconds.observe(elapsed)
+                        apply_seconds.observe(clock.now() - op_start)
                         apply_batch.observe(float(len(updates)))
                         op_tallies["apply"].inc()
-                    if trace_ctx is not None:
-                        spans = [
-                            span_payload(
-                                "worker.apply",
-                                0.0,
-                                elapsed,
-                                {
-                                    "worker": worker_index,
-                                    "shard": index,
-                                    "updates": len(updates),
-                                },
-                            )
-                        ]
                 elif op == "ping":
                     reply = worker_index
                     if shard_metrics is not None:
                         op_tallies["ping"].inc()
                 else:
                     raise ConfigurationError(f"unknown worker op {op!r}")
-                conn.send(("ok", reply, spans) if spans else ("ok", reply))
+                conn.send(("ok", reply))
             except Exception as error:  # noqa: BLE001 - reported to parent
                 conn.send(("error", f"{type(error).__name__}: {error}"))
     finally:
@@ -250,18 +197,9 @@ def _fold_pending(values: list, queries: Sequence[tuple], batches) -> list:
 
 
 class _Lane:
-    """One worker process plus its command pipe.
+    """One worker process plus its command pipe."""
 
-    All mutable fields are guarded by the per-lane ``_lock``: the
-    parent's fan-out threads serialise on it per call, so a lane sees
-    at most one in-flight request and respawn/kill never races a
-    round-trip.
-    """
-
-    __slots__ = (
-        "worker_index", "owned", "process", "conn", "restarts", "pending",
-        "_lock",
-    )
+    __slots__ = ("worker_index", "owned", "process", "conn", "restarts", "pending")
 
     def __init__(self, worker_index: int, owned: tuple) -> None:
         self.worker_index = worker_index
@@ -271,18 +209,19 @@ class _Lane:
         self.restarts = 0
         #: Pipelined sends whose acks have not been collected yet.
         self.pending = 0
-        self._lock = threading.Lock()
 
 
-class ProcessExecutor(ThreadFanout):
+class ProcessExecutor(SerialExecutor):
     """Persistent worker-pool executor with warm shard replicas.
 
-    Implements the same ``map`` / ``try_map`` / ``shutdown`` surface as
-    the in-process executor (via :class:`~.executor.ThreadFanout`), so
-    the engine — and everything layered on it — never branches on the
-    concurrency mode.  Additionally exposes :meth:`call` (one IPC
-    round-trip, used by :class:`ShmShardReplica`), :meth:`kill_worker`
-    (the chaos harness's SIGKILL hook), and :meth:`pool_info`.
+    Inherits the serial ``map`` / ``try_map`` surface, so the engine —
+    and everything layered on it — never branches on the concurrency
+    mode: a read's sub-queries are seqlock gathers that run in turn on
+    the caller's thread.  Additionally exposes :meth:`write` /
+    :meth:`read_many` (the slab traffic of :class:`ShmShardReplica`),
+    :meth:`kill_worker` (the chaos harness's SIGKILL hook), and
+    :meth:`pool_info`.  One thread owns the executor, as it owns the
+    engine above it.
 
     Args:
         store: the engine's shared-memory slab store.
@@ -294,17 +233,8 @@ class ProcessExecutor(ThreadFanout):
         start_method: multiprocessing start method; default prefers
             ``fork`` (instant start, inherited attachments) and falls
             back to the platform default.
-        poll_interval: how often a blocked round-trip re-checks worker
+        poll_interval: how often a blocked ack wait re-checks worker
             liveness, in seconds.
-        ipc_reads: when True, queries are routed through the owning
-            worker like writes are.  The default (False) serves reads
-            as zero-copy gathers on the parent's own mapping of the
-            slab — the gather is C-level numpy that releases the GIL,
-            so the thread fan-out genuinely parallelises it, and no
-            read ever pays a pipe round-trip.  IPC reads exist for
-            crash-semantics tests and as the mode a remote shard store
-            would use; one round-trip costs more than a small gather,
-            so they lose on latency by design.
     """
 
     #: Max pipelined (unacknowledged) writes per lane before a
@@ -325,14 +255,12 @@ class ProcessExecutor(ThreadFanout):
         obs=None,
         start_method: str | None = None,
         poll_interval: float = 0.05,
-        ipc_reads: bool = False,
     ) -> None:
         if store.count < 1:
             raise ConfigurationError("ProcessExecutor needs at least one shard")
         if workers is None or workers <= 0:
             workers = min(store.count, os.cpu_count() or 1)
         self.workers = max(1, min(workers, store.count))
-        self.ipc_reads = bool(ipc_reads)
         self.obs = obs if obs is not None else NULL_OBS
         self.store = store
         self._manifests = store.manifest()
@@ -359,9 +287,6 @@ class ProcessExecutor(ThreadFanout):
         #: never left the parent, so a worker crash cannot lose them —
         #: the respawned worker receives them with the next shipment.
         self._buffers: list[list] = [[] for _ in range(store.count)]
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(2, self.workers), thread_name_prefix="repro-ipc"
-        )
         #: Per-worker telemetry segments + parent-side merge state.  The
         #: harvester owns the segments (workers only attach), so a
         #: SIGKILLed worker's last-published slots stay harvestable and
@@ -371,8 +296,7 @@ class ProcessExecutor(ThreadFanout):
             self._harvester = MetricsHarvester(worker_metrics_layout(), self.workers)
         self._register_instruments()
         for lane in self._lanes:
-            with lane._lock:
-                self._locked_spawn(lane, initial=True)
+            self._spawn(lane, initial=True)
 
     def _register_instruments(self) -> None:
         """Pre-create the pool's metric families.
@@ -395,7 +319,7 @@ class ProcessExecutor(ThreadFanout):
         metrics = self.obs.metrics
         self._obs_ipc_seconds = metrics.histogram(
             "repro_engine_ipc_seconds",
-            "Round-trip latency of one worker IPC call, per op.",
+            "Parent-side latency of one worker IPC send, per op.",
             labels=("op",),
         )
         self._obs_restarts = metrics.counter(
@@ -413,14 +337,14 @@ class ProcessExecutor(ThreadFanout):
         )
         self._obs_pool_workers.set(self.workers)
         self._obs_pool_alive.set(self.workers)
-        # Shared with the harvester's worker-side observations: in
-        # direct-read mode the parent executes the gather on behalf of
-        # the owning lane, so both sides feed one family keyed by the
-        # ``worker`` label.  Children are resolved per lane up front to
-        # keep the zero-copy read path free of per-call dict building.
+        # The parent executes every gather on behalf of the owning lane,
+        # so the family is keyed by the ``worker`` label like the
+        # harvested worker families.  Children are resolved per lane up
+        # front to keep the zero-copy read path free of per-call dict
+        # building.
         gather = metrics.histogram(
             "repro_worker_gather_seconds",
-            "Slab read-kernel gather latency inside pool workers",
+            "Zero-copy slab gather latency, by owning worker",
             labels=("worker",),
         )
         rounds = metrics.histogram(
@@ -443,11 +367,11 @@ class ProcessExecutor(ThreadFanout):
         ]
 
     # ------------------------------------------------------------------
-    # Lane lifecycle (every helper runs with the lane's lock held)
+    # Lane lifecycle
     # ------------------------------------------------------------------
 
-    def _locked_spawn(self, lane: _Lane, initial: bool = False) -> None:
-        """(Re)start ``lane``'s worker; caller holds the lane lock.
+    def _spawn(self, lane: _Lane, initial: bool = False) -> None:
+        """(Re)start ``lane``'s worker.
 
         The parent closes its copy of the child end immediately so a
         dead worker's pipe reads EOF instead of blocking forever.
@@ -478,8 +402,8 @@ class ProcessExecutor(ThreadFanout):
             lane.restarts += 1
             self._obs_restarts.labels(worker=str(lane.worker_index)).inc()
 
-    def _locked_mark_dead(self, lane: _Lane) -> None:
-        """Reap a crashed worker; caller holds the lane lock."""
+    def _mark_dead(self, lane: _Lane) -> None:
+        """Reap a crashed worker."""
         if lane.conn is not None:
             try:
                 lane.conn.close()
@@ -490,8 +414,8 @@ class ProcessExecutor(ThreadFanout):
             lane.process.join(timeout=1.0)
             lane.process = None
 
-    def _locked_receive(self, lane: _Lane) -> tuple:
-        """Next reply on ``lane``'s pipe; caller holds the lane lock.
+    def _receive(self, lane: _Lane) -> tuple:
+        """Next reply on ``lane``'s pipe.
 
         Polls in small increments so a worker that died without closing
         the pipe (should not happen, but belt and braces) still fails
@@ -503,10 +427,10 @@ class ProcessExecutor(ThreadFanout):
             if lane.process is None or not lane.process.is_alive():
                 raise EOFError(f"worker {lane.worker_index} exited mid-call")
 
-    def _locked_drain(self, lane: _Lane) -> None:
-        """Collect outstanding pipelined acks; caller holds the lane lock.
+    def _drain(self, lane: _Lane) -> None:
+        """Collect outstanding pipelined acks.
 
-        A dead pipe here hands recovery to :meth:`_locked_abandon`: the
+        A dead pipe here hands recovery to :meth:`_abandon`: the
         parent replays every posted-but-unapplied batch from its ledger
         into the slab, so the death is only surfaced (as
         :class:`~repro.exceptions.WorkerCrashedError`, on this fencing
@@ -515,11 +439,11 @@ class ProcessExecutor(ThreadFanout):
         """
         while lane.pending:
             try:
-                message = self._locked_receive(lane)
+                message = self._receive(lane)
                 status, reply = message[0], message[1]
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as error:
-                lost = self._locked_abandon(lane)
-                self._locked_mark_dead(lane)
+                lost = self._abandon(lane)
+                self._mark_dead(lane)
                 if lost:
                     raise WorkerCrashedError(
                         f"worker {lane.worker_index} died mid-apply; "
@@ -537,10 +461,10 @@ class ProcessExecutor(ThreadFanout):
                     f"failed: {reply}"
                 )
 
-    def _locked_abandon(self, lane: _Lane) -> int:
-        """Reconcile the write ledgers after losing ``lane`` mid-flight;
-        caller holds the lane lock.  Returns the number of delta
-        batches that could *not* be recovered.
+    def _abandon(self, lane: _Lane) -> int:
+        """Reconcile the write ledgers after losing ``lane`` mid-flight.
+        Returns the number of delta batches that could *not* be
+        recovered.
 
         Each owned shard's ``applied`` header is ground truth for what
         reached the slab, and the dead worker was the shard's only
@@ -565,7 +489,7 @@ class ProcessExecutor(ThreadFanout):
                 self._posted[index] = applied
             elif applied < self._posted[index]:
                 # Replay under the same seqlock discipline the worker
-                # used, so concurrent zero-copy readers retry around it.
+                # used, so the slab header stays the one source of truth.
                 header[shm.HEADER_SEQ] += 1
                 for number, payload in ledger:
                     if number > applied:
@@ -577,8 +501,8 @@ class ProcessExecutor(ThreadFanout):
             ledger.clear()
         return lost
 
-    def _locked_respawn_if_dead(self, lane: _Lane) -> None:
-        """Respawn a dead ``lane``; caller holds the lane lock.
+    def _respawn_if_dead(self, lane: _Lane) -> None:
+        """Respawn a dead ``lane``.
 
         Silent when every outstanding write could be recovered (the
         slab plus the parent's ledger replay hold the exact state, so
@@ -588,9 +512,9 @@ class ProcessExecutor(ThreadFanout):
         """
         if lane.process is not None and lane.process.is_alive():
             return
-        lost = self._locked_abandon(lane)
-        self._locked_mark_dead(lane)
-        self._locked_spawn(lane)
+        lost = self._abandon(lane)
+        self._mark_dead(lane)
+        self._spawn(lane)
         if lost:
             raise WorkerCrashedError(
                 f"worker {lane.worker_index} died mid-apply; "
@@ -598,88 +522,18 @@ class ProcessExecutor(ThreadFanout):
             )
 
     # ------------------------------------------------------------------
-    # IPC entry points
+    # Slab traffic
     # ------------------------------------------------------------------
 
     def lane_of(self, shard_index: int) -> int:
         """Worker index owning ``shard_index``."""
         return shard_index % self.workers
 
-    def map(self, fn, items):
-        """Fan ``fn`` out over ``items``.
-
-        In direct-read mode each sub-query is a fence plus one C-level
-        slab gather — a few microseconds — so thread dispatch (two
-        orders of magnitude more) is pure overhead and the fan-out runs
-        inline.  With ``ipc_reads`` each item blocks on a worker pipe
-        releasing the GIL, which is exactly what the thread pool is
-        for.
-        """
-        if not self.ipc_reads:
-            return [fn(item) for item in items]
-        return super().map(fn, items)
-
-    def call(self, shard_index: int, op: str, payload):
-        """One round-trip to the worker owning ``shard_index``.
-
-        A dead lane is respawned *before* the attempt — the slab store
-        holds the state, so a fresh worker answers exactly — and a lane
-        that dies *during* the attempt surfaces as
-        :class:`~repro.exceptions.WorkerCrashedError` for the
-        resilience layer to retry (by which point the next attempt's
-        respawn has clean state to serve from).
-
-        Pipelined write acks queued ahead of this call are collected
-        *behind* the send: the pipe is FIFO, so the worker applies
-        every posted delta before answering, and the fence plus the
-        operation cost one blocking round-trip instead of two.
-
-        When a traced span is open on the calling thread, its
-        ``(trace_id, span_id)`` context rides along as a fourth message
-        element; the worker's ack then carries its own spans, which are
-        re-based onto this side's timeline (the send timestamp) and
-        grafted under the calling span — one trace tree across the
-        process boundary.
-        """
-        lane = self._lanes[shard_index % self.workers]
-        obs = self.obs
-        enabled = obs.enabled
-        start = obs.clock.now() if enabled else 0.0
-        trace_ctx = obs.tracer.current_context() if enabled else None
-        with lane._lock:
-            self._locked_respawn_if_dead(lane)
-            try:
-                if trace_ctx is not None:
-                    lane.conn.send((op, shard_index, payload, trace_ctx))
-                else:
-                    lane.conn.send((op, shard_index, payload))
-                self._locked_drain(lane)
-                message = self._locked_receive(lane)
-            except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as error:
-                self._locked_abandon(lane)
-                self._locked_mark_dead(lane)
-                raise WorkerCrashedError(
-                    f"worker {lane.worker_index} died serving shard "
-                    f"{shard_index} mid-{op}"
-                ) from error
-        status, reply = message[0], message[1]
-        if enabled:
-            self._obs_ipc_seconds.labels(op=op).observe(obs.clock.now() - start)
-            if len(message) > 2 and message[2]:
-                parent_span = obs.tracer.current()
-                if isinstance(parent_span, Span):
-                    graft_spans(obs.tracer, parent_span, message[2], start)
-        if status != "ok":
-            raise StructureError(
-                f"worker op {op!r} on shard {shard_index} failed: {reply}"
-            )
-        return reply
-
     def post(self, shard_index: int, op: str, payload) -> None:
         """Pipelined one-way send to the worker owning ``shard_index``.
 
         The ack is *not* awaited — it is collected by the next
-        :meth:`fence` / :meth:`call` / :meth:`flush` touching the lane
+        :meth:`fence` / :meth:`post` / :meth:`flush` touching the lane
         (or here, once :data:`pipeline_window` sends are outstanding).
         This hides the worker's wake-up latency behind the parent's own
         work, which is what makes writes cheap on a busy box; the price
@@ -689,25 +543,22 @@ class ProcessExecutor(ThreadFanout):
         lane = self._lanes[shard_index % self.workers]
         obs = self.obs
         start = obs.clock.now() if obs.enabled else 0.0
-        with lane._lock:
-            self._locked_respawn_if_dead(lane)
-            if lane.pending >= self.pipeline_window:
-                self._locked_drain(lane)
-            try:
-                lane.conn.send((op, shard_index, payload))
-            except (BrokenPipeError, ConnectionResetError, OSError) as error:
-                self._locked_abandon(lane)
-                self._locked_mark_dead(lane)
-                raise WorkerCrashedError(
-                    f"worker {lane.worker_index} died accepting shard "
-                    f"{shard_index} {op}"
-                ) from error
-            lane.pending += 1
-            if op == "apply":
-                self._posted[shard_index] += 1
-                self._ledgers[shard_index].append(
-                    (self._posted[shard_index], payload)
-                )
+        self._respawn_if_dead(lane)
+        if lane.pending >= self.pipeline_window:
+            self._drain(lane)
+        try:
+            lane.conn.send((op, shard_index, payload))
+        except (BrokenPipeError, ConnectionResetError, OSError) as error:
+            self._abandon(lane)
+            self._mark_dead(lane)
+            raise WorkerCrashedError(
+                f"worker {lane.worker_index} died accepting shard "
+                f"{shard_index} {op}"
+            ) from error
+        lane.pending += 1
+        if op == "apply":
+            self._posted[shard_index] += 1
+            self._ledgers[shard_index].append((self._posted[shard_index], payload))
         if obs.enabled:
             self._obs_ipc_seconds.labels(op=f"{op}_post").observe(
                 obs.clock.now() - start
@@ -716,20 +567,15 @@ class ProcessExecutor(ThreadFanout):
     def write(self, shard_index: int, updates: Sequence[tuple]) -> None:
         """Record deltas destined for ``shard_index``'s owning worker.
 
-        In direct-read mode the deltas are buffered parent-side and
-        shipped :data:`ship_threshold` at a time — every shipment wakes
-        the worker, which on a loaded box preempts the parent for a
+        The deltas are buffered parent-side and shipped
+        :data:`ship_threshold` at a time — every shipment wakes the
+        worker, which on a loaded box preempts the parent for a
         scheduling quantum, so per-write shipping would make "writes
         ship as deltas" cost more than applying them.  Readers stay
         exact throughout: :meth:`read_many` folds both the buffer and
-        the shipped-but-unapplied ledger into every gather.  With
-        ``ipc_reads`` the buffer would stall remote queries, so deltas
-        ship immediately.
+        the shipped-but-unapplied ledger into every gather.
         """
         if not updates:
-            return
-        if self.ipc_reads:
-            self.post(shard_index, "apply", list(updates))
             return
         buffer = self._buffers[shard_index]
         buffer.extend(updates)
@@ -753,26 +599,17 @@ class ProcessExecutor(ThreadFanout):
 
     def fence(self, shard_index: int) -> None:
         """Make ``shard_index``'s slab current: ship buffered deltas,
-        then wait for every pipelined write on its lane.
-
-        The unlocked fast path is safe: the engine lock already
-        excludes writers while reads fan out, so the buffer and
-        ``pending`` cannot rise concurrently — only fall, and draining
-        is lock-protected.
-        """
+        then wait for every pipelined write on its lane."""
         self._ship(shard_index)
         lane = self._lanes[shard_index % self.workers]
         if not lane.pending:
             return
-        with lane._lock:
-            self._locked_respawn_if_dead(lane)
-            self._locked_drain(lane)
+        self._respawn_if_dead(lane)
+        self._drain(lane)
 
     def pending_writes(self, shard_index: int) -> bool:
         """True while writes for ``shard_index`` have not reached its
-        slab — buffered parent-side or shipped but unacknowledged
-        (unlocked snapshot — see :meth:`fence` for why that is safe
-        under the engine lock)."""
+        slab — buffered parent-side or shipped but unacknowledged."""
         if self._buffers[shard_index]:
             return True
         return self._lanes[shard_index % self.workers].pending > 0
@@ -786,7 +623,9 @@ class ProcessExecutor(ThreadFanout):
         batches the slab already held — the rest are folded in from the
         parent's own ledger, which is exact because the parent posted
         them.  Only a gather that keeps colliding with an in-progress
-        apply falls back to one fence.
+        apply falls back to one fence, after four torn gathers: the one
+        pipe wait a read can take, and it waits for an apply that is
+        already running.
         """
         store = self.store
         header = store.header(shard_index)
@@ -814,12 +653,12 @@ class ProcessExecutor(ThreadFanout):
                 if retries:
                     self._obs_seqlock_retries_by_worker[worker].inc(retries)
             if ledger:
-                with lane._lock:
-                    while ledger and ledger[0][0] <= applied:
-                        ledger.popleft()
-                    pending = [updates for _, updates in ledger]
-                if pending:
-                    values = _fold_pending(values, queries, pending)
+                while ledger and ledger[0][0] <= applied:
+                    ledger.popleft()
+                if ledger:
+                    values = _fold_pending(
+                        values, queries, [updates for _, updates in ledger]
+                    )
             buffer = self._buffers[shard_index]
             if buffer:
                 values = _fold_pending(values, queries, [buffer])
@@ -842,10 +681,8 @@ class ProcessExecutor(ThreadFanout):
         for index in range(self.store.count):
             self._ship(index)
         for lane in self._lanes:
-            if not lane.pending:
-                continue
-            with lane._lock:
-                self._locked_drain(lane)
+            if lane.pending:
+                self._drain(lane)
 
     def kill_worker(self, shard_index: int) -> bool:
         """SIGKILL the worker owning ``shard_index`` (chaos hook).
@@ -854,13 +691,11 @@ class ProcessExecutor(ThreadFanout):
         deterministically observes the death.  Returns False when the
         worker was already down.
         """
-        lane = self._lanes[shard_index % self.workers]
-        with lane._lock:
-            process = lane.process
-            if process is None or not process.is_alive():
-                return False
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=5.0)
+        process = self._lanes[shard_index % self.workers].process
+        if process is None or not process.is_alive():
+            return False
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=5.0)
         return True
 
     # ------------------------------------------------------------------
@@ -886,18 +721,17 @@ class ProcessExecutor(ThreadFanout):
         lanes = []
         alive = 0
         for lane in self._lanes:
-            with lane._lock:
-                is_alive = lane.process is not None and lane.process.is_alive()
-                lanes.append(
-                    {
-                        "worker": lane.worker_index,
-                        "shards": list(lane.owned),
-                        "pid": lane.process.pid if lane.process is not None else None,
-                        "alive": is_alive,
-                        "restarts": lane.restarts,
-                        "pending_acks": lane.pending,
-                    }
-                )
+            is_alive = lane.process is not None and lane.process.is_alive()
+            lanes.append(
+                {
+                    "worker": lane.worker_index,
+                    "shards": list(lane.owned),
+                    "pid": lane.process.pid if lane.process is not None else None,
+                    "alive": is_alive,
+                    "restarts": lane.restarts,
+                    "pending_acks": lane.pending,
+                }
+            )
             alive += is_alive
         if self.obs.enabled:
             self._obs_pool_alive.set(alive)
@@ -917,52 +751,49 @@ class ProcessExecutor(ThreadFanout):
             "alive": alive,
             "restarts": sum(row["restarts"] for row in lanes),
             "start_method": self._ctx.get_start_method(),
-            "ipc_reads": self.ipc_reads,
             "buffered_deltas": sum(len(buf) for buf in self._buffers),
             "telemetry": telemetry,
             "lanes": lanes,
         }
 
     def shutdown(self) -> None:
-        """Stop every worker, then the fan-out threads (idempotent)."""
+        """Stop every worker and release the telemetry (idempotent)."""
         try:
             self.flush()
         except (WorkerCrashedError, StructureError):
             pass
         for lane in self._lanes:
-            with lane._lock:
-                if lane.process is None:
-                    continue
-                if lane.process.is_alive():
-                    try:
-                        # Drain pipelined acks so the stop handshake
-                        # reads its own reply, not a queued write ack.
-                        self._locked_drain(lane)
-                        lane.conn.send(("stop", -1, None))
-                        if lane.conn.poll(1.0):
-                            lane.conn.recv()
-                    except (
-                        BrokenPipeError,
-                        EOFError,
-                        OSError,
-                        WorkerCrashedError,
-                        StructureError,
-                    ):
-                        pass
-                lane.pending = 0
-                if lane.process is not None:
-                    lane.process.join(timeout=2.0)
-                    if lane.process.is_alive():  # pragma: no cover - stuck
-                        lane.process.terminate()
-                        lane.process.join(timeout=1.0)
-                    lane.process = None
-                if lane.conn is not None:
-                    try:
-                        lane.conn.close()
-                    except OSError:  # pragma: no cover - already closed
-                        pass
-                    lane.conn = None
-        self._pool.shutdown(wait=True)
+            if lane.process is None:
+                continue
+            if lane.process.is_alive():
+                try:
+                    # Drain pipelined acks so the stop handshake reads
+                    # its own reply, not a queued write ack.
+                    self._drain(lane)
+                    lane.conn.send(("stop", -1, None))
+                    if lane.conn.poll(1.0):
+                        lane.conn.recv()
+                except (
+                    BrokenPipeError,
+                    EOFError,
+                    OSError,
+                    WorkerCrashedError,
+                    StructureError,
+                ):
+                    pass
+            lane.pending = 0
+            if lane.process is not None:
+                lane.process.join(timeout=2.0)
+                if lane.process.is_alive():  # pragma: no cover - stuck
+                    lane.process.terminate()
+                    lane.process.join(timeout=1.0)
+                lane.process = None
+            if lane.conn is not None:
+                try:
+                    lane.conn.close()
+                except OSError:  # pragma: no cover - already closed
+                    pass
+                lane.conn = None
         if self._harvester is not None:
             # Take one last merge so metrics published after the final
             # explicit harvest are not lost, then release the segments.
@@ -981,7 +812,7 @@ class _LocalSlabReader:
     """Executor-free direct-slab reader for the fallback degradation path.
 
     When a shard's worker is down and the policy says ``fallback``, the
-    engine recomputes the failed sub-queries in the request thread; this
+    engine recomputes the failed sub-queries off the fan-out; this
     reader answers them through the pool's ledger-corrected zero-copy
     read, degrading to a raw slab gather when even that surfaces the
     crash (the degradation path is already serving through a failure,
@@ -1015,19 +846,17 @@ class ShmShardReplica(RangeSumMethod):
 
     Implements the :class:`~repro.methods.base.RangeSumMethod` surface
     the engine drives — ``range_sum`` / ``range_sum_many`` / ``add`` /
-    ``add_many``.  Writes always ship as compact ``(cell, delta)``
-    tuples to the owning worker via :meth:`ProcessExecutor.call`
-    (combined per cell first, same as every method's batch write
-    path); the worker is the shard's single writer.  Reads are served
-    as zero-copy inclusion-exclusion gathers off the parent's own
-    mapping of the slab — correct because the engine lock excludes
-    writers while a read fans out — unless the pool was built with
-    ``ipc_reads=True``, in which case they round-trip through the
-    owning worker like writes do.
+    ``add_many``.  Writes ship as compact ``(cell, delta)`` tuples to
+    the owning worker via :meth:`ProcessExecutor.write` (combined per
+    cell first, same as every method's batch write path); the worker is
+    the shard's single writer.  Reads are served as zero-copy
+    inclusion-exclusion gathers off the parent's own mapping of the
+    slab (:meth:`ProcessExecutor.read_many`) — exact because the engine
+    has one owner, so no write interleaves with a read's fan-out.
     """
 
     name = "shm-replica"
-    batch_crossover = 1  # one IPC round-trip either way: always batch
+    batch_crossover = 1  # one seqlock gather either way: always batch
 
     def __init__(
         self,
@@ -1068,14 +897,7 @@ class ShmShardReplica(RangeSumMethod):
     def range_sum(self, low, high):
         low_cell, high_cell = geometry.normalize_range(low, high, self.shape)
         self.stats.cell_reads += 1 << self.dims
-        if self._pool.ipc_reads:
-            values = self._pool.call(
-                self._shard_index, "query_many", [(low_cell, high_cell)]
-            )
-        else:
-            values = self._pool.read_many(
-                self._shard_index, [(low_cell, high_cell)]
-            )
+        values = self._pool.read_many(self._shard_index, [(low_cell, high_cell)])
         return self.dtype.type(values[0])
 
     def range_sum_many(self, ranges: Sequence) -> list:
@@ -1084,10 +906,7 @@ class ShmShardReplica(RangeSumMethod):
             return []
         self._use_batch_path(len(queries))
         self.stats.cell_reads += len(queries) << self.dims
-        if self._pool.ipc_reads:
-            values = self._pool.call(self._shard_index, "query_many", queries)
-        else:
-            values = self._pool.read_many(self._shard_index, queries)
+        values = self._pool.read_many(self._shard_index, queries)
         return [self.dtype.type(value) for value in values]
 
     # -- bookkeeping ---------------------------------------------------

@@ -26,8 +26,7 @@ All timing flows through the injected observability clock
 (``obs.clock.now()`` / ``obs.clock.sleep()``) — never ``time.*``
 directly — which lint rule REP008 enforces and which makes a
 :class:`~repro.obs.clock.ManualClock` chaos soak fully deterministic.
-Breaker state only mutates while the engine holds its request lock
-(rule REP009 covers the engine's ``_breakers`` list).
+Breaker state mutates only on the thread that owns the engine.
 """
 
 from __future__ import annotations
@@ -101,9 +100,8 @@ class ResiliencePolicy:
               wrapped in a :class:`PartialResult` marked
               ``partial=True`` (never cached);
             * ``"fallback"``: recompute the failed sub-ranges on the
-              unsharded path — synchronously in the request thread,
-              bypassing the executor fan-out — yielding an exact
-              answer at degraded latency.
+              unsharded path — synchronously, bypassing the executor
+              fan-out — yielding an exact answer at degraded latency.
     """
 
     deadline_seconds: float | None = None
@@ -208,9 +206,9 @@ class CircuitBreaker:
       allowed through.  Success closes the breaker (window reset);
       failure re-opens it and re-arms the cooldown.
 
-    The breaker is deliberately not thread-safe: the engine mutates it
-    only while holding the request lock (REP009 territory), and records
-    outcomes from the coordinating thread after the fan-out returns.
+    The breaker is deliberately not thread-safe: only the thread that
+    owns the engine mutates it, recording outcomes after each fan-out
+    round returns.
     """
 
     __slots__ = ("policy", "state", "_outcomes", "_opened_at", "_probing")
@@ -405,19 +403,17 @@ class FaultInjector:
       the shard (when the wrapped executor exposes ``kill_worker``,
       i.e. the process executor) and fail the call with
       :class:`~repro.exceptions.WorkerCrashedError`, exactly as a
-      mid-query death surfaces.  The process genuinely dies: the next
-      attempt respawns it against the shared-memory slabs, so recovery
-      is exact.  On executors without workers to kill the error is
+      mid-query death surfaces.  The process genuinely dies: reads keep
+      gathering off the shared-memory slabs, and the next write or
+      fence on its lane respawns it, so recovery is exact.  On executors without workers to kill the error is
       still raised, simulating the crash.
     * **scripts** — a ``{shard_index: FaultScript}`` mapping for exact
       fail-N-then-recover sequences (overrides the random draws for
       that shard while active).
 
-    Determinism caveat: when the wrapped executor fans tasks out over
-    threads (the process pool with ``ipc_reads``) the *assignment* of
-    random draws to tasks depends on scheduling; use a serial executor
-    (the default everywhere in tests and the chaos CLI) when exact
-    reproducibility matters.
+    Every executor runs its items in turn on the caller's thread, so the
+    draws meet the tasks in one order and a seed replays exactly, in
+    process mode too.
     """
 
     def __init__(

@@ -7,8 +7,9 @@ payload is flattened into the one representation the paper's family of
 structures shares: a contiguous, C-ordered **prefix-sum slab** (HAMS97),
 living in a :mod:`multiprocessing.shared_memory` segment.  That buys:
 
-* **zero-copy attach** — workers map the segment by name and serve
-  queries straight off the parent's pages, no serialisation ever;
+* **zero-copy attach** — workers map the segment by name and apply
+  deltas straight onto the parent's pages, while the parent gathers
+  reads off its own mapping; no serialisation ever;
 * **O(2^d) reads** — a range sum is an inclusion-exclusion gather of at
   most ``2^d`` corners (one fancy-index per sub-query batch), which is
   the cache-conscious flat layout Pibiri & Venturini identify as the
@@ -16,14 +17,14 @@ living in a :mod:`multiprocessing.shared_memory` segment.  That buys:
 * **compact write deltas** — a point update is a suffix-rectangle
   ``+=`` on the slab, so a delta ships as just ``(cell, delta)``;
 * **crash-proof state** — the slab outlives the worker process, so a
-  respawned worker reattaches and answers exactly, with no rebuild.
+  respawned worker reattaches and applies exactly, with no rebuild.
 
 :class:`ShardSlabStore` is the owner-side registry (allocation, bulk
 load, direct reads for the fallback degradation path, teardown); the
-module-level :func:`slab_range_sum_many_vector` /
-:func:`slab_apply_deltas` helpers are the shared math, called on the
-parent's views here and on the workers' attached views in
-``process.py``.
+module-level :func:`slab_range_sum_many_vector` (the read kernel, run
+on the parent's views) and :func:`slab_apply_deltas` (run on the
+workers' attached views in ``process.py``, and by the parent when it
+replays a dead worker's ledger) are the shared math.
 """
 
 from __future__ import annotations
@@ -92,8 +93,7 @@ def slab_range_sum_many_vector(slab: np.ndarray, ranges: Sequence[tuple]) -> lis
 
     Coordinates are trusted: callers (the engine's shard decomposition)
     have already normalised them to the slab's local space.  Returns
-    plain Python numbers so replies pickle minimally across the IPC
-    pipe.  A single query (the engine's per-event read path) takes a
+    plain Python numbers.  A single query (the engine's per-event read path) takes a
     pure-integer path that never builds an array; below
     :data:`_GATHER_MIN_QUERIES` a loop over that path beats the gather's
     fixed set-up; from there on the vectorised inclusion-exclusion

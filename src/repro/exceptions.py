@@ -26,9 +26,6 @@ __all__ = [
     "ServeError",
     "BadRequestError",
     "UnsupportedMediaTypeError",
-    "RaceGuardError",
-    "LockOrderViolationError",
-    "UnguardedMutationError",
 ]
 
 
@@ -129,25 +126,3 @@ class UnsupportedMediaTypeError(ServeError, ValueError):
     """A request asked for a wire codec the server does not have (e.g.
     msgpack when the optional ``msgpack`` package is not installed).
     Maps to HTTP 415."""
-
-
-class RaceGuardError(ReproError, RuntimeError):
-    """Base class for runtime lock-sanitizer violations.
-
-    Raised only when a :class:`repro.analysis.raceguard.LockSanitizer`
-    is attached (tests, ``repro chaos --sanitize``); production paths
-    never construct one.
-    """
-
-
-class LockOrderViolationError(RaceGuardError):
-    """Two locks were acquired in an order that inverts a recorded order.
-
-    The sanitizer records every nested acquisition as a directed edge;
-    taking ``b`` while holding ``a`` after some thread took ``a`` while
-    holding ``b`` is a latent ABBA deadlock even if this run got lucky.
-    """
-
-
-class UnguardedMutationError(RaceGuardError):
-    """A registered shared object was mutated with no guarding lock held."""

@@ -55,8 +55,6 @@ from .remote import (
     MetricsHarvester,
     RemoteMetricsLayout,
     WorkerMetricsShard,
-    graft_spans,
-    span_payload,
     worker_metrics_layout,
 )
 from .slo import (
@@ -104,8 +102,6 @@ __all__ = [
     "WorkerMetricsShard",
     "MetricsHarvester",
     "worker_metrics_layout",
-    "span_payload",
-    "graft_spans",
     "chrome_trace_document",
     "write_chrome_trace",
     "export_unified",

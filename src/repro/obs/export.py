@@ -7,9 +7,10 @@ want ``chrome://tracing`` / Perfetto for span trees, and the future
 one walk so the encodings can never disagree:
 
 * :func:`chrome_trace_document` — finished root spans as Chrome trace
-  "complete" (``ph: "X"``) events.  Worker-grafted spans (attribute
-  ``worker``) land on their own track, so a process-mode trace shows
-  the parent request lane above per-worker lanes.
+  "complete" (``ph: "X"``) events.  Spans carrying a ``worker``
+  attribute (a process-mode shard span names the lane owning its slab)
+  land on their own track, so a process-mode trace shows the parent
+  request lane above per-worker lanes.
 * :func:`export_unified` — the kitchen-sink snapshot dict backing
   :meth:`Observability.export_unified`: Prometheus text + JSON metrics
   (per-worker labels included once harvested), the Chrome trace, slow

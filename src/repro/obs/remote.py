@@ -30,14 +30,6 @@ Because the segment outlives the worker process, a SIGKILLed worker's
 last-published values are still mapped: the next harvest picks them up
 (no loss), and since merging is delta-based a respawned worker that
 keeps incrementing the same slots is never double-counted.
-
-**Trace propagation.**  The parent ships ``(trace_id, span_id)`` with
-an IPC request (see :meth:`~repro.obs.trace.Tracer.current_context`);
-the worker times its spans relative to its own op start and returns
-them in the ack as plain nested tuples (:func:`span_payload`).  The
-parent re-bases them onto its timeline and grafts them under the
-requesting span (:func:`graft_spans`) so one trace tree spans both
-sides of the process boundary.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +48,6 @@ from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
 )
-from .trace import Span, Tracer
 
 __all__ = [
     "HEADER_SEQ",
@@ -65,8 +56,6 @@ __all__ = [
     "WorkerMetricsShard",
     "MetricsHarvester",
     "worker_metrics_layout",
-    "span_payload",
-    "graft_spans",
 ]
 
 #: Header words ahead of the slot array: ``seq`` is the single-writer
@@ -159,18 +148,12 @@ class RemoteMetricsLayout:
 def worker_metrics_layout() -> RemoteMetricsLayout:
     """The pool's standard worker telemetry schema.
 
-    One layout shared by every worker: slab-kernel gather latency,
-    delta-apply latency and batch size, and per-op tallies.
+    One layout shared by every worker: delta-apply latency and batch
+    size, and per-op tallies.  Workers serve no reads, so the gather
+    latency family is the parent's own.
     """
     return RemoteMetricsLayout(
         [
-            (
-                "histogram",
-                "repro_worker_gather_seconds",
-                "Slab read-kernel gather latency inside pool workers",
-                (),
-                DEFAULT_LATENCY_BUCKETS,
-            ),
             (
                 "histogram",
                 "repro_worker_apply_seconds",
@@ -193,7 +176,7 @@ def worker_metrics_layout() -> RemoteMetricsLayout:
                     (("op", op),),
                     None,
                 )
-                for op in ("query_many", "apply", "ping")
+                for op in ("apply", "ping")
             ),
         ]
     )
@@ -503,57 +486,3 @@ class MetricsHarvester:
             f"MetricsHarvester(workers={self.workers}, "
             f"slots={self.layout.slots}, harvests={self.harvests})"
         )
-
-
-# ----------------------------------------------------------------------
-# Trace propagation: worker span payloads and parent-side grafting
-# ----------------------------------------------------------------------
-
-
-def span_payload(
-    name: str,
-    rel_start: float,
-    rel_end: float,
-    attributes: dict | None = None,
-    children: Iterable[tuple] = (),
-) -> tuple:
-    """One worker-side span as a picklable tuple.
-
-    Times are *relative to the worker's op start* — the worker has no
-    access to the parent's clock, so absolute placement happens at graft
-    time using the parent's own send timestamp as the base.
-    """
-    return (
-        str(name),
-        float(rel_start),
-        float(rel_end),
-        dict(attributes or {}),
-        list(children),
-    )
-
-
-def graft_spans(tracer: Tracer, parent, payload: Sequence[tuple], base: float) -> int:
-    """Re-parent worker-shipped spans under ``parent``.
-
-    ``base`` is the parent-clock timestamp the relative worker times are
-    re-based onto (the moment the request was sent, so worker spans nest
-    inside the IPC window).  Grafted spans join the parent's trace: they
-    take its ``trace_id`` and fresh ``span_id``s from the tracer.
-    Returns the number of spans grafted; a null/unsampled parent grafts
-    nothing.
-    """
-    if not isinstance(parent, Span):
-        return 0
-    grafted = 0
-    for name, rel_start, rel_end, attributes, children in payload:
-        span = Span(
-            name, base + rel_start, parent.trace_id, tracer.next_span_id()
-        )
-        span.end = base + rel_end
-        if attributes:
-            span.attributes.update(attributes)
-        parent.children.append(span)
-        grafted += 1
-        if children:
-            grafted += graft_spans(tracer, span, children, base)
-    return grafted

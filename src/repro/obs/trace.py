@@ -2,11 +2,10 @@
 
 A :class:`Span` is a named, timed region with arbitrary key/value
 attributes (shard id, cache outcome, node-visit deltas).  Spans nest:
-each thread carries a stack of open spans, a new span becomes a child of
+the tracer keeps one stack of open spans, a new span becomes a child of
 the stack top, and a span opened with an explicit ``parent=`` attaches
-across threads — which is how the engine's executor fan-out keeps
-per-shard spans under the request's root span even when they run on
-pool threads.
+under that span instead.  One thread owns a tracer, as it owns the
+engine that feeds it (``docs/api.md``), so the stack is a plain list.
 
 Finished *root* spans land in a bounded ring buffer (oldest evicted
 first), so a long serving run keeps a recent window of complete traces
@@ -23,7 +22,6 @@ injected clock (see :mod:`repro.obs.clock` and lint rule REP008).
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from typing import Iterator, Sequence
 
@@ -48,15 +46,10 @@ class Span:
 
     ``trace_id`` identifies the whole request tree (every span under one
     root shares it); ``span_id`` is unique per span within a tracer.
-    Together they form the propagation context that crosses the process
-    boundary (see :mod:`repro.obs.remote`): the parent ships
-    ``(trace_id, span_id)`` with an IPC request, and worker-side spans
-    returning in the ack re-parent under that span id.
 
     A span opened by :meth:`Tracer.span` is its own context manager:
-    entering pushes it on the span stack of the thread that opened it,
-    exiting stamps its end and pops it (and retains it, when it is a
-    root).
+    entering pushes it on the tracer's span stack, exiting stamps its
+    end and pops it (and retains it, when it is a root).
     """
 
     __slots__ = (
@@ -168,18 +161,11 @@ class _NullHandle:
         self._tracer = tracer
 
     def __enter__(self) -> _NullSpan:
-        self._tracer._local.stack.append(NULL_SPAN)
+        self._tracer._stack.append(NULL_SPAN)
         return NULL_SPAN
 
     def __exit__(self, *exc_info) -> None:
-        self._tracer._local.stack.pop()
-
-
-class _SpanStack(threading.local):
-    """Per-thread stack of open spans (innermost last)."""
-
-    def __init__(self) -> None:
-        self.stack: list = []
+        self._tracer._stack.pop()
 
 
 class Tracer:
@@ -211,12 +197,10 @@ class Tracer:
         self.capacity = capacity
         self.sample_every = sample_every
         self._finished: deque[Span] = deque(maxlen=capacity)
-        self._local = _SpanStack()
-        self._sample_lock = threading.Lock()
+        #: Open spans, innermost last.
+        self._stack: list = []
         self._roots_seen = 0
         self._null_handle = _NullHandle(self)
-        # ``itertools.count.__next__`` is atomic under the GIL, so span
-        # ids can be drawn from executor threads without the lock.
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
 
@@ -227,12 +211,11 @@ class Tracer:
     def span(self, name: str, parent=_UNSET, **attributes):
         """Open a span as a context manager yielding the :class:`Span`.
 
-        Without ``parent=`` the span nests under the calling thread's
-        innermost open span (or starts a new sampled root).  Pass the
-        parent explicitly to attach across threads — e.g. per-shard
-        sub-query spans created on executor threads.
+        Without ``parent=`` the span nests under the innermost open span
+        (or starts a new sampled root).  Pass the parent explicitly to
+        attach under a span that is not the stack top.
         """
-        stack = self._local.stack
+        stack = self._stack
         if parent is _UNSET:
             parent = stack[-1] if stack else None
         if parent is None:
@@ -256,28 +239,13 @@ class Tracer:
         return span
 
     def current(self) -> Span | _NullSpan | None:
-        """The calling thread's innermost open span, if any."""
-        stack = self._local.stack
+        """The innermost open span, if any."""
+        stack = self._stack
         return stack[-1] if stack else None
 
-    def current_context(self) -> tuple[int, int] | None:
-        """The propagation context ``(trace_id, span_id)`` of the
-        calling thread's innermost *recorded* span, or ``None`` when no
-        span is open or the trace is unsampled.  This is the wire format
-        shipped across the IPC boundary with worker requests."""
-        span = self.current()
-        if isinstance(span, Span):
-            return (span.trace_id, span.span_id)
-        return None
-
-    def next_span_id(self) -> int:
-        """Allocate a fresh span id (used when grafting foreign spans)."""
-        return next(self._span_ids)
-
     def _sample_root(self) -> bool:
-        with self._sample_lock:
-            self._roots_seen += 1
-            return self._roots_seen % self.sample_every == 1
+        self._roots_seen += 1
+        return self._roots_seen % self.sample_every == 1
 
     # ------------------------------------------------------------------
     # Inspection
@@ -307,12 +275,6 @@ class NullTracer:
 
     def current(self):
         return None
-
-    def current_context(self):
-        return None
-
-    def next_span_id(self) -> int:
-        return 0
 
     def finished_roots(self) -> list:
         return []

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import AuditError, audit, sanitize
-from repro.analysis.flow import analyze_sources
 from repro.analysis.lint import lint_source
 from repro.cli import main as cli_main
 from repro.core.bc_tree import BcTree
@@ -342,83 +341,6 @@ class TestLintRules:
             '    raise ValueError("bad")  # noqa: REP004\n'
         )
         assert "REP001" in self._rules(source)
-
-    # The engine lock-discipline cases.  The rule is flow rule REP009
-    # (repro.analysis.flow); the test ids keep the ``rep007`` slot they
-    # have always had in this class so they stay comparable across runs.
-
-    def _lock_rules(self, source: str, path="src/repro/engine/engine.py"):
-        return {f.rule for f in analyze_sources([(path, source)])}
-
-    def test_rep007_unguarded_epoch_mutation_flagged(self):
-        source = (
-            "__all__ = []\n"
-            "class Engine:\n"
-            "    def add(self, cell, delta):\n"
-            "        self._epochs[0] += 1\n"
-        )
-        assert "REP009" in self._lock_rules(source)
-
-    def test_rep007_unguarded_cache_call_flagged(self):
-        source = (
-            "__all__ = []\n"
-            "class Engine:\n"
-            "    def query(self, key):\n"
-            "        return self._cache.get(key, self._epochs)\n"
-        )
-        assert "REP009" in self._lock_rules(source)
-
-    def test_rep007_lock_guarded_mutation_passes(self):
-        source = (
-            "__all__ = []\n"
-            "class Engine:\n"
-            "    def add(self, cell, delta):\n"
-            "        with self._lock:\n"
-            "            self._epochs[0] += 1\n"
-            "            self._cache.clear()\n"
-        )
-        assert self._lock_rules(source) == set()
-
-    def test_rep007_locked_helper_exempt(self):
-        source = (
-            "__all__ = []\n"
-            "class Engine:\n"
-            "    def _locked_compute(self, key):\n"
-            "        self._epochs[0] += 1\n"
-            "        self._cache.put(key, 0, (0,), self._epochs)\n"
-            "    def __init__(self):\n"
-            "        self._epochs = [0]\n"
-        )
-        assert self._lock_rules(source) == set()
-
-    def test_rep007_unguarded_breaker_drive_flagged(self):
-        # Element-wise drives through one subscript must still be seen.
-        source = (
-            "__all__ = []\n"
-            "class Engine:\n"
-            "    def poke(self, i):\n"
-            "        self._breakers[i].record_failure(0.0)\n"
-        )
-        assert "REP009" in self._lock_rules(source)
-
-    def test_rep007_locked_breaker_drive_passes(self):
-        source = (
-            "__all__ = []\n"
-            "class Engine:\n"
-            "    def poke(self, i):\n"
-            "        with self._lock:\n"
-            "            self._breakers[i].record_success(0.0)\n"
-        )
-        assert self._lock_rules(source) == set()
-
-    def test_rep007_only_applies_to_engine_modules(self):
-        source = (
-            "__all__ = []\n"
-            "class Other:\n"
-            "    def poke(self):\n"
-            "        self._epochs[0] += 1\n"
-        )
-        assert self._lock_rules(source, path="fixture.py") == set()
 
     def test_rep008_direct_clock_call_flagged_in_hot_paths(self):
         source = (

@@ -210,6 +210,35 @@ class TestChaosCommand:
         assert row["degraded"] > 0
         assert row["mismatches"] == 0
 
+    def test_process_soak_replays_exactly(self, tmp_path, capsys):
+        """Real SIGKILLs against the worker pool, twice with one seed:
+        the same injections land on the same sub-operations, and every
+        answer stays exact."""
+        import json
+
+        rows = []
+        for run in range(2):
+            artifact = tmp_path / f"chaos{run}.json"
+            assert main([
+                "chaos", "--shape", "32", "32", "--shards", "4",
+                "--events", "200", "--executor", "process",
+                "--kill-rate", "0.05", "--fault-rate", "0.1", "--seed", "3",
+                "--json", str(artifact),
+            ]) == 0
+            (row,) = json.loads(artifact.read_text())["rows"]
+            rows.append(row)
+            out = capsys.readouterr().out
+            assert "0 MISMATCHES" in out
+            assert " kills)" in out
+        first, second = rows
+        assert first["injected_total"] > 0
+        for key in (
+            "injected_total", "injected_rate", "exact", "degraded",
+            "request_errors", "mismatches", "retries", "worker_restarts",
+        ):
+            assert first[key] == second[key], key
+        assert first["mismatches"] == 0
+
     def test_without_json_leaves_cwd_clean(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["chaos", *self.ARGS]) == 0

@@ -28,8 +28,6 @@ from repro.workloads import (
     read_write_stream,
 )
 
-from .conftest import PoolFanout
-
 
 class TestShardPlan:
     def test_even_split(self):
@@ -191,14 +189,10 @@ class TestExecutors:
             ShardedEngine((8, 8), workers=4, executor=executor)
 
     def test_map_matches_builtin(self):
-        serial = SerialExecutor()
-        pooled = PoolFanout(2)
-        try:
-            items = list(range(10))
-            assert serial.map(lambda x: x * x, items) == [x * x for x in items]
-            assert pooled.map(lambda x: x * x, items) == [x * x for x in items]
-        finally:
-            pooled.shutdown()
+        items = list(range(10))
+        assert SerialExecutor().map(lambda x: x * x, items) == [
+            x * x for x in items
+        ]
 
 
 def _replay(target, events):
@@ -518,13 +512,13 @@ class TestScalarMissUnderPolicy:
     @staticmethod
     def _count_fanouts(monkeypatch, engine):
         calls = []
-        fanout = engine._locked_resilient_fanout
+        fanout = engine._resilient_fanout
 
         def spy(*args, **kwargs):
             calls.append(args)
             return fanout(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_locked_resilient_fanout", spy)
+        monkeypatch.setattr(engine, "_resilient_fanout", spy)
         return calls
 
     @staticmethod

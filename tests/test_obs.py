@@ -31,7 +31,6 @@ from repro.obs import (
 )
 from repro.counters import OpCounter
 
-from .conftest import PoolFanout
 
 
 class TestManualClock:
@@ -272,20 +271,17 @@ class TestTracer:
             assert tracer.current() is outer
         assert tracer.current() is None
 
-    def test_explicit_parent_attaches_across_threads(self):
-        import threading
-
+    def test_explicit_parent_overrides_the_stack_top(self):
         tracer = Tracer(clock=ManualClock())
         with tracer.span("request") as request:
-            def worker():
-                # pool threads have an empty span stack of their own;
-                # without parent= this would become a separate root.
+            with tracer.span("decompose") as decompose:
+                # Without parent= this would nest under ``decompose``.
                 with tracer.span("shard", parent=request, shard=1):
                     pass
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert [child.name for child in request.children] == ["shard"]
+        assert [child.name for child in request.children] == [
+            "decompose", "shard",
+        ]
+        assert decompose.children == []
         assert tracer.finished_roots() == [request]
 
     def test_ring_buffer_evicts_oldest(self):
@@ -545,12 +541,12 @@ class TestEngineAcceptance:
         finally:
             engine.close()
 
-    def test_batch_query_traces_nest_across_executor_threads(self):
+    def test_batch_query_traces_nest_under_the_request_root(self):
         obs = Observability()
         rng = np.random.default_rng(8)
         data = rng.integers(0, 9, size=(16, 16))
         engine = ShardedEngine.from_array(
-            data, shards=2, method="ddc", executor=PoolFanout(2), obs=obs
+            data, shards=2, method="ddc", obs=obs
         )
         try:
             engine.range_sum_many([((0, 0), (15, 15)), ((1, 1), (14, 14))])
@@ -563,8 +559,6 @@ class TestEngineAcceptance:
             root = batch_roots[0]
             assert root.attributes["queries"] == 2
             shard_names = {child.name for child in root.children}
-            # shard spans created on pool threads still attach under the
-            # request root (explicit parent capture).
             assert shard_names == {"shard.range_sum"}
             assert len(root.children) >= 2
         finally:

@@ -1,6 +1,6 @@
 """Tests for cross-process telemetry: shared-memory worker metric
-shards, delta harvesting, trace grafting, the SLO watchdog, and the
-unified export surface.
+shards, delta harvesting, the SLO watchdog, and the unified export
+surface.
 
 The load-bearing properties:
 
@@ -10,8 +10,6 @@ The load-bearing properties:
   nothing, a SIGKILLed worker's last-published values are never lost,
   and a respawned worker resuming the same slots is never
   double-counted;
-* worker spans returned in IPC acks graft into the parent trace as one
-  tree spanning both sides of the process boundary;
 * disabled observability stays allocation-free: NULL_OBS engines bind
   the shared null instrument and register no metric families.
 """
@@ -32,12 +30,9 @@ from repro.obs.remote import (
     MetricsHarvester,
     RemoteMetricsLayout,
     WorkerMetricsShard,
-    graft_spans,
-    span_payload,
     worker_metrics_layout,
 )
 from repro.obs.slo import ErrorBudgetSlo, LatencySlo, SloWatchdog
-from repro.obs.trace import Span
 from repro.workloads import RangeQuery, read_write_stream
 
 SHAPE = (18, 9)
@@ -64,10 +59,10 @@ def _counter_value(registry, name, **labels):
 class TestLayout:
     def test_standard_layout_shape(self):
         layout = worker_metrics_layout()
-        assert len(layout.entries) == 6
+        assert len(layout.entries) == 4
         kinds = [entry[0] for entry in layout.entries]
-        assert kinds.count("histogram") == 3
-        assert kinds.count("counter") == 3
+        assert kinds.count("histogram") == 2
+        assert kinds.count("counter") == 2
         assert kinds.count("gauge") == 0
         # Offsets are dense: each entry starts where the previous ended.
         widths = [
@@ -226,45 +221,6 @@ class TestShardAndHarvester:
             harvester.destroy()
 
 
-class TestTraceGraft:
-    def test_grafted_spans_rebase_and_join_parent_trace(self):
-        clock = ManualClock()
-        tracer = Tracer(clock=clock)
-        payload = [
-            span_payload(
-                "worker.query_many",
-                0.0,
-                0.5,
-                {"worker": 1},
-                [span_payload("worker.gather", 0.1, 0.4, {"queries": 8})],
-            )
-        ]
-        with tracer.span("shard.range_sum") as parent:
-            clock.advance(1.0)
-            grafted = graft_spans(tracer, parent, payload, base=parent.start)
-        assert grafted == 2
-        outer = parent.children[0]
-        assert outer.name == "worker.query_many"
-        assert outer.trace_id == parent.trace_id
-        assert outer.span_id != parent.span_id
-        assert outer.start == pytest.approx(parent.start)
-        assert outer.end == pytest.approx(parent.start + 0.5)
-        assert outer.attributes == {"worker": 1}
-        inner = outer.children[0]
-        assert inner.name == "worker.gather"
-        assert inner.start == pytest.approx(parent.start + 0.1)
-        assert inner.trace_id == parent.trace_id
-
-    def test_unsampled_parent_grafts_nothing(self):
-        tracer = Tracer(clock=ManualClock(), sample_every=2)
-        payload = [span_payload("worker.query_many", 0.0, 0.1)]
-        with tracer.span("first"):
-            pass  # sampled
-        with tracer.span("second") as unsampled:
-            assert not isinstance(unsampled, Span)
-            assert graft_spans(tracer, unsampled, payload, base=0.0) == 0
-
-
 class TestDisabledObsStaysDark:
     def test_null_obs_engine_binds_null_instrument(self):
         engine = ShardedEngine(SHAPE, shards=2)
@@ -296,7 +252,7 @@ class TestDisabledObsStaysDark:
     def test_parent_only_mode_skips_worker_segments(self):
         obs = Observability(remote_worker_metrics=False)
         engine = ShardedEngine(
-            SHAPE, shards=2, executor="process", obs=obs, ipc_reads=True
+            SHAPE, shards=2, executor="process", obs=obs
         )
         try:
             _replay(engine, read_write_stream(SHAPE, 30, seed=3))
@@ -308,12 +264,12 @@ class TestDisabledObsStaysDark:
 
 
 class TestProcessHarvestAcceptance:
-    """End-to-end: worker metrics and spans cross the process boundary."""
+    """End-to-end: worker metrics cross the process boundary."""
 
     def test_harvest_surfaces_worker_families(self):
         obs = Observability()
         engine = ShardedEngine(
-            SHAPE, shards=2, executor="process", obs=obs, ipc_reads=True
+            SHAPE, shards=2, executor="process", obs=obs
         )
         try:
             assert engine.executor_kind == "process"
@@ -332,7 +288,7 @@ class TestProcessHarvestAcceptance:
                 workers = {labels["worker"] for labels, _ in family.samples()}
                 assert workers, name
             prom = obs.metrics.render_prometheus()
-            assert 'repro_worker_ops_total{op="query_many",worker=' in prom
+            assert 'repro_worker_ops_total{op="apply",worker=' in prom
         finally:
             engine.close()
 
@@ -341,7 +297,7 @@ class TestProcessHarvestAcceptance:
         corpse, and the respawned worker's counts stack on top."""
         obs = Observability()
         engine = ShardedEngine(
-            SHAPE, shards=2, executor="process", obs=obs, ipc_reads=True
+            SHAPE, shards=2, executor="process", obs=obs
         )
         try:
             pool = engine.process_pool
@@ -349,14 +305,14 @@ class TestProcessHarvestAcceptance:
             pool.flush()
             engine.harvest_worker_metrics()
             before = _counter_value(
-                obs.metrics, "repro_worker_ops_total", op="query_many"
+                obs.metrics, "repro_worker_ops_total", op="apply"
             )
             assert before is not None and before > 0
             # Idempotence under churn: nothing new -> nothing merged.
             engine.harvest_worker_metrics()
             assert (
                 _counter_value(
-                    obs.metrics, "repro_worker_ops_total", op="query_many"
+                    obs.metrics, "repro_worker_ops_total", op="apply"
                 )
                 == before
             )
@@ -367,7 +323,7 @@ class TestProcessHarvestAcceptance:
             assert pool.kill_worker(0)
             engine.harvest_worker_metrics()
             after_kill = _counter_value(
-                obs.metrics, "repro_worker_ops_total", op="query_many"
+                obs.metrics, "repro_worker_ops_total", op="apply"
             )
             assert after_kill > before
             # Respawn (next op revives the lane) and keep counting: the
@@ -376,7 +332,7 @@ class TestProcessHarvestAcceptance:
             pool.flush()
             engine.harvest_worker_metrics()
             final = _counter_value(
-                obs.metrics, "repro_worker_ops_total", op="query_many"
+                obs.metrics, "repro_worker_ops_total", op="apply"
             )
             assert final > after_kill
             info = pool.pool_info()
@@ -385,32 +341,10 @@ class TestProcessHarvestAcceptance:
         finally:
             engine.close()
 
-    def test_worker_spans_graft_into_parent_tree(self):
-        obs = Observability()
-        engine = ShardedEngine(
-            SHAPE, shards=2, executor="process", obs=obs, ipc_reads=True
-        )
-        try:
-            engine.range_sum((0, 0), (17, 8))
-            roots = obs.tracer.finished_roots()
-            assert roots
-            spans = [span for root in roots for span in root.walk()]
-            worker_spans = [
-                span for span in spans if span.name.startswith("worker.")
-            ]
-            assert worker_spans, [span.name for span in spans]
-            assert {span.name for span in worker_spans} >= {
-                "worker.query_many"
-            }
-            for span in worker_spans:
-                assert span.trace_id == roots[0].trace_id
-        finally:
-            engine.close()
-
     def test_slow_log_attributes_executor_and_workers(self):
         obs = Observability(slow_query_seconds=0.0)
         engine = ShardedEngine(
-            SHAPE, shards=2, executor="process", obs=obs, ipc_reads=True
+            SHAPE, shards=2, executor="process", obs=obs
         )
         try:
             engine.range_sum((0, 0), (17, 8))
@@ -481,7 +415,7 @@ class TestUnifiedExport:
     def test_export_unified_snapshot(self, tmp_path):
         obs = Observability()
         engine = ShardedEngine(
-            SHAPE, shards=2, executor="process", obs=obs, ipc_reads=True
+            SHAPE, shards=2, executor="process", obs=obs
         )
         try:
             _replay(engine, read_write_stream(SHAPE, 40, seed=11))
@@ -538,7 +472,6 @@ class TestCliSurface:
                     "--shards", "2",
                     "--events", "30",
                     "--executor", "process",
-                    "--ipc-reads",
                     "--once",
                 ]
             )
@@ -561,7 +494,6 @@ class TestCliSurface:
                     "--shards", "2",
                     "--events", "30",
                     "--executor", "process",
-                    "--ipc-reads",
                     "--format", "prom",
                 ]
             )

@@ -10,10 +10,16 @@ The load-bearing properties:
 * SIGKILLing a worker never corrupts an answer: state lives in the
   shared slabs plus the parent's ledger, so recovery is exact, and the
   one unrecoverable window (death mid-apply) surfaces loudly instead
-  of serving wrong sums.
+  of serving wrong sums;
+* the engine runs on its caller's thread alone: a hung shard under a
+  deadline degrades per policy without starting or abandoning a thread,
+  and ``close()`` leaves no worker process and no shared-memory segment.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -25,15 +31,19 @@ from repro.engine import (
     ShardedEngine,
     ShardPlan,
     ShardSlabStore,
+    is_partial,
 )
-from repro.engine.process import ProcessExecutor
 from repro.engine.shm import HEADER_APPLIED, HEADER_SEQ
-from repro.exceptions import ConfigurationError, WorkerCrashedError
+from repro.exceptions import (
+    ConfigurationError,
+    ResilienceError,
+    WorkerCrashedError,
+)
 from repro.methods import build_method
-from repro.obs import ManualClock
+from repro.obs import ManualClock, Observability
 from repro.workloads import RangeQuery, clustered, read_write_stream
 
-from .conftest import PoolFanout
+from .test_engine_stateful import _shm_entries
 
 SHAPE = (18, 9)
 
@@ -67,17 +77,6 @@ class TestProcessEquivalence:
         with _process_engine(data, shards) as engine:
             assert _replay(engine, events) == _replay(baseline, events)
 
-    def test_ipc_reads_mode_matches_direct(self):
-        data = clustered(SHAPE, seed=23)
-        events = read_write_stream(
-            SHAPE, 120, mix=0.8, locality="uniform", seed=24
-        )
-        with _process_engine(data, 4) as direct:
-            expected = _replay(direct, events)
-        with _process_engine(data, 4, ipc_reads=True) as remote:
-            assert remote.process_pool.ipc_reads
-            assert _replay(remote, events) == expected
-
     def test_pooled_fanout_matches_sequential(self):
         data = clustered(SHAPE, seed=25)
         events = read_write_stream(
@@ -85,7 +84,7 @@ class TestProcessEquivalence:
         )
         with ShardedEngine.from_array(data, shards=4) as serial:
             expected = _replay(serial, events)
-        with _process_engine(data, 4, workers=2, ipc_reads=True) as pooled:
+        with _process_engine(data, 4, workers=2) as pooled:
             assert _replay(pooled, events) == expected
 
     def test_query_update_query_through_delta_shipping(self):
@@ -212,9 +211,7 @@ class TestKillRecovery:
             breaker_cooldown_seconds=60.0,
             degradation="fallback",
         )
-        engine = _process_engine(
-            data, 4, ipc_reads=True, resilience=policy
-        )
+        engine = _process_engine(data, 4, resilience=policy)
         try:
             pool = engine.process_pool
             engine.wrap_executor(
@@ -286,36 +283,6 @@ class TestExecutorSelection:
         with pytest.raises(ConfigurationError, match='executor="process"'):
             ShardedEngine.from_array(data, shards=1, workers=4)
 
-    def test_single_item_fanout_runs_inline(self):
-        import threading
-
-        executor = PoolFanout(2)
-        try:
-            caller = threading.current_thread()
-            seen = executor.map(
-                lambda _: threading.current_thread(), ["only"]
-            )
-            assert seen == [caller]
-            off_thread = executor.map(
-                lambda _: threading.current_thread(), ["a", "b"]
-            )
-            assert all(thread is not caller for thread in off_thread)
-        finally:
-            executor.shutdown()
-
-    def test_process_map_inlines_without_ipc_reads(self):
-        import threading
-
-        data = clustered((8, 8), seed=52)
-        with _process_engine(data, 2) as engine:
-            pool = engine.process_pool
-            assert isinstance(pool, ProcessExecutor)
-            caller = threading.current_thread()
-            seen = pool.map(
-                lambda _: threading.current_thread(), ["a", "b", "c"]
-            )
-            assert all(thread is caller for thread in seen)
-
 
 class TestPoolIntrospection:
     def test_pool_info_shape(self):
@@ -325,7 +292,6 @@ class TestPoolIntrospection:
             assert info["executor"] == "process"
             assert info["workers"] == 2
             assert info["alive"] == 2
-            assert info["ipc_reads"] is False
             assert len(info["lanes"]) == 2
             owned = sorted(
                 shard for lane in info["lanes"] for shard in lane["shards"]
@@ -337,3 +303,104 @@ class TestPoolIntrospection:
         # Serial engines have no pool.
         with ShardedEngine.from_array(data, shards=2) as engine:
             assert engine.pool_info() is None
+
+
+class _HangOnce(FaultInjector):
+    """A ``FaultInjector`` hang script for one shard: its first call
+    burns ``seconds`` of the injected clock, then fails; every later
+    call runs clean.  Records the live thread count while it hangs."""
+
+    def __init__(self, inner, clock, shard: int, seconds: float) -> None:
+        super().__init__(inner, clock=clock, hang_rate=1.0, hang_seconds=seconds)
+        self.shard = shard
+        self.threads_while_hung: list[int] = []
+
+    def _perturb(self, item) -> None:
+        if item[0] != self.shard or self.threads_while_hung:
+            self.calls += 1
+            return
+        self.threads_while_hung.append(threading.active_count())
+        super()._perturb(item)
+
+
+class TestOneThread:
+    """Nothing in the engine runs off the caller's thread."""
+
+    @pytest.mark.parametrize("mode", ["strict", "partial", "fallback"])
+    def test_hung_shard_degrades_and_next_call_is_exact(self, mode):
+        """A deadline on the injected clock cuts the hung shard off per
+        policy; the next call on the same lane is exact, waits for
+        nothing, and no thread is started or abandoned at any point."""
+        threads_before = threading.active_count()
+        data = clustered(SHAPE, seed=37)
+        baseline = build_method("ddc", data)
+        clock = ManualClock()
+        policy = ResiliencePolicy(
+            deadline_seconds=0.05, max_retries=2, degradation=mode
+        )
+        engine = _process_engine(
+            data, 2, resilience=policy, obs=Observability(clock=clock)
+        )
+        try:
+            engine.wrap_executor(
+                lambda inner: _HangOnce(inner, clock, shard=1, seconds=0.2)
+            )
+            injector = engine.executor
+            low, high = (0, 0), (17, 8)
+            want = int(baseline.range_sum(low, high))
+            if mode == "strict":
+                with pytest.raises(ResilienceError):
+                    engine.range_sum(low, high)
+            else:
+                got = engine.range_sum(low, high)
+                if mode == "partial":
+                    assert is_partial(got)
+                    assert got.missing_shards == (1,)
+                    assert int(got) == int(baseline.range_sum((0, 0), (8, 8)))
+                else:
+                    assert not is_partial(got)
+                    assert int(got) == want
+            assert injector.injected["hang"] == 1
+            start = clock.now()
+            again = engine.range_sum(low, high)
+            assert not is_partial(again)
+            assert int(again) == want
+            assert clock.now() == start  # no hang, no backoff, no wait
+            assert injector.threads_while_hung == [threads_before]
+            assert threading.active_count() == threads_before
+        finally:
+            engine.close()
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_close_leaves_no_worker_and_no_segment(self, wrapped):
+        """Writes, a SIGKILL, a respawn, then ``close()``: no
+        ``repro-shard-worker-*`` child and no new ``/dev/shm`` entry
+        survive, with or without a ``FaultInjector`` in front."""
+        shm_before = _shm_entries()
+        data = clustered(SHAPE, seed=38)
+        engine = _process_engine(data, 4, workers=2)
+        try:
+            if wrapped:
+                engine.wrap_executor(
+                    lambda inner: FaultInjector(inner, clock=ManualClock(), seed=39)
+                )
+            pool = engine.process_pool
+            for step in range(40):
+                engine.add((step % SHAPE[0], (5 * step) % SHAPE[1]), 2)
+            assert pool.kill_worker(0)
+            for step in range(20):
+                engine.add((step % SHAPE[0], step % SHAPE[1]), -1)
+            pool.flush()
+            info = pool.pool_info()
+            assert info["restarts"] >= 1
+            assert info["alive"] == info["workers"]
+        finally:
+            engine.close()
+        workers = [
+            child.name
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-worker-")
+        ]
+        assert workers == []
+        assert _shm_entries() <= shm_before

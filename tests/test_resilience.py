@@ -14,7 +14,6 @@ marked (``partial=True`` with its missing shards named).
 from __future__ import annotations
 
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -52,7 +51,6 @@ from repro.workloads import (
     straddling_ranges,
 )
 
-from .conftest import PoolFanout
 
 
 def make_engine(data, *, policy, injector_kwargs=None, shards=4, cache=64):
@@ -282,19 +280,16 @@ class TestFaultInjector:
 
 
 class TestExecutorFailurePaths:
-    """``try_map`` semantics the serial executor and the thread fan-out
-    (the process executor's base) must share: the failure paths the
-    resilient fan-out is built on."""
+    """``try_map`` semantics of the serial fan-out (the process
+    executor's base too): the failure paths the resilient fan-out is
+    built on."""
 
     def boom(self, item):
         if item == 13:
             raise RuntimeError("boom")
         return item * 2
 
-    @pytest.mark.parametrize("executor_factory", [
-        SerialExecutor,
-        lambda: PoolFanout(workers=3),
-    ])
+    @pytest.mark.parametrize("executor_factory", [SerialExecutor])
     def test_one_raising_item_never_aborts_siblings(self, executor_factory):
         executor = executor_factory()
         try:
@@ -326,37 +321,9 @@ class TestExecutorFailurePaths:
         assert result is None
         assert isinstance(error, DeadlineExceededError)
 
-    def test_threaded_timeout_abandons_a_stuck_task(self):
-        """A genuinely hung callable (real threads, real clock) comes
-        back as a DeadlineExceededError outcome without stalling the
-        healthy siblings forever."""
-        unstick = threading.Event()
-
-        def maybe_hang(item):
-            if item == "stuck":
-                unstick.wait(timeout=30)
-            return item
-
-        executor = PoolFanout(workers=2)
-        try:
-            outcomes = executor.try_map(
-                maybe_hang, ["ok", "stuck"], timeout=0.2
-            )
-            assert outcomes[0] == ("ok", None)
-            result, error = outcomes[1]
-            assert result is None
-            assert isinstance(error, DeadlineExceededError)
-        finally:
-            unstick.set()  # let the abandoned thread finish
-            executor.shutdown()
-
     def test_outcomes_keep_submission_order(self):
-        executor = PoolFanout(workers=4)
-        try:
-            outcomes = executor.try_map(lambda i: i, list(range(16)))
-            assert [r for r, _ in outcomes] == list(range(16))
-        finally:
-            executor.shutdown()
+        outcomes = SerialExecutor().try_map(lambda i: i, list(range(16)))
+        assert [r for r, _ in outcomes] == list(range(16))
 
 
 class TestEngineChaosCorrectness:
