@@ -687,7 +687,6 @@ def _command_chaos(args) -> int:
     from .engine import (
         FaultInjector,
         ResiliencePolicy,
-        SerialExecutor,
         ShardedEngine,
         is_partial,
     )
@@ -736,47 +735,28 @@ def _command_chaos(args) -> int:
         breaker_cooldown_seconds=args.breaker_cooldown_ms / 1e3,
         degradation=args.mode,
     )
-    def make_injector(inner):
-        return FaultInjector(
-            inner,
-            clock=clock,
-            seed=args.seed,
-            fault_rate=args.fault_rate,
-            latency_rate=args.latency_rate,
-            latency_seconds=args.latency_ms / 1e3,
-            hang_rate=args.hang_rate,
-            hang_seconds=args.hang_ms / 1e3,
-            kill_rate=args.kill_rate,
-        )
-
-    if args.executor == "process":
-        # Soak the real worker pool: shards live in shared-memory
-        # slabs, injected kills SIGKILL live workers with writes in
-        # flight, and the injector interposes *in front of* the
-        # already-running pool — workers keep their slab attachments
-        # across the wrap.
-        engine = ShardedEngine.from_array(
-            data,
-            shards=args.shards,
-            method=args.method,
-            cache_size=args.cache,
-            obs=obs,
-            resilience=policy,
-            executor="process",
-        )
-        engine.wrap_executor(make_injector)
-        injector = engine.executor
-    else:
-        injector = make_injector(SerialExecutor())
-        engine = ShardedEngine.from_array(
-            data,
-            shards=args.shards,
-            method=args.method,
-            cache_size=args.cache,
-            obs=obs,
-            resilience=policy,
-            executor=injector,
-        )
+    # With --executor process the injector's kills SIGKILL live pool
+    # workers, with shipped writes in flight.
+    injector = FaultInjector(
+        clock=clock,
+        seed=args.seed,
+        fault_rate=args.fault_rate,
+        latency_rate=args.latency_rate,
+        latency_seconds=args.latency_ms / 1e3,
+        hang_rate=args.hang_rate,
+        hang_seconds=args.hang_ms / 1e3,
+        kill_rate=args.kill_rate,
+    )
+    engine = ShardedEngine.from_array(
+        data,
+        shards=args.shards,
+        method=args.method,
+        cache_size=args.cache,
+        obs=obs,
+        resilience=policy,
+        executor=args.executor,
+        faults=injector,
+    )
 
     exact = degraded = mismatches = request_errors = 0
     latencies: list[float] = []
@@ -1183,7 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         choices=("serial", "process"),
         help="'process' soaks the worker-process pool (shared-memory "
-        "slabs, IPC reads) so injected kills hit real workers",
+        "slabs, shipped write batches) so injected kills hit real workers",
     )
     chaos.add_argument(
         "--kill-rate",

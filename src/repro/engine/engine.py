@@ -9,11 +9,13 @@ shards (each one any registered method, DDC by default), and serves:
 * **point updates** by routing each delta to its owning shard and
   bumping that shard's epoch counter;
 * **range / prefix queries** by decomposing the range into at most one
-  local sub-range per overlapping shard, fanning the sub-queries out
-  over an executor (every executor runs them in turn on the calling
-  thread; ``executor="process"`` gathers them off shared-memory slabs
-  whose writes a pool of worker processes applies), and summing the
-  partial results — correct because the slabs are disjoint;
+  local sub-range per overlapping shard, reading the shards in turn on
+  the calling thread (``executor="process"`` gathers them off
+  shared-memory slabs whose writes a pool of worker processes applies),
+  and summing the partial results — correct because the slabs are
+  disjoint.  A one-range miss is a batch of one: every read takes the
+  same fan-out, and a resilience policy and a fault injector act inside
+  it, per shard;
 * **batches** by grouping all sub-queries / updates per shard first, so
   each shard answers its whole share through one ``range_sum_many`` /
   ``add_many`` call and the per-shard path-sharing machinery keeps
@@ -33,7 +35,6 @@ loop is that owner for a served engine.
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,6 @@ from ..methods.base import RangeSumMethod
 from ..methods.registry import method_class
 from ..obs import NULL_OBS
 from .cache import MISS, EpochLruCache
-from .executor import SerialExecutor
 from .resilience import (
     BREAKER_CLOSED,
     CircuitBreaker,
@@ -63,16 +63,19 @@ from .sharding import ShardPlan
 __all__ = ["ShardedEngine"]
 
 
-def _compute(shard, sub_queries: list) -> list:
+def _add_answers(shard, sub_queries: Sequence, totals: list) -> None:
     """Answer one shard's ``(key index, local low, local high)``
-    sub-queries: a single range through the scalar entry point, more
-    through the shard's batch path."""
+    sub-queries — a single range through the scalar entry point, more
+    through the shard's batch path — adding each into its key's total."""
     if len(sub_queries) == 1:
-        _, local_low, local_high = sub_queries[0]
-        return [shard.range_sum(local_low, local_high)]
-    return shard.range_sum_many(
+        key_index, local_low, local_high = sub_queries[0]
+        totals[key_index] = totals[key_index] + shard.range_sum(local_low, local_high)
+        return
+    values = shard.range_sum_many(
         [(local_low, local_high) for _, local_low, local_high in sub_queries]
     )
+    for (key_index, _, _), value in zip(sub_queries, values):
+        totals[key_index] = totals[key_index] + value
 
 
 class ShardedEngine(RangeSumMethod):
@@ -103,21 +106,22 @@ class ShardedEngine(RangeSumMethod):
             set, every read fan-out runs with deadline budgets,
             retry-with-backoff, per-shard circuit breakers, and the
             policy's graceful-degradation mode (see
-            ``docs/resilience.md``).  ``None`` (the default) keeps the
-            exact PR 3 fast path.
-        executor: either a pre-built executor (anything with the
-            ``map`` / ``try_map`` / ``shutdown`` surface — this is how
-            tests and the chaos CLI interpose a
-            :class:`~repro.engine.resilience.FaultInjector`) or one of
-            the strings ``"serial"`` and ``"process"``; ``None`` (the
-            default) means ``"serial"``.  ``"process"`` replaces the
+            ``docs/resilience.md``).  ``None`` (the default) reads every
+            shard once and lets an error propagate.
+        executor: ``"serial"`` or ``"process"``; ``None`` (the default)
+            means ``"serial"``.  Either way the shards are read in turn
+            on the calling thread.  ``"process"`` replaces the
             in-process shards with
             :class:`~repro.engine.process.ShmShardReplica` proxies over
             a :class:`~repro.engine.shm.ShardSlabStore` — every shard's
-            payload becomes a shared-memory prefix-sum slab served by a
-            persistent worker-process pool, side-stepping the GIL
-            entirely (``method`` then only labels reports; the slab
-            layout and its read kernel are fixed).
+            payload becomes a shared-memory prefix-sum slab whose writes
+            a persistent worker-process pool applies (``method`` then
+            only labels reports; the slab layout and its read kernel are
+            fixed).
+        faults: optional :class:`~repro.engine.resilience.FaultInjector`.
+            The fan-out calls its ``perturb(shard, process_pool)`` before
+            every shard read, retries included, so a test or the chaos
+            CLI can make shards fail, stall or lose their worker.
     """
 
     name = "engine"
@@ -133,7 +137,8 @@ class ShardedEngine(RangeSumMethod):
         method_kwargs: dict | None = None,
         obs=None,
         resilience: ResiliencePolicy | None = None,
-        executor=None,
+        executor: str | None = None,
+        faults=None,
     ) -> None:
         super().__init__(shape, dtype=dtype)
         self.plan = ShardPlan(self.shape, shards)
@@ -141,19 +146,19 @@ class ShardedEngine(RangeSumMethod):
         self.workers = workers
         self._method_kwargs = dict(method_kwargs or {})
         self.obs = obs if obs is not None else NULL_OBS
-        executor_kind = executor if isinstance(executor, str) else None
-        if executor_kind is not None:
-            executor = None
-            if executor_kind not in ("serial", "process"):
-                raise ConfigurationError(
-                    f"unknown executor kind {executor_kind!r} "
-                    f"(expected 'serial' or 'process')"
-                )
+        executor_kind = "serial" if executor is None else executor
+        if executor_kind not in ("serial", "process"):
+            raise ConfigurationError(
+                f"unknown executor kind {executor_kind!r} "
+                f"(expected 'serial' or 'process')"
+            )
         if workers is not None and workers >= 2 and executor_kind != "process":
             raise ConfigurationError(
                 f"workers={workers} sizes the worker-process pool and needs "
                 f'executor="process"; the in-process executor is serial'
             )
+        self.executor_kind = executor_kind
+        self._faults = faults
         shard_cls = method_class(method)
         self._store = None
         self._process_pool = None
@@ -183,15 +188,6 @@ class ShardedEngine(RangeSumMethod):
                 )
                 for index in range(self.plan.count)
             ]
-        if executor is not None:
-            self._executor = executor
-            self.executor_kind = "custom"
-        elif executor_kind == "process":
-            self._executor = self._process_pool
-            self.executor_kind = "process"
-        else:
-            self._executor = SerialExecutor()
-            self.executor_kind = "serial"
         self._epochs = [0] * self.plan.count
         self._cache = EpochLruCache(cache_size)
         self.policy = resilience
@@ -251,7 +247,7 @@ class ShardedEngine(RangeSumMethod):
         }
         self._obs_fanout_wait = metrics.histogram(
             "repro_engine_fanout_wait_seconds",
-            "Wall time a multi-shard read spends in the executor fan-out.",
+            "Wall time a multi-shard read spends in the shard fan-out.",
         ).labels()
         self._obs_cache_entries = metrics.gauge(
             "repro_engine_cache_entries",
@@ -432,8 +428,10 @@ class ShardedEngine(RangeSumMethod):
     def range_sum(self, low: Sequence[int] | int, high: Sequence[int] | int):
         """One cached, shard-decomposed range sum.
 
-        The serving loop's read path: a hit is one LRU probe; a miss skips the batch bookkeeping and goes
-        straight to the per-shard computation.  With observability wired
+        The serving loop's read path: a hit is one LRU probe; a miss is a
+        batch of one through the same fan-out as
+        :meth:`range_sum_many`, without the batch's grouping.  With
+        observability wired
         the lookup outcome is classified hit / miss / stale (present but
         epoch-invalidated) and every miss is offered to the slow-query
         log with its span tree and the OpCounter delta of the shards
@@ -451,14 +449,14 @@ class ShardedEngine(RangeSumMethod):
         else:
             self.stats.cache_misses += 1
         if not traced:
-            return value if hit else self._compute_one(key, None)[0]
+            return value if hit else self._compute([key], None)[0][0]
         outcome = "hit" if hit else (
             "stale" if self._cache.invalidations > invalidations else "miss"
         )
         ops = None
         with obs.tracer.span("engine.range_sum", cache=outcome) as span:
             if not hit:
-                value, ops = self._compute_one(key, span)
+                (value,), ops = self._compute([key], span)
         self._obs_cache_lookups[outcome].inc()
         self._observe_read("range_sum", start, span, ops, cache=outcome)
         return value
@@ -476,7 +474,7 @@ class ShardedEngine(RangeSumMethod):
         Each query is looked up in the cache; the distinct misses are
         decomposed, their sub-queries grouped per shard, and every
         touched shard answers its group through one ``range_sum_many``
-        call — fanned out over the executor.  Duplicate misses inside
+        call in the fan-out.  Duplicate misses inside
         the batch share one computation and count as hits.
         """
         queries = [self._query_bounds(item) for item in ranges]
@@ -545,287 +543,197 @@ class ShardedEngine(RangeSumMethod):
         stale = self._cache.invalidations - invalidations
         ops = None
         if missing:
-            answers, ops = self._compute(list(missing), parent)
-            for key, value in answers:
-                for position in missing[key]:
+            values, ops = self._compute(list(missing), parent)
+            for positions, value in zip(missing.values(), values):
+                for position in positions:
                     results[position] = value
         return hits, len(missing), stale, ops
 
-    def _read_shard(self, index: int, sub_queries: list, parent) -> tuple:
-        """Answer one shard's sub-queries under a ``shard.range_sum`` span
-        (child of ``parent``) and its latency histogram.  Returns
-        ``(values, ops)``: ``ops``, the shard's OpCounter delta, rides on
-        the span and is summed into the request's slow-log record."""
+    def _compute(self, keys: list[tuple], parent) -> tuple[list, OpCounter | None]:
+        """Answer distinct missing ranges.
+
+        ``parent`` is the request span (``None`` with obs off); shard
+        spans name it as their parent, and its being ``None`` is what
+        skips the per-shard timing.  Returns ``(values, ops)``: one value
+        per key, in order, each cached stamped with the epoch snapshot
+        taken before any shard work started — except a degraded one, a
+        :class:`~repro.engine.resilience.PartialResult` that is never
+        cached — and, with obs on, the summed OpCounter deltas of the
+        shards that computed.
+        """
+        epochs = tuple(self._epochs)
+        if len(keys) == 1:
+            # One range's pieces are already one per shard, in order.
+            work = [
+                (index, ((0, low, high),))
+                for index, low, high in self.plan.decompose(*keys[0])
+            ]
+            dependencies = [[index for index, _ in work]]
+        else:
+            per_shard: dict[int, list[tuple[int, tuple, tuple]]] = {}
+            dependencies = []
+            for key_index, (low, high) in enumerate(keys):
+                touched: list[int] = []
+                for index, local_low, local_high in self.plan.decompose(low, high):
+                    per_shard.setdefault(index, []).append(
+                        (key_index, local_low, local_high)
+                    )
+                    touched.append(index)
+                dependencies.append(touched)
+            work = sorted(per_shard.items())
         obs = self._obs
+        # A one-shard fan-out's wait is that shard's latency.
+        timed = parent is not None and len(work) > 1
+        fanout_start = obs.clock.now() if timed else 0.0
+        totals = [self._zero()] * len(keys)
+        ops, failed = self._fan_out(work, parent, totals)
+        missing_by_key = (
+            self._degrade(failed, work, dependencies, totals) if failed else None
+        )
+        if timed:
+            self._obs_fanout_wait.observe(obs.clock.now() - fanout_start)
+        out: list = []
+        for key_index, key in enumerate(keys):
+            value = self.dtype.type(totals[key_index])
+            if missing_by_key and key_index in missing_by_key:
+                # Degraded: explicitly marked, and never cached — the
+                # next lookup must recompute rather than resurrect a
+                # partial sum as if it were exact.
+                out.append(PartialResult(value, missing_by_key[key_index]))
+                continue
+            self._cache.put(key, value, dependencies[key_index], epochs)
+            out.append(value)
+        if parent is not None:
+            self._obs_cache_entries.set(len(self._cache))
+        return out, ops
+
+    def _read(
+        self, index: int, sub_queries: Sequence, parent, totals: list
+    ) -> OpCounter | None:
+        """Answer one shard's ``(key index, local low, local high)``
+        sub-queries into ``totals`` once the fault injector, if any, has
+        had its say.
+
+        With a ``parent`` span the read runs under a ``shard.range_sum``
+        child span and feeds the shard's latency histogram, and the
+        shard's OpCounter delta, returned, rides on the span and is
+        summed into the request's slow-log record; untraced, the read
+        returns ``None``.
+        """
+        if self._faults is not None:
+            self._faults.perturb(index, self._process_pool)
         shard = self._shards[index]
+        self.stats.touch(shard)
+        if parent is None:
+            _add_answers(shard, sub_queries, totals)
+            return None
+        obs = self._obs
         before = shard.stats.snapshot()
         start = obs.clock.now()
         with obs.tracer.span(
             "shard.range_sum", parent, queries=len(sub_queries),
             **self._shard_attrs[index],
         ) as span:
-            values = _compute(shard, sub_queries)
+            _add_answers(shard, sub_queries, totals)
             ops = shard.stats.diff(before)
             span.set(node_visits=ops.node_visits, cell_ops=ops.total_cell_ops)
         self._obs_shard_read_seconds[index].observe(obs.clock.now() - start)
-        return values, ops
+        return ops
 
-    def _compute_one(self, key: tuple, parent) -> tuple:
-        """Answer one missing range.  Returns ``(value, ops)`` like
-        :meth:`_compute`.
+    # ------------------------------------------------------------------
+    # The fan-out (deadlines, retries, breakers, degradation)
+    # ------------------------------------------------------------------
 
-        The scalar serving path, with and without a resilience policy:
-        no batch dictionaries and no executor dispatch — the shards a
-        single range spans are read in turn in the calling thread, and
-        under a policy each success lands in its shard's breaker.  The
-        read takes the guarded fan-out instead when the policy sets a
-        deadline, the executor is not a plain :class:`SerialExecutor`
-        (a ``FaultInjector``, the process pool), a touched breaker is
-        not closed, or a shard raises.  In the last case the outcomes
-        already read become the fan-out's first round, so retries and
-        breaker windows come out as if it had run from the start.
+    def _fan_out(self, work: list, parent, totals: list) -> tuple:
+        """Read every ``(shard index, sub-queries)`` item of ``work`` in
+        turn, on the calling thread, adding each answer into its key's
+        entry of ``totals``.
+
+        Returns ``(ops, failed)``: the summed OpCounter deltas of the
+        shards that answered (``None`` untraced), and each shard that
+        did not mapped to its final exception.  Without a policy a shard's error
+        propagates.  Under one, round 0 reads every shard once: a shard
+        whose turn comes after the deadline is spent is not started, and
+        an open breaker fails its shard fast without touching it.  Each
+        later round re-reads only the shards that raised, after an
+        exponential seeded-jitter backoff slept on the injected clock,
+        until they answer or run out of retries or budget.  A failure
+        once the budget is spent is a :class:`DeadlineExceededError`
+        chained to the shard's error.  Every attempt lands in its
+        shard's breaker; breakers admit at the round's start time and
+        record failures at its end time.
         """
         policy = self.policy
-        if policy is not None and (
-            policy.deadline_seconds is not None
-            or type(self._executor) is not SerialExecutor
-        ):
-            return self._compute_guarded(key, parent)
-        pieces = list(self.plan.decompose(*key))
         breakers = self._breakers
-        if breakers is not None and any(
-            breakers[index].state != BREAKER_CLOSED for index, _, _ in pieces
-        ):
-            return self._compute_guarded(key, parent)
-        epochs = tuple(self._epochs)
-        obs = self._obs
-        # A one-shard read's wait is that shard's latency.
-        timed = parent is not None and len(pieces) > 1
-        fanout_start = obs.clock.now() if timed else 0.0
-        if breakers is None:
-            reads = [self._read_one(parent, piece) for piece in pieces]
-        else:
-            outcomes = self._executor.try_map(
-                partial(self._read_one, parent), pieces
-            )
-            if any(error is not None for _, error in outcomes):
-                # Round 0 in the fan-out's own (sub_queries, values, ops)
-                # shape.
-                first_round = [
-                    (None, error)
-                    if error is not None
-                    else (([(0, low, high)], [read[0]], read[1]), None)
-                    for (_, low, high), (read, error) in zip(pieces, outcomes)
-                ]
-                return self._compute_guarded(key, parent, first_round)
-            now = obs.clock.now()
-            for index, _, _ in pieces:
-                breakers[index].record_success(now)
-            reads = [read for read, _ in outcomes]
-        if timed:
-            self._obs_fanout_wait.observe(obs.clock.now() - fanout_start)
-        total = self._zero()
-        ops = None
-        for value, delta in reads:
-            total = total + value
-            if ops is None:
-                ops = delta
-            elif delta is not None:
-                ops.merge(delta)
-        value = self.dtype.type(total)
-        self._cache.put(key, value, [index for index, _, _ in pieces], epochs)
-        if parent is not None:
-            self._obs_cache_entries.set(len(self._cache))
-        return value, ops
-
-    def _read_one(self, parent, piece: tuple) -> tuple:
-        """Read one ``(shard index, local low, local high)`` piece of a
-        scalar miss.  Returns ``(value, ops)``."""
-        index, local_low, local_high = piece
-        shard = self._shards[index]
-        self.stats.touch(shard)
-        if parent is None:
-            return shard.range_sum(local_low, local_high), None
-        (value,), ops = self._read_shard(index, [(0, local_low, local_high)], parent)
-        return value, ops
-
-    def _compute_guarded(self, key: tuple, parent, first_round=None) -> tuple:
-        """One range through the guarded fan-out."""
-        ((_, value),), ops = self._compute([key], parent, first_round)
-        return value, ops
-
-    def _compute(
-        self, keys: list[tuple], parent, first_round: list | None = None
-    ) -> tuple[list[tuple], OpCounter | None]:
-        """Answer distinct missing ranges.
-
-        ``parent`` is the request span (``None`` with obs off); shard
-        spans name it as their parent, and its being ``None`` is what
-        skips the per-shard timing.  Returns ``(answers, ops)``:
-        ``(key, value)`` pairs, every value cached stamped with the epoch
-        snapshot taken before any shard work started, and — with obs
-        on — the summed OpCounter deltas of the shards that computed.
-        ``first_round`` is a resilient fan-out's round-0 outcomes when
-        the scalar path already read them (see
-        :meth:`_resilient_fanout`).
-        """
-        epochs = tuple(self._epochs)
-        per_shard: dict[int, list[tuple[int, tuple, tuple]]] = {}
-        dependencies: list[list[int]] = []
-        for key_index, (low, high) in enumerate(keys):
-            touched: list[int] = []
-            for shard_index, local_low, local_high in self.plan.decompose(
-                low, high
-            ):
-                per_shard.setdefault(shard_index, []).append(
-                    (key_index, local_low, local_high)
-                )
-                touched.append(shard_index)
-            dependencies.append(touched)
-
-        obs = self._obs
-
-        def run_shard(item: tuple[int, list[tuple[int, tuple, tuple]]]):
-            shard_index, sub_queries = item
-            shard = self._shards[shard_index]
-            self.stats.touch(shard)
-            if parent is None:
-                return sub_queries, _compute(shard, sub_queries), None
-            return (sub_queries, *self._read_shard(shard_index, sub_queries, parent))
-
-        totals = [self._zero() for _ in keys]
-        ops = None
-        # A one-shard fan-out's wait is that shard's latency.
-        timed = parent is not None and len(per_shard) > 1
-        fanout_start = obs.clock.now() if timed else 0.0
-        if self.policy is None:
-            completed = self._executor.map(run_shard, sorted(per_shard.items()))
-            missing_by_key: dict[int, set[int]] = {}
-        else:
-            completed, failed = self._resilient_fanout(
-                sorted(per_shard.items()), run_shard, first_round
-            )
-            missing_by_key = self._degrade(
-                failed, per_shard, dependencies, completed
-            )
-        for sub_queries, values, delta in completed:
-            for (key_index, _, _), value in zip(sub_queries, values):
-                totals[key_index] = totals[key_index] + value
-            if ops is None:
-                ops = delta
-            elif delta is not None:
-                ops.merge(delta)
-        if timed:
-            self._obs_fanout_wait.observe(obs.clock.now() - fanout_start)
-
-        out: list[tuple] = []
-        for key_index, key in enumerate(keys):
-            value = self.dtype.type(totals[key_index])
-            if key_index in missing_by_key:
-                # Degraded: explicitly marked, and never cached — the
-                # next lookup must recompute rather than resurrect a
-                # partial sum as if it were exact.
-                out.append(
-                    (key, PartialResult(value, missing_by_key[key_index]))
-                )
-                continue
-            self._cache.put(key, value, dependencies[key_index], epochs)
-            out.append((key, value))
-        if parent is not None:
-            self._obs_cache_entries.set(len(self._cache))
-        return out, ops
-
-    # ------------------------------------------------------------------
-    # Resilient fan-out (deadlines, retries, breakers, degradation)
-    # ------------------------------------------------------------------
-
-    def _resilient_fanout(
-        self, items: list[tuple], run_shard, first_round: list | None = None
-    ) -> tuple[list, dict]:
-        """Fan ``items`` out under the resilience policy.
-
-        Returns ``(completed, failed)`` where ``completed`` holds the
-        successful ``run_shard`` results and ``failed`` maps each
-        permanently-failed shard index to its final exception.  Each
-        round re-submits only the still-failing shards through the
-        executor — so an interposed FaultInjector sees every retry —
-        with exponential seeded-jitter backoff slept on the injected
-        clock between rounds, the whole request bounded by one
-        :class:`~repro.engine.resilience.Deadline`, and every outcome
-        recorded into the per-shard breakers (whose refusals fail fast
-        without touching the shard at all).  ``first_round``, when given,
-        stands in for round 0's ``try_map`` outcomes: the scalar path
-        hands them over only with every breaker closed and no deadline,
-        so round 0 would have run every item.
-        """
-        policy = self.policy
         clock = self._obs.clock
-        deadline = Deadline.after(clock, policy.deadline_seconds)
-        pending: dict[int, list] = dict(items)
-        attempts: dict[int, int] = {index: 0 for index in pending}
-        completed: list = []
+        deadline = (
+            None if policy is None
+            else Deadline.after(clock, policy.deadline_seconds)
+        )
+        ops = None
         failed: dict[int, Exception] = {}
         round_index = 0
-        while pending:
-            now = clock.now()
-            runnable: list[tuple] = []
-            for shard_index in sorted(pending):
-                breaker = self._breakers[shard_index]
-                state_before = breaker.state
-                allowed = breaker.allow(now)
-                self._note_breaker(shard_index, state_before, breaker.state)
-                if allowed:
-                    runnable.append((shard_index, pending[shard_index]))
-                else:
-                    failed[shard_index] = CircuitOpenError(
-                        f"shard {shard_index} circuit breaker is open "
-                        f"(failure rate {breaker.failure_rate():.2f})"
-                    )
-                    del pending[shard_index]
-            if not runnable:
-                break
-            if deadline is not None and deadline.expired(clock):
-                for shard_index, _ in runnable:
-                    failed[shard_index] = DeadlineExceededError(
+        while work:
+            now = 0.0 if breakers is None else clock.now()
+            errors: list[tuple] = []
+            for index, sub_queries in work:
+                if deadline is not None and deadline.expired(clock):
+                    failed[index] = DeadlineExceededError(
                         f"request deadline of {policy.deadline_seconds}s "
-                        f"spent before shard {shard_index} was attempted"
+                        f"spent before shard {index} was attempted"
                     )
                     self._obs_timeouts.inc()
-                    del pending[shard_index]
-                break
-            if first_round is not None:
-                outcomes, first_round = first_round, None
-            else:
-                timeout = deadline.remaining(clock) if deadline is not None else None
-                outcomes = self._executor.try_map(
-                    run_shard, runnable, timeout=timeout, clock=clock
-                )
-            now = clock.now()
-            retrying = False
-            for (shard_index, _), (value, error) in zip(runnable, outcomes):
-                breaker = self._breakers[shard_index]
-                state_before = breaker.state
-                if error is None:
-                    breaker.record_success(now)
-                    self._note_breaker(shard_index, state_before, breaker.state)
-                    completed.append(value)
-                    del pending[shard_index]
                     continue
+                breaker = None if breakers is None else breakers[index]
+                if breaker is not None and breaker.state != BREAKER_CLOSED:
+                    state_before = breaker.state
+                    allowed = breaker.allow(now)
+                    self._note_breaker(index, state_before, breaker.state)
+                    if not allowed:
+                        failed[index] = CircuitOpenError(
+                            f"shard {index} circuit breaker is open "
+                            f"(failure rate {breaker.failure_rate():.2f})"
+                        )
+                        continue
+                try:
+                    delta = self._read(index, sub_queries, parent, totals)
+                except Exception as error:  # noqa: BLE001 — isolated per shard
+                    if policy is None:
+                        raise
+                    errors.append((index, sub_queries, error))
+                    continue
+                if delta is not None:
+                    if ops is None:
+                        ops = delta
+                    else:
+                        ops.merge(delta)
+                if breaker is not None:
+                    state_before = breaker.state
+                    breaker.record_success(now)
+                    self._note_breaker(index, state_before, breaker.state)
+            if not errors:
+                break
+            now = clock.now()
+            work = []
+            for index, sub_queries, error in errors:
+                breaker = breakers[index]
+                state_before = breaker.state
                 breaker.record_failure(now)
-                self._note_breaker(shard_index, state_before, breaker.state)
-                attempts[shard_index] += 1
-                out_of_time = isinstance(error, DeadlineExceededError) or (
-                    deadline is not None and deadline.expired(clock)
-                )
-                if out_of_time or attempts[shard_index] > policy.max_retries:
-                    if isinstance(error, DeadlineExceededError):
-                        self._obs_timeouts.inc()
-                    failed[shard_index] = error
-                    del pending[shard_index]
+                self._note_breaker(index, state_before, breaker.state)
+                if deadline is not None and deadline.expired(clock):
+                    timeout = DeadlineExceededError(
+                        f"request deadline of {policy.deadline_seconds}s "
+                        f"spent; shard {index} failed: {error}"
+                    )
+                    timeout.__cause__ = error
+                    self._obs_timeouts.inc()
+                    failed[index] = timeout
+                elif round_index >= policy.max_retries:
+                    failed[index] = error
                 else:
-                    self._obs_retries.labels(shard=str(shard_index)).inc()
-                    retrying = True
-            if retrying and pending:
+                    self._obs_retries.labels(shard=str(index)).inc()
+                    work.append((index, sub_queries))
+            if work:
                 backoff = policy.backoff(round_index, self._retry_rng)
                 if deadline is not None:
                     backoff = min(backoff, deadline.remaining(clock))
@@ -833,58 +741,51 @@ class ShardedEngine(RangeSumMethod):
                     self._obs_backoff.observe(backoff)
                     clock.sleep(backoff)
             round_index += 1
-        return completed, failed
+        return ops, failed
 
     def _degrade(
         self,
         failed: dict[int, Exception],
-        per_shard: dict[int, list],
+        work: list,
         dependencies: list[list[int]],
-        completed: list,
+        totals: list,
     ) -> dict[int, set[int]]:
         """Apply the degradation policy to permanently-failed shards.
 
-        * ``strict`` — raise: :class:`DeadlineExceededError` when the
-          budget ran out, else :class:`ShardFailedError` naming every
-          failed shard (chained to the first underlying error).
-        * ``fallback`` — recompute each failed shard's sub-queries
-          directly (the executor-free path), append the exact results to
-          ``completed``, and return no missing keys.
+        * ``strict`` — raise: the lowest failed shard's
+          :class:`DeadlineExceededError` when the budget ran out, else
+          :class:`ShardFailedError` naming every failed shard (chained
+          to the lowest one's error).
+        * ``fallback`` — read each failed shard's sub-queries once more,
+          outside the fan-out (no fault injector, no breaker), add the
+          exact answers into ``totals``, and return no missing keys.
+          An error there propagates.
         * ``partial`` — return ``{key_index: missing shard set}`` so
           the caller wraps affected answers in
           :class:`~repro.engine.resilience.PartialResult`.
         """
-        if not failed:
-            return {}
         policy = self.policy
         if policy.degradation == "strict":
-            deadline_errors = [
-                error
-                for error in failed.values()
-                if isinstance(error, DeadlineExceededError)
+            errors = [error for _, error in sorted(failed.items())]
+            timeouts = [
+                error for error in errors if isinstance(error, DeadlineExceededError)
             ]
-            if deadline_errors:
-                raise deadline_errors[0]
-            first = next(iter(failed.values()))
+            if timeouts:
+                raise timeouts[0]
             raise ShardFailedError(
                 "shard sub-operations failed after retries: "
                 + ", ".join(
                     f"shard {index}: {error}" for index, error in sorted(failed.items())
                 )
-            ) from first
+            ) from errors[0]
         if policy.degradation == "fallback":
-            for shard_index in sorted(failed):
-                sub_queries = per_shard[shard_index]
-                shard = self._shards[shard_index]
+            sub_queries_of = dict(work)
+            for index in sorted(failed):
+                sub_queries = sub_queries_of[index]
+                shard = self._shards[index]
                 self.stats.touch(shard)
-                # Proxy shards (process mode) provide an executor-free
-                # direct reader over the shared slab — the fallback must
-                # not depend on the very worker that just failed.
-                fallback = getattr(shard, "fallback_target", None)
-                target = fallback() if fallback is not None else shard
-                with self._obs.span("shard.fallback", shard=shard_index):
-                    values = _compute(target, sub_queries)
-                completed.append((sub_queries, values, None))
+                with self._obs.span("shard.fallback", shard=index):
+                    _add_answers(shard, sub_queries, totals)
                 self._obs_degraded.labels(mode="fallback").inc()
             return {}
         # partial: name the missing shards per affected key
@@ -918,25 +819,9 @@ class ShardedEngine(RangeSumMethod):
         return tuple(self._shards)
 
     @property
-    def executor(self):
-        """The live executor (read-only view for tests/benches)."""
-        return self._executor
-
-    @property
     def process_pool(self):
         """The worker-process pool, or None outside process mode."""
         return self._process_pool
-
-    def wrap_executor(self, wrap) -> None:
-        """Replace the live executor with ``wrap(current_executor)``.
-
-        The hook the chaos harness uses to interpose a
-        :class:`~repro.engine.resilience.FaultInjector` around an
-        already-running executor — in process mode the pool keeps its
-        workers and shm attachments, the injector just sits in front of
-        the fan-out.
-        """
-        self._executor = wrap(self._executor)
 
     def pool_info(self) -> dict | None:
         """Worker-pool snapshot (None outside process mode)."""
@@ -1062,10 +947,10 @@ class ShardedEngine(RangeSumMethod):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the executor down; in process mode also stop the worker
-        pool and unlink the shared-memory slabs (idempotent)."""
-        self._executor.shutdown()
-        if self._process_pool is not None and self._process_pool is not self._executor:
+        """In process mode stop the worker pool and unlink the
+        shared-memory slabs (idempotent); a serial engine holds nothing
+        to release."""
+        if self._process_pool is not None:
             self._process_pool.shutdown()
         if self._store is not None:
             self._store.destroy()

@@ -1,4 +1,4 @@
-"""Process-parallel shard fan-out over the shared-memory slab store.
+"""Process-parallel shard writes over the shared-memory slab store.
 
 Threads in one interpreter cannot overlap shard work — every DDC
 descent is pure-python bytecode under the GIL — so the engine's only
@@ -10,11 +10,10 @@ reads straight off shared memory:
   attaches their prefix-sum slabs from the
   :class:`~repro.engine.shm.ShardSlabStore` at startup — zero-copy,
   built once at plan time;
-* the parent keeps the engine's ``map`` / ``try_map`` contract by
-  inheriting the serial fan-out (:class:`~.executor.SerialExecutor`):
-  every sub-query runs on the caller's thread, because no read waits on
-  a worker, so ``ResiliencePolicy`` deadlines, retries, circuit
-  breakers, and the ``FaultInjector`` compose completely unchanged;
+* the engine reads every shard on the caller's thread through the
+  same fan-out as in serial mode, because no read waits on a worker, so
+  ``ResiliencePolicy`` deadlines, retries, circuit breakers, and the
+  ``FaultInjector`` compose completely unchanged;
 * writes ship as compact ``(cell, delta)`` tuples over the owning
   worker's pipe and are applied as suffix rectangles on the shared
   slab — the worker is the single writer for its shards, so deltas
@@ -47,7 +46,7 @@ reads straight off shared memory:
 
 Failure semantics: a dead pipe surfaces as
 :class:`~repro.exceptions.WorkerCrashedError`, which the engine's
-resilient fan-out treats like any other shard failure — retried within
+fan-out treats like any other shard failure — retried within
 the deadline budget, recorded by the shard's breaker, degraded per
 policy.  Worker-side *operation* errors (a malformed op) come back as
 :class:`~repro.exceptions.StructureError` replies without killing the
@@ -72,7 +71,6 @@ from ..obs.clock import MonotonicClock
 from ..obs.metrics import NULL_INSTRUMENT
 from ..obs.remote import MetricsHarvester, WorkerMetricsShard, worker_metrics_layout
 from . import shm
-from .executor import SerialExecutor
 
 __all__ = ["ProcessExecutor", "ShmShardReplica"]
 
@@ -211,16 +209,14 @@ class _Lane:
         self.pending = 0
 
 
-class ProcessExecutor(SerialExecutor):
-    """Persistent worker-pool executor with warm shard replicas.
+class ProcessExecutor:
+    """Persistent worker pool behind the shared-memory shard replicas.
 
-    Inherits the serial ``map`` / ``try_map`` surface, so the engine —
-    and everything layered on it — never branches on the concurrency
-    mode: a read's sub-queries are seqlock gathers that run in turn on
-    the caller's thread.  Additionally exposes :meth:`write` /
-    :meth:`read_many` (the slab traffic of :class:`ShmShardReplica`),
-    :meth:`kill_worker` (the chaos harness's SIGKILL hook), and
-    :meth:`pool_info`.  One thread owns the executor, as it owns the
+    Exposes :meth:`write` / :meth:`read_many` (the slab traffic of
+    :class:`ShmShardReplica`; a read is a seqlock gather on the caller's
+    thread), :meth:`fence` / :meth:`flush`, :meth:`kill_worker` (the
+    chaos harness's SIGKILL hook), :meth:`pool_info`, :meth:`harvest`
+    and :meth:`shutdown`.  One thread owns the pool, as it owns the
     engine above it.
 
     Args:
@@ -675,8 +671,8 @@ class ProcessExecutor(SerialExecutor):
         """Ship every buffered delta and collect every outstanding ack.
 
         The engine calls this before bulk slab rewrites
-        (``from_array`` on a live store) and on ``close()`` so no
-        stale delta can race a reload or outlive the pool.
+        (``from_array`` on a live store) so no stale delta can race a
+        reload.  A dead lane respawns here to take its deltas.
         """
         for index in range(self.store.count):
             self._ship(index)
@@ -757,16 +753,19 @@ class ProcessExecutor(SerialExecutor):
         }
 
     def shutdown(self) -> None:
-        """Stop every worker and release the telemetry (idempotent)."""
-        try:
-            self.flush()
-        except (WorkerCrashedError, StructureError):
-            pass
+        """Stop every worker and release the telemetry (idempotent).
+
+        A live worker first receives its shards' buffered deltas and
+        acknowledges every pipelined write.  A dead lane stays dead:
+        respawning a worker only to stop it would fork for nothing.
+        """
         for lane in self._lanes:
             if lane.process is None:
                 continue
             if lane.process.is_alive():
                 try:
+                    for index in lane.owned:
+                        self._ship(index)
                     # Drain pipelined acks so the stop handshake reads
                     # its own reply, not a queued write ack.
                     self._drain(lane)
@@ -806,39 +805,6 @@ class ProcessExecutor(SerialExecutor):
             f"ProcessExecutor(workers={self.workers}, "
             f"shards={self.store.count})"
         )
-
-
-class _LocalSlabReader:
-    """Executor-free direct-slab reader for the fallback degradation path.
-
-    When a shard's worker is down and the policy says ``fallback``, the
-    engine recomputes the failed sub-queries off the fan-out; this
-    reader answers them through the pool's ledger-corrected zero-copy
-    read, degrading to a raw slab gather when even that surfaces the
-    crash (the degradation path is already serving through a failure,
-    so best-available beats raising twice).
-    """
-
-    __slots__ = ("_pool", "_index", "_dtype")
-
-    def __init__(self, pool: "ProcessExecutor", index: int, dtype) -> None:
-        self._pool = pool
-        self._index = index
-        self._dtype = dtype
-
-    def _read(self, queries: list) -> list:
-        try:
-            return self._pool.read_many(self._index, queries)
-        except WorkerCrashedError:
-            return self._pool.store.range_sum_many(self._index, queries)
-
-    def range_sum(self, low, high):
-        return self._dtype.type(self._read([(low, high)])[0])
-
-    def range_sum_many(self, ranges: Sequence) -> list:
-        return [
-            self._dtype.type(value) for value in self._read(list(ranges))
-        ]
 
 
 class ShmShardReplica(RangeSumMethod):
@@ -914,11 +880,6 @@ class ShmShardReplica(RangeSumMethod):
     def memory_cells(self) -> int:
         """Cells in the shard's slab (stored once, in shared memory)."""
         return int(np.prod(self.shape))
-
-    def fallback_target(self) -> _LocalSlabReader:
-        """Direct parent-side reader the degradation path can use when
-        this shard's worker is unreachable."""
-        return _LocalSlabReader(self._pool, self._shard_index, self.dtype)
 
     def _native(self, delta):
         """Delta as a plain Python number (minimal pickle payload)."""

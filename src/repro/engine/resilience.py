@@ -17,10 +17,11 @@ on whether the p99 actually honours that promise under partial failure:
 * :class:`PartialResult` — an explicitly-marked degraded answer
   (``partial=True``, the missing shards named) so a caller can never
   mistake a partial sum for an exact one.
-* :class:`FaultInjector` — a deterministic, seeded chaos harness that
-  wraps any executor and injects transient exceptions, latency spikes,
-  stuck-shard hangs, and scripted fail-N-then-recover sequences, so
-  every behaviour above is testable without real timing races.
+* :class:`FaultInjector` — a deterministic, seeded chaos harness the
+  engine's fan-out consults before every shard read, injecting
+  transient exceptions, latency spikes, stuck-shard hangs, worker kills
+  and scripted fail-N-then-recover sequences, so every behaviour above
+  is testable without real timing races.
 
 All timing flows through the injected observability clock
 (``obs.clock.now()`` / ``obs.clock.sleep()``) — never ``time.*``
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..exceptions import (
     CircuitOpenError,
@@ -99,9 +100,9 @@ class ResiliencePolicy:
             * ``"partial"``: serve the sum of the healthy shards,
               wrapped in a :class:`PartialResult` marked
               ``partial=True`` (never cached);
-            * ``"fallback"``: recompute the failed sub-ranges on the
-              unsharded path — synchronously, bypassing the executor
-              fan-out — yielding an exact answer at degraded latency.
+            * ``"fallback"``: read the failed sub-ranges once more,
+              outside the fan-out (no retries, no breaker, no fault
+              injector), yielding an exact answer at degraded latency.
     """
 
     deadline_seconds: float | None = None
@@ -207,8 +208,8 @@ class CircuitBreaker:
       failure re-opens it and re-arms the cooldown.
 
     The breaker is deliberately not thread-safe: only the thread that
-    owns the engine mutates it, recording outcomes after each fan-out
-    round returns.
+    owns the engine mutates it, recording each shard read's outcome
+    during the fan-out.
     """
 
     __slots__ = ("policy", "state", "_outcomes", "_opened_at", "_probing")
@@ -377,14 +378,13 @@ class FaultScript:
 
 
 class FaultInjector:
-    """Seeded chaos harness: an executor wrapper that injects faults.
+    """Seeded chaos harness: perturbs shard reads before they run.
 
-    Wraps any executor (serial or process pool) and perturbs each task
-    invocation before the real work runs.  The engine's work items are
-    ``(shard_index, ...)`` tuples, so faults are attributed per shard.
-    Because retries re-submit through the executor, every retry round
-    passes through the injector again — exactly what a flaky shard
-    looks like from the engine's side.
+    Pass one to :class:`~repro.engine.engine.ShardedEngine` as
+    ``faults=``; its fan-out calls :meth:`perturb` once before every
+    shard read, retry rounds included, so a retry meets the injector
+    again — exactly what a flaky shard looks like from the engine's
+    side.  The degradation fallback's re-read does not.
 
     Fault kinds, all driven by one ``random.Random(seed)`` stream:
 
@@ -400,25 +400,24 @@ class FaultInjector:
       :class:`~repro.obs.clock.ManualClock` the "hang" is virtual and
       the test stays instant.
     * **worker kill** (``kill_rate``) — SIGKILL the pool worker owning
-      the shard (when the wrapped executor exposes ``kill_worker``,
-      i.e. the process executor) and fail the call with
-      :class:`~repro.exceptions.WorkerCrashedError`, exactly as a
-      mid-query death surfaces.  The process genuinely dies: reads keep
-      gathering off the shared-memory slabs, and the next write or
-      fence on its lane respawns it, so recovery is exact.  On executors without workers to kill the error is
-      still raised, simulating the crash.
+      the shard (when the engine has a worker-process pool) and fail
+      the call with :class:`~repro.exceptions.WorkerCrashedError`,
+      exactly as a mid-query death surfaces.  The process genuinely
+      dies: reads keep gathering off the shared-memory slabs, and the
+      next write or fence on its lane respawns it, so recovery is
+      exact.  Without a pool the error is still raised, simulating the
+      crash.
     * **scripts** — a ``{shard_index: FaultScript}`` mapping for exact
       fail-N-then-recover sequences (overrides the random draws for
       that shard while active).
 
-    Every executor runs its items in turn on the caller's thread, so the
-    draws meet the tasks in one order and a seed replays exactly, in
+    The engine reads its shards in turn on the caller's thread, so the
+    draws meet the reads in one order and a seed replays exactly, in
     process mode too.
     """
 
     def __init__(
         self,
-        executor,
         clock,
         seed: int = 0,
         fault_rate: float = 0.0,
@@ -439,7 +438,6 @@ class FaultInjector:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {rate}"
                 )
-        self._inner = executor
         self._clock = clock
         self._rng = random.Random(seed)
         self.fault_rate = fault_rate
@@ -453,21 +451,14 @@ class FaultInjector:
         self.injected = {"fault": 0, "latency": 0, "hang": 0, "kill": 0, "script": 0}
         self.calls = 0
 
-    @property
-    def workers(self) -> int:
-        return self._inner.workers
+    def perturb(self, shard: int, pool=None) -> None:
+        """Maybe inject one fault into the coming read of ``shard``.
 
-    def _shard_of(self, item) -> int | None:
-        try:
-            return item[0]
-        except (TypeError, IndexError):
-            return None
-
-    def _perturb(self, item) -> None:
-        """Maybe inject one fault for this task invocation."""
+        ``pool`` is the engine's worker-process pool, or ``None``; a
+        kill SIGKILLs the worker owning ``shard`` through it.
+        """
         self.calls += 1
-        shard = self._shard_of(item)
-        script = self.scripts.get(shard) if shard is not None else None
+        script = self.scripts.get(shard)
         if script is not None and script.should_fail():
             self.injected["script"] += 1
             raise InjectedFaultError(
@@ -486,9 +477,8 @@ class FaultInjector:
             raise InjectedFaultError(f"transient fault on shard {shard}")
         if draw < self.hang_rate + self.fault_rate + self.kill_rate:
             self.injected["kill"] += 1
-            killer = getattr(self._inner, "kill_worker", None)
-            if killer is not None and shard is not None:
-                killer(shard)
+            if pool is not None:
+                pool.kill_worker(shard)
             raise WorkerCrashedError(
                 f"injected worker kill while serving shard {shard}"
             )
@@ -497,32 +487,6 @@ class FaultInjector:
         ):
             self.injected["latency"] += 1
             self._clock.sleep(self.latency_seconds)
-
-    def _wrap(self, fn: Callable) -> Callable:
-        def faulty(item):
-            self._perturb(item)
-            return fn(item)
-
-        return faulty
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Delegate to the wrapped executor with faults armed."""
-        return self._inner.map(self._wrap(fn), items)
-
-    def try_map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        timeout: float | None = None,
-        clock=None,
-    ) -> list[tuple]:
-        """Delegate ``try_map`` with faults armed (per-item isolation)."""
-        return self._inner.try_map(
-            self._wrap(fn), items, timeout=timeout, clock=clock
-        )
-
-    def shutdown(self) -> None:
-        self._inner.shutdown()
 
     def report(self) -> dict:
         """Injection tallies: calls seen and faults delivered by kind."""
@@ -536,6 +500,6 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"FaultInjector({self._inner!r}, fault_rate={self.fault_rate}, "
+            f"FaultInjector(fault_rate={self.fault_rate}, "
             f"latency_rate={self.latency_rate}, hang_rate={self.hang_rate})"
         )

@@ -213,7 +213,9 @@ class TestChaosCommand:
     def test_process_soak_replays_exactly(self, tmp_path, capsys):
         """Real SIGKILLs against the worker pool, twice with one seed:
         the same injections land on the same sub-operations, and every
-        answer stays exact."""
+        answer stays exact.  Half the events write, so every shard ships
+        write batches and a kill finds writes in flight for the ledger
+        replay to recover."""
         import json
 
         rows = []
@@ -223,7 +225,7 @@ class TestChaosCommand:
                 "chaos", "--shape", "32", "32", "--shards", "4",
                 "--events", "200", "--executor", "process",
                 "--kill-rate", "0.05", "--fault-rate", "0.1", "--seed", "3",
-                "--json", str(artifact),
+                "--mix", "0.5", "--json", str(artifact),
             ]) == 0
             (row,) = json.loads(artifact.read_text())["rows"]
             rows.append(row)
@@ -238,6 +240,7 @@ class TestChaosCommand:
         ):
             assert first[key] == second[key], key
         assert first["mismatches"] == 0
+        assert first["worker_restarts"] >= 1
 
     def test_without_json_leaves_cwd_clean(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -15,7 +15,6 @@ import pytest
 from repro.engine import (
     EpochLruCache,
     MISS,
-    SerialExecutor,
     ShardedEngine,
     ShardPlan,
 )
@@ -175,24 +174,25 @@ class TestExecutors:
         for workers in (None, 0, 1):
             with ShardedEngine((8, 8), shards=shards, workers=workers) as engine:
                 assert engine.executor_kind == "serial"
-                assert isinstance(engine.executor, SerialExecutor)
 
     def test_thread_executor_kind_is_gone(self):
         with pytest.raises(ConfigurationError, match="'serial' or 'process'"):
             ShardedEngine((8, 8), executor="thread")
 
-    @pytest.mark.parametrize("executor", [None, "serial", SerialExecutor()])
+    def test_an_executor_object_is_refused(self):
+        """``executor`` names a kind; faults come in through ``faults=``."""
+        from repro.engine import FaultInjector
+        from repro.obs import ManualClock
+
+        with pytest.raises(ConfigurationError, match="'serial' or 'process'"):
+            ShardedEngine((8, 8), executor=FaultInjector(ManualClock()))
+
+    @pytest.mark.parametrize("executor", [None, "serial"])
     def test_workers_need_the_process_executor(self, executor):
         """``workers`` sizes the worker-process pool and nothing else:
         asking for several without it is refused, not reinterpreted."""
         with pytest.raises(ConfigurationError, match='executor="process"'):
             ShardedEngine((8, 8), workers=4, executor=executor)
-
-    def test_map_matches_builtin(self):
-        items = list(range(10))
-        assert SerialExecutor().map(lambda x: x * x, items) == [
-            x * x for x in items
-        ]
 
 
 def _replay(target, events):
@@ -487,39 +487,25 @@ class TestEngineIntrospection:
 
 
 class TestScalarMissUnderPolicy:
-    """A one-range miss under a resilience policy reads its shards
-    directly, and takes the guarded fan-out only when it must."""
+    """A one-range miss under a resilience policy is a batch of one in
+    the engine's one fan-out: every touched shard's outcome lands in its
+    breaker, and only a shard that raised is read again."""
 
     SHAPE = (16, 8)
 
-    def _engine(self, executor=None, **policy):
-        from repro.engine import FaultInjector, ResiliencePolicy
+    def _engine(self, faults=None, **policy):
+        from repro.engine import ResiliencePolicy
         from repro.obs import ManualClock, Observability
 
-        clock = ManualClock()
-        if executor == "injector":
-            executor = FaultInjector(SerialExecutor(), clock=clock)
         data = clustered(self.SHAPE, seed=41)
         engine = ShardedEngine.from_array(
             data,
             shards=4,
-            obs=Observability(clock=clock),
+            obs=Observability(clock=ManualClock()),
             resilience=ResiliencePolicy(**policy),
-            executor=executor,
+            faults=faults,
         )
         return engine, data
-
-    @staticmethod
-    def _count_fanouts(monkeypatch, engine):
-        calls = []
-        fanout = engine._resilient_fanout
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return fanout(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "_resilient_fanout", spy)
-        return calls
 
     @staticmethod
     def _raise_once(shard):
@@ -536,46 +522,45 @@ class TestScalarMissUnderPolicy:
 
         shard.range_sum = flaky
 
-    def test_a_healthy_miss_skips_the_guarded_fanout(self, monkeypatch):
+    def test_a_healthy_miss_lands_in_every_touched_breaker(self):
         engine, data = self._engine()
-        calls = self._count_fanouts(monkeypatch, engine)
         assert engine.range_sum((1, 0), (14, 7)) == int(data[1:15].sum())
-        assert calls == []
-        # Every touched shard's success is in its breaker window.
         assert [breaker._outcomes for breaker in engine._breakers] == [[False]] * 4
         engine.close()
 
-    @pytest.mark.parametrize(
-        "reason", ["deadline", "executor", "breaker"]
-    )
-    def test_a_miss_takes_the_guarded_fanout_when_it_must(self, monkeypatch, reason):
+    @pytest.mark.parametrize("reason", ["deadline", "executor", "breaker"])
+    def test_a_miss_takes_the_guarded_fanout_when_it_must(self, reason):
+        """A deadline, a fault injector and a breaker that is not closed
+        each act inside the one fan-out, and the answer stays exact."""
+        from repro.engine import FaultInjector
+        from repro.obs import ManualClock
+
+        faults = FaultInjector(ManualClock()) if reason == "executor" else None
         engine, data = self._engine(
-            executor="injector" if reason == "executor" else None,
+            faults=faults,
             deadline_seconds=1.0 if reason == "deadline" else None,
         )
         if reason == "breaker":
             engine._breakers[2].state = "half-open"
-        calls = self._count_fanouts(monkeypatch, engine)
         assert engine.range_sum((1, 0), (14, 7)) == int(data[1:15].sum())
-        assert len(calls) == 1
+        if reason == "executor":
+            assert faults.calls == 4  # one perturb per touched shard
+        # The half-open breaker's probe succeeded and closed it.
+        assert [breaker.state for breaker in engine._breakers] == ["closed"] * 4
+        timeouts = engine.obs.metrics.get("repro_engine_timeouts_total")
+        assert timeouts.labels().value == 0
         engine.close()
 
-    def test_a_raising_shard_records_what_the_guarded_fanout_records(
-        self, monkeypatch
-    ):
-        direct, data = self._engine(max_retries=2)
-        guarded, _ = self._engine(executor="injector", max_retries=2)
-        answers = []
-        for engine in (direct, guarded):
-            self._raise_once(engine._shards[1])
-            calls = self._count_fanouts(monkeypatch, engine)
-            answers.append(engine.range_sum((1, 0), (10, 7)))
-            assert len(calls) == 1
-        assert answers == [int(data[1:11].sum())] * 2
-        for engine in (direct, guarded):
-            retries = engine.obs.metrics.get("repro_engine_retries_total")
-            assert retries.labels(shard="1").value == 1
-            assert [breaker._outcomes for breaker in engine._breakers] == [
-                [False], [True, False], [False], [],
-            ]
-            engine.close()
+    def test_a_raising_shard_records_what_the_guarded_fanout_records(self):
+        """Shard 1 raises once: it alone is retried, once, and its
+        breaker holds the failure and the success; shard 3, untouched,
+        holds nothing."""
+        engine, data = self._engine(max_retries=2)
+        self._raise_once(engine._shards[1])
+        assert engine.range_sum((1, 0), (10, 7)) == int(data[1:11].sum())
+        retries = engine.obs.metrics.get("repro_engine_retries_total")
+        assert retries.labels(shard="1").value == 1
+        assert [breaker._outcomes for breaker in engine._breakers] == [
+            [False], [True, False], [False], [],
+        ]
+        engine.close()

@@ -27,7 +27,6 @@ import pytest
 from repro.engine import (
     FaultInjector,
     ResiliencePolicy,
-    SerialExecutor,
     ShardedEngine,
     ShardPlan,
     ShardSlabStore,
@@ -36,7 +35,8 @@ from repro.engine import (
 from repro.engine.shm import HEADER_APPLIED, HEADER_SEQ
 from repro.exceptions import (
     ConfigurationError,
-    ResilienceError,
+    DeadlineExceededError,
+    InjectedFaultError,
     WorkerCrashedError,
 )
 from repro.methods import build_method
@@ -56,6 +56,15 @@ def _replay(target, events):
         else:
             target.add(event.cell, event.delta)
     return reads
+
+
+def _live_workers() -> list[str]:
+    """Names of the shard-worker child processes still alive."""
+    return [
+        child.name
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-shard-worker-")
+    ]
 
 
 def _process_engine(data, shards, **kwargs):
@@ -211,14 +220,10 @@ class TestKillRecovery:
             breaker_cooldown_seconds=60.0,
             degradation="fallback",
         )
-        engine = _process_engine(data, 4, resilience=policy)
+        injector = FaultInjector(clock=clock, seed=35, kill_rate=1.0)
+        engine = _process_engine(data, 4, resilience=policy, faults=injector)
         try:
             pool = engine.process_pool
-            engine.wrap_executor(
-                lambda inner: FaultInjector(
-                    inner, clock=clock, seed=35, kill_rate=1.0
-                )
-            )
             queries = [
                 ((0, 0), (17, 8)),
                 ((1, 1), (16, 7)),
@@ -233,7 +238,7 @@ class TestKillRecovery:
             assert any(
                 breaker["state"] != "closed" for breaker in info["breakers"]
             )
-            assert engine.executor.injected["kill"] > 0
+            assert injector.injected["kill"] > 0
             # The kills were real SIGKILLs — and with the breaker open,
             # nothing routes to the pool, so no op respawned the corpse.
             info = pool.pool_info()
@@ -279,7 +284,8 @@ class TestExecutorSelection:
         refused rather than ignored."""
         data = clustered((8, 8), seed=51)
         with ShardedEngine.from_array(data, shards=1) as engine:
-            assert isinstance(engine.executor, SerialExecutor)
+            assert engine.executor_kind == "serial"
+            assert engine.process_pool is None
         with pytest.raises(ConfigurationError, match='executor="process"'):
             ShardedEngine.from_array(data, shards=1, workers=4)
 
@@ -306,21 +312,21 @@ class TestPoolIntrospection:
 
 
 class _HangOnce(FaultInjector):
-    """A ``FaultInjector`` hang script for one shard: its first call
+    """A ``FaultInjector`` hang script for one shard: its first read
     burns ``seconds`` of the injected clock, then fails; every later
-    call runs clean.  Records the live thread count while it hangs."""
+    read runs clean.  Records the live thread count while it hangs."""
 
-    def __init__(self, inner, clock, shard: int, seconds: float) -> None:
-        super().__init__(inner, clock=clock, hang_rate=1.0, hang_seconds=seconds)
+    def __init__(self, clock, shard: int, seconds: float) -> None:
+        super().__init__(clock, hang_rate=1.0, hang_seconds=seconds)
         self.shard = shard
         self.threads_while_hung: list[int] = []
 
-    def _perturb(self, item) -> None:
-        if item[0] != self.shard or self.threads_while_hung:
+    def perturb(self, shard, pool=None) -> None:
+        if shard != self.shard or self.threads_while_hung:
             self.calls += 1
             return
         self.threads_while_hung.append(threading.active_count())
-        super()._perturb(item)
+        super().perturb(shard, pool)
 
 
 class TestOneThread:
@@ -338,19 +344,20 @@ class TestOneThread:
         policy = ResiliencePolicy(
             deadline_seconds=0.05, max_retries=2, degradation=mode
         )
+        injector = _HangOnce(clock, shard=1, seconds=0.2)
         engine = _process_engine(
-            data, 2, resilience=policy, obs=Observability(clock=clock)
+            data, 2, resilience=policy, obs=Observability(clock=clock),
+            faults=injector,
         )
         try:
-            engine.wrap_executor(
-                lambda inner: _HangOnce(inner, clock, shard=1, seconds=0.2)
-            )
-            injector = engine.executor
             low, high = (0, 0), (17, 8)
             want = int(baseline.range_sum(low, high))
             if mode == "strict":
-                with pytest.raises(ResilienceError):
+                # The shard failed after the budget was spent: a timeout,
+                # chained to the shard's own error.
+                with pytest.raises(DeadlineExceededError) as excinfo:
                     engine.range_sum(low, high)
+                assert isinstance(excinfo.value.__cause__, InjectedFaultError)
             else:
                 got = engine.range_sum(low, high)
                 if mode == "partial":
@@ -361,6 +368,8 @@ class TestOneThread:
                     assert not is_partial(got)
                     assert int(got) == want
             assert injector.injected["hang"] == 1
+            timeouts = engine.obs.metrics.counter("repro_engine_timeouts_total", "")
+            assert timeouts.value == 1
             start = clock.now()
             again = engine.range_sum(low, high)
             assert not is_partial(again)
@@ -376,15 +385,12 @@ class TestOneThread:
     def test_close_leaves_no_worker_and_no_segment(self, wrapped):
         """Writes, a SIGKILL, a respawn, then ``close()``: no
         ``repro-shard-worker-*`` child and no new ``/dev/shm`` entry
-        survive, with or without a ``FaultInjector`` in front."""
+        survive, with or without a ``FaultInjector``."""
         shm_before = _shm_entries()
         data = clustered(SHAPE, seed=38)
-        engine = _process_engine(data, 4, workers=2)
+        faults = FaultInjector(clock=ManualClock(), seed=39) if wrapped else None
+        engine = _process_engine(data, 4, workers=2, faults=faults)
         try:
-            if wrapped:
-                engine.wrap_executor(
-                    lambda inner: FaultInjector(inner, clock=ManualClock(), seed=39)
-                )
             pool = engine.process_pool
             for step in range(40):
                 engine.add((step % SHAPE[0], (5 * step) % SHAPE[1]), 2)
@@ -397,10 +403,22 @@ class TestOneThread:
             assert info["alive"] == info["workers"]
         finally:
             engine.close()
-        workers = [
-            child.name
-            for child in multiprocessing.active_children()
-            if child.name.startswith("repro-shard-worker-")
-        ]
-        assert workers == []
+        assert _live_workers() == []
+        assert _shm_entries() <= shm_before
+
+    def test_shutdown_does_not_respawn_a_dead_worker(self):
+        """A buffered write, a SIGKILL, then ``close()``: the dead lane
+        is not respawned only to be stopped, and nothing survives."""
+        shm_before = _shm_entries()
+        data = clustered(SHAPE, seed=40)
+        engine = _process_engine(data, 2)
+        try:
+            pool = engine.process_pool
+            engine.add((0, 0), 3)
+            assert pool.pool_info()["buffered_deltas"] == 1
+            assert pool.kill_worker(0)
+        finally:
+            engine.close()
+        assert pool.pool_info()["restarts"] == 0
+        assert _live_workers() == []
         assert _shm_entries() <= shm_before

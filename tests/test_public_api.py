@@ -64,7 +64,6 @@ def test_top_level_exports():
             [
                 "ShardedEngine",
                 "ShardPlan",
-                "SerialExecutor",
                 "ResiliencePolicy",
                 "CircuitBreaker",
                 "FaultInjector",

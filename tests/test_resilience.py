@@ -28,7 +28,6 @@ from repro.engine import (
     FaultScript,
     PartialResult,
     ResiliencePolicy,
-    SerialExecutor,
     ShardedEngine,
     is_partial,
 )
@@ -57,14 +56,14 @@ def make_engine(data, *, policy, injector_kwargs=None, shards=4, cache=64):
     """Engine + injector + clock wired for one deterministic scenario."""
     clock = ManualClock()
     obs = Observability(clock=clock)
-    injector = FaultInjector(SerialExecutor(), clock=clock, **(injector_kwargs or {}))
+    injector = FaultInjector(clock=clock, **(injector_kwargs or {}))
     engine = ShardedEngine.from_array(
         data,
         shards=shards,
         cache_size=cache,
         obs=obs,
         resilience=policy,
-        executor=injector,
+        faults=injector,
     )
     return engine, injector, clock, obs
 
@@ -215,33 +214,39 @@ class TestPartialResult:
         assert not is_partial(None)
 
 
-class TestFaultInjector:
-    def task(self, item):
-        return item[0] * 10
+def _perturbations(injector, shards) -> list:
+    """The error :meth:`FaultInjector.perturb` raised for each shard read
+    in turn, or ``None`` where it let the read through."""
+    errors = []
+    for shard in shards:
+        try:
+            injector.perturb(shard)
+        except InjectedFaultError as error:
+            errors.append(error)
+        else:
+            errors.append(None)
+    return errors
 
+
+class TestFaultInjector:
     def test_rates_validated(self):
         with pytest.raises(ConfigurationError):
-            FaultInjector(SerialExecutor(), ManualClock(), fault_rate=1.5)
+            FaultInjector(ManualClock(), fault_rate=1.5)
 
     def test_deterministic_across_runs(self):
         outcomes = []
         for _ in range(2):
-            injector = FaultInjector(
-                SerialExecutor(), ManualClock(), seed=3, fault_rate=0.5
-            )
-            run = injector.try_map(self.task, [(i,) for i in range(20)])
-            outcomes.append([error is None for _, error in run])
+            injector = FaultInjector(ManualClock(), seed=3, fault_rate=0.5)
+            run = _perturbations(injector, range(20))
+            outcomes.append([error is None for error in run])
         assert outcomes[0] == outcomes[1]
         assert injector.injected["fault"] > 0
 
     def test_scripts_fail_exactly_n_then_recover(self):
         injector = FaultInjector(
-            SerialExecutor(),
-            ManualClock(),
-            scripts={0: FaultScript(fail_next=2)},
+            ManualClock(), scripts={0: FaultScript(fail_next=2)}
         )
-        items = [(0,)] * 4
-        errors = [error for _, error in injector.try_map(self.task, items)]
+        errors = _perturbations(injector, [0] * 4)
         assert [isinstance(e, InjectedFaultError) for e in errors] == [
             True, True, False, False,
         ]
@@ -249,28 +254,21 @@ class TestFaultInjector:
 
     def test_hang_burns_virtual_time_then_fails(self):
         clock = ManualClock()
-        injector = FaultInjector(
-            SerialExecutor(), clock, hang_rate=1.0, hang_seconds=0.25
-        )
-        (result, error), = injector.try_map(self.task, [(0,)])
-        assert result is None
-        assert isinstance(error, InjectedFaultError)
+        injector = FaultInjector(clock, hang_rate=1.0, hang_seconds=0.25)
+        with pytest.raises(InjectedFaultError):
+            injector.perturb(0)
         assert clock.now() == pytest.approx(0.25)
 
     def test_latency_spike_sleeps_but_succeeds(self):
         clock = ManualClock()
-        injector = FaultInjector(
-            SerialExecutor(), clock, latency_rate=1.0, latency_seconds=0.02
-        )
-        (result, error), = injector.try_map(self.task, [(3,)])
-        assert (result, error) == (30, None)
+        injector = FaultInjector(clock, latency_rate=1.0, latency_seconds=0.02)
+        injector.perturb(3)
+        assert injector.injected["latency"] == 1
         assert clock.now() == pytest.approx(0.02)
 
     def test_report_tallies(self):
-        injector = FaultInjector(
-            SerialExecutor(), ManualClock(), seed=1, fault_rate=0.4
-        )
-        injector.try_map(self.task, [(i,) for i in range(50)])
+        injector = FaultInjector(ManualClock(), seed=1, fault_rate=0.4)
+        _perturbations(injector, range(50))
         report = injector.report()
         assert report["calls"] == 50
         assert report["injected_total"] == report["injected_fault"]
@@ -279,51 +277,93 @@ class TestFaultInjector:
         )
 
 
+class _Recorder(FaultInjector):
+    """A ``FaultInjector`` that records which shard each read was."""
+
+    def __init__(self, clock, **kwargs) -> None:
+        super().__init__(clock, **kwargs)
+        self.shards: list[int] = []
+
+    def perturb(self, shard, pool=None) -> None:
+        self.shards.append(shard)
+        super().perturb(shard, pool)
+
+
 class TestExecutorFailurePaths:
-    """``try_map`` semantics of the serial fan-out (the process
-    executor's base too): the failure paths the resilient fan-out is
-    built on."""
+    """The failure paths of the engine's one fan-out: shards read in
+    turn, an error isolated per shard under a policy and propagated
+    without one, and no shard started once the budget is spent."""
 
-    def boom(self, item):
-        if item == 13:
-            raise RuntimeError("boom")
-        return item * 2
+    SHAPE = (32, 8)
+    FULL = ((0, 0), (31, 7))
 
-    @pytest.mark.parametrize("executor_factory", [SerialExecutor])
-    def test_one_raising_item_never_aborts_siblings(self, executor_factory):
-        executor = executor_factory()
-        try:
-            outcomes = executor.try_map(self.boom, [1, 13, 5])
-            assert [r for r, _ in outcomes] == [2, None, 10]
-            errors = [e for _, e in outcomes]
-            assert errors[0] is None and errors[2] is None
-            assert isinstance(errors[1], RuntimeError)
-        finally:
-            executor.shutdown()
+    def _engine(self, injector, policy=None, clock=None):
+        return ShardedEngine.from_array(
+            clustered(self.SHAPE, seed=12),
+            shards=4,
+            cache_size=0,
+            obs=Observability(clock=clock) if clock is not None else None,
+            resilience=policy,
+            faults=injector,
+        )
 
     def test_map_still_propagates_first_error(self):
-        with pytest.raises(RuntimeError):
-            SerialExecutor().map(self.boom, [1, 13, 5])
-
-    def test_serial_refuses_items_after_budget_spent(self):
-        clock = ManualClock()
-
-        def slow(item):
-            clock.advance(0.6)
-            return item
-
-        outcomes = SerialExecutor().try_map(
-            slow, [1, 2, 3], timeout=1.0, clock=clock
-        )
-        assert outcomes[0] == (1, None)
-        assert outcomes[1] == (2, None)  # started at t=0.6 < deadline
-        result, error = outcomes[2]
-        assert result is None
-        assert isinstance(error, DeadlineExceededError)
+        """Without a policy a shard's error is the request's error."""
+        injector = FaultInjector(ManualClock(), fault_rate=1.0)
+        with self._engine(injector) as engine:
+            with pytest.raises(InjectedFaultError, match="shard 0"):
+                engine.range_sum(*self.FULL)
+        assert injector.calls == 1
 
     def test_outcomes_keep_submission_order(self):
-        outcomes = SerialExecutor().try_map(lambda i: i, list(range(16)))
-        assert [r for r, _ in outcomes] == list(range(16))
+        """Round 0 reads the shards in shard order, a scalar miss and a
+        batch alike, and a retry round re-reads only the shard that
+        failed."""
+        data = clustered(self.SHAPE, seed=12)
+        policy = ResiliencePolicy(max_retries=1, jitter=0.0)
+        for many in (False, True):
+            injector = _Recorder(
+                ManualClock(), scripts={2: FaultScript(fail_next=1)}
+            )
+            with self._engine(injector, policy, ManualClock()) as engine:
+                if many:
+                    got = engine.range_sum_many([self.FULL, ((3, 0), (30, 7))])
+                    assert got == [int(data.sum()), int(data[3:31].sum())]
+                else:
+                    assert engine.range_sum(*self.FULL) == int(data.sum())
+            assert injector.shards == [0, 1, 2, 3, 2]
+
+    def test_serial_refuses_items_after_budget_spent(self):
+        """A latency spike on the first shard spends the budget: the
+        later shards are never attempted.  Strict raises
+        :class:`DeadlineExceededError`; partial names them."""
+        data = clustered(self.SHAPE, seed=12)
+        for mode in ("strict", "partial"):
+            clock = ManualClock()
+            injector = FaultInjector(
+                clock, latency_rate=1.0, latency_seconds=0.2
+            )
+            policy = ResiliencePolicy(
+                deadline_seconds=0.1, max_retries=2, degradation=mode
+            )
+            with self._engine(injector, policy, clock) as engine:
+                if mode == "strict":
+                    with pytest.raises(DeadlineExceededError, match="shard 1"):
+                        engine.range_sum(*self.FULL)
+                else:
+                    got = engine.range_sum(*self.FULL)
+                    assert is_partial(got)
+                    assert got.missing_shards == (1, 2, 3)
+                    assert int(got) == int(data[:8].sum())
+                timeouts = engine.obs.metrics.counter(
+                    "repro_engine_timeouts_total", ""
+                )
+                assert timeouts.value == 3
+                # Unattempted shards leave their breakers untouched.
+                assert [b._outcomes for b in engine._breakers] == [
+                    [False], [], [], [],
+                ]
+            assert injector.calls == 1
 
 
 class TestEngineChaosCorrectness:
@@ -456,8 +496,11 @@ class TestEngineChaosCorrectness:
             policy=policy,
             injector_kwargs={"hang_rate": 1.0, "hang_seconds": 0.03},
         )
-        with pytest.raises(DeadlineExceededError):
+        with pytest.raises(DeadlineExceededError) as excinfo:
             engine.range_sum((0, 0), (self.SHAPE[0] - 1, 3))
+        # Shard 0 hung past the budget, then failed: a timeout, chained
+        # to the shard's own error.
+        assert isinstance(excinfo.value.__cause__, InjectedFaultError)
         timeouts = obs.metrics.counter("repro_engine_timeouts_total", "")
         assert timeouts.value > 0
         assert clock.now() >= 0.05  # the budget was actually burned

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import FaultInjector, SerialExecutor, ShardedEngine
+from repro.engine import FaultInjector, ShardedEngine
 from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import (
     BadRequestError,
@@ -565,7 +565,7 @@ class TestShedding:
     def _faulty_engine(self):
         clock = ManualClock()
         obs = Observability(clock=clock)
-        injector = FaultInjector(SerialExecutor(), clock=clock, fault_rate=1.0)
+        injector = FaultInjector(clock=clock, fault_rate=1.0)
         engine = ShardedEngine.from_array(
             clustered(SHAPE, seed=3),
             shards=4,
@@ -573,7 +573,7 @@ class TestShedding:
             resilience=ResiliencePolicy(
                 degradation="strict", max_retries=0, breaker_window=0
             ),
-            executor=injector,
+            faults=injector,
         )
         return engine, obs
 
