@@ -6,17 +6,20 @@ once).  This bench sweeps batch size x query locality for every
 registered method and measures, per configuration:
 
 * wall time for one ``prefix_sum_many`` call vs the equivalent scalar
-  loop — measured twice: once *adaptively* (whatever path the calibrated
-  ``batch_crossover`` picks; ``speedup`` is 1.0 by construction when it
-  picks the scalar fallback) and once with the batch path *forced* via
-  ``batch_crossover_override`` (``batch_path_speedup``: what the batch
-  kernel would do, so a crossover decision can never mask a batch-path
-  regression), and
+  loop — measured twice: once as dispatched (whatever path the class's
+  committed ``batch_crossover`` picks; ``speedup`` is 1.0 by
+  construction when it picks the scalar fallback) and once with the
+  batch path *forced* by pinning ``batch_crossover = 1`` on the instance
+  (``batch_path_speedup``: what the batch kernel would do, so a
+  crossover constant can never mask a batch-path regression), and
 * the logical cost counters — always from the forced batch run, so the
-  deterministic counts do not depend on which side of the crossover this
-  machine landed on.  For the tree methods, ``node_visits`` shows the
+  counts show the batch kernel's work whichever side of the crossover
+  the batch size falls.  For the tree methods, ``node_visits`` shows the
   path-sharing traversal descending each distinct root-to-leaf path
   once, which is where the clustered (zipf) workload wins big.
+
+The ``crossover`` column is the class constant; ``docs/algorithms.md``
+§8 records how each was measured.
 
 The end-to-end benchmark (``benchmarks/e2e/``) times batched reads for
 the ``vector`` method only; this table is the one place the other six
@@ -55,15 +58,13 @@ def test_batch_query_throughput(benchmark):
                         SHAPE, batch, locality=locality, seed=51 + batch
                     )
                     # Warm every path once (first-touch numpy setup,
-                    # allocator effects — and the adaptive warm-up also
-                    # triggers calibration outside the timed region),
-                    # then keep the best of REPS timed runs — a single
-                    # cold round mostly measures scheduler noise on
-                    # small batches.
+                    # allocator effects), then keep the best of REPS
+                    # timed runs — a single cold round mostly measures
+                    # scheduler noise on small batches.
                     method.prefix_sum_many(cells)
-                    method.batch_crossover_override = 1
+                    method.batch_crossover = 1
                     method.prefix_sum_many(cells)
-                    method.batch_crossover_override = None
+                    del method.batch_crossover
                     [method.prefix_sum(cell) for cell in cells]
                     batch_seconds = forced_seconds = scalar_seconds = None
                     for _ in range(REPS):
@@ -74,15 +75,15 @@ def test_batch_query_throughput(benchmark):
                         if batch_seconds is None or elapsed < batch_seconds:
                             batch_seconds = elapsed
                         # Forced batch path: what the batch kernel would
-                        # do regardless of the crossover decision.  The
+                        # do regardless of the crossover constant.  The
                         # deterministic counters come from this run.
-                        method.batch_crossover_override = 1
+                        method.batch_crossover = 1
                         method.stats.reset()
                         start = time.perf_counter()
                         forced_results = method.prefix_sum_many(cells)
                         elapsed = time.perf_counter() - start
                         forced_stats = method.stats.snapshot()
-                        method.batch_crossover_override = None
+                        del method.batch_crossover
                         if forced_seconds is None or elapsed < forced_seconds:
                             forced_seconds = elapsed
                         method.stats.reset()
@@ -100,7 +101,7 @@ def test_batch_query_throughput(benchmark):
                     assert [int(v) for v in forced_results] == [
                         int(v) for v in scalar_results
                     ], f"forced-batch/scalar mismatch for {name}"
-                    # Below the crossover the adaptive call runs the
+                    # Below the crossover the dispatched call runs the
                     # same scalar loop as the baseline, so any measured
                     # delta is timer noise; the speedup is 1 by
                     # construction (raw timings stay in the row), and
@@ -121,7 +122,7 @@ def test_batch_query_throughput(benchmark):
                             "locality": locality,
                             "batch": batch,
                             "path": path,
-                            "crossover": method._effective_crossover(),
+                            "crossover": method.batch_crossover,
                             "batch_seconds": batch_seconds,
                             "batch_path_seconds": forced_seconds,
                             "scalar_seconds": scalar_seconds,
@@ -173,7 +174,7 @@ def test_batch_query_throughput(benchmark):
     # Flat methods answer batches without touching any tree nodes.
     for flat in ("ps", "rps"):
         assert by_key[(flat, "zipf", largest)]["node_visits_batch"] == 0
-    # Adaptive crossover: a sub-threshold batch falls back to the scalar
+    # Below the crossover a batch falls back to the scalar
     # path and is never reported as a slowdown — but its row still
     # carries the audited forced-batch ``batch_path_speedup``.
     for row in rows:

@@ -33,7 +33,7 @@ Rules (suppress a line with ``# noqa: REPxxx``):
   base-class defaults in ``methods/base.py`` are the sanctioned
   fallback and are exempt, and so is any loop lexically inside an
   ``if not self._use_batch_path(...):`` branch — that guard is the
-  adaptive-crossover contract choosing the scalar path deliberately.
+  batch-crossover contract choosing the scalar path deliberately.
   Fallbacks taken through any other condition carry an explanatory
   ``noqa``.
 * **REP008 direct-clock** — hot-path modules (``src/repro/core/``,
@@ -41,14 +41,16 @@ Rules (suppress a line with ``# noqa: REPxxx``):
   ``src/repro/obs/remote.py``, which runs inside pool workers) must
   not call
   ``time.time`` / ``time.perf_counter`` / ``time.monotonic`` (or their
-  ``_ns`` variants) or ``time.sleep`` directly; all timestamps and
-  sleeps flow through the injected observability clock
+  ``_ns`` variants) or ``time.sleep`` directly, nor construct a clock
+  of their own (``MonotonicClock()`` / ``ManualClock()``); all
+  timestamps and sleeps flow through the injected observability clock
   (:mod:`repro.obs.clock`).  A direct clock read bypasses the
   :class:`~repro.obs.clock.ManualClock` the tests inject and silently
   re-introduces timing cost on paths that are supposed to be free when
-  observability is disabled; a direct sleep (retry backoff, injected
-  latency) would turn every deterministic virtual-time chaos test into
-  a real-time one.
+  observability is disabled; a private clock is the same read in
+  disguise (it is how a wall-clock decision could hide inside a
+  kernel); a direct sleep (retry backoff, injected latency) would turn
+  every deterministic virtual-time chaos test into a real-time one.
 """
 
 from __future__ import annotations
@@ -335,7 +337,7 @@ _LOOP_NODES = (
 
 
 def _is_crossover_guard(test: ast.expr) -> bool:
-    """True when an ``if`` test consults the adaptive batch crossover.
+    """True when an ``if`` test consults the batch crossover.
 
     ``if not self._use_batch_path(count): <scalar loop>`` is the
     documented fallback contract (see ``methods/base.py``): the guard
@@ -421,6 +423,10 @@ _CLOCK_FUNCTIONS = frozenset(
     }
 )
 
+#: The clock classes of :mod:`repro.obs.clock`; hot paths receive one,
+#: they never build one.
+_CLOCK_CLASSES = frozenset({"MonotonicClock", "ManualClock"})
+
 #: Directory names marking the instrumented hot paths.
 _HOT_PATH_DIRS = frozenset({"core", "methods", "engine"})
 
@@ -447,11 +453,15 @@ def _check_direct_clock(
     if not _on_hot_path(module_path):
         return
     imported: set[str] = set()
+    clock_classes: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in _CLOCK_FUNCTIONS:
-                    imported.add(alias.asname or alias.name)
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        for alias in node.names:
+            if node.module == "time" and alias.name in _CLOCK_FUNCTIONS:
+                imported.add(alias.asname or alias.name)
+            elif node.module.split(".")[-1] == "clock" and alias.name in _CLOCK_CLASSES:
+                clock_classes.add(alias.asname or alias.name)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -472,6 +482,19 @@ def _check_direct_clock(
                 "REP008",
                 f"{called}() in a hot-path module — read time through "
                 f"the injected observability clock (repro.obs.clock)",
+            )
+            continue
+        built = None
+        if isinstance(func, ast.Name) and func.id in clock_classes:
+            built = func.id
+        elif isinstance(func, ast.Attribute) and func.attr in _CLOCK_CLASSES:
+            built = func.attr
+        if built is not None:
+            yield (
+                node.lineno,
+                "REP008",
+                f"{built}() in a hot-path module builds a private clock — "
+                f"take the injected observability clock instead",
             )
 
 

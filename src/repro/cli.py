@@ -1043,7 +1043,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8734, help="0 picks an ephemeral port"
     )
-    serve.add_argument("--method", default="ddc", choices=method_names())
+    serve.add_argument(
+        "--method",
+        default="vector",
+        choices=method_names(),
+        help="shard structure (default vector: the layout the serve "
+        "benchmarks measure; ddc is the paper's pointer structure)",
+    )
     serve.add_argument(
         "--shape", type=int, nargs="+", default=[64, 64], help="cube shape"
     )

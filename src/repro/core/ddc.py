@@ -78,14 +78,12 @@ class DynamicDataCube(RangeSumMethod):
     name = "ddc"
     #: Below this batch size the per-node bucketing and contribution
     #: cache of the path-sharing traversal cost more than they share.
-    #: Calibrated at first use on uniform batches, which share few
-    #: paths; clustered (zipf) batches share far more node visits and
-    #: break even lower.  On a 2-core machine the probe mostly fits 257
-    #: ("scalar up to 256"), and zipf batches up to 256 are faster as
-    #: scalar walks there too, at several times the node visits
-    #: (docs/algorithms.md §8).  The probe picks the machine-local value
-    #: instead of a constant tuned elsewhere.
-    batch_crossover = "auto"
+    #: On uniform batches the traversal never beat the scalar walks up
+    #: to 256 queries, so batches up to 256 run as scalar walks; zipf
+    #: batches up to 256 are faster as scalar walks too, at several
+    #: times the node visits (docs/algorithms.md §8, which has the
+    #: measurement behind every class's constant).
+    batch_crossover = 257
     _overlay_class = TreeOverlay
 
     def __init__(
@@ -451,7 +449,7 @@ class DynamicDataCube(RangeSumMethod):
         if self._root is None:
             return [self._zero() for _ in normalized]
         if not self._use_batch_path(len(normalized)):
-            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — adaptive crossover: a tiny batch never amortises the bucketed traversal's bookkeeping
+            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — below the crossover: a tiny batch never amortises the bucketed traversal's bookkeeping
         order: dict[tuple, list[int]] = {}
         for position, cell in enumerate(normalized):
             order.setdefault(cell, []).append(position)

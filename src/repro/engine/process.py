@@ -96,7 +96,7 @@ def _pool_worker_main(
     tallies lock-free — the parent harvests them on demand, and they
     survive this process being SIGKILLed.
     """
-    clock = MonotonicClock()
+    clock = MonotonicClock()  # noqa: REP008 — a pool worker is its own process with no injected obs; its apply timings feed the shm metrics shard (kept until the pool is decided)
     shard_metrics = None
     apply_seconds = apply_batch = None
     op_tallies = {}

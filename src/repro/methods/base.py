@@ -99,16 +99,14 @@ class RangeSumMethod(ABC):
 
     #: Batches strictly smaller than this take the scalar path.  The
     #: shared-work machinery (vectorised gathers, path-sharing descents)
-    #: has per-call setup costs that a tiny batch never amortises — the
-    #: small-batch regression the throughput benchmark exposed.  1 means
-    #: "always batch"; the sentinel ``"auto"`` resolves the threshold
-    #: through the one-shot calibration probe in
-    #: :mod:`repro.methods.crossover` (measured on this machine, cached
-    #: per class), replacing the old hand-tuned per-class constants.
-    #: Instances can pin a value via :attr:`batch_crossover_override`
-    #: (the benchmarks use it to time the batch path regardless of the
-    #: adaptive decision).
-    batch_crossover: ClassVar[int | str] = 1
+    #: has per-call setup costs that a tiny batch never amortises.  1
+    #: means "always batch"; each method commits its own constant,
+    #: measured once offline (``docs/algorithms.md`` §8 has the table and
+    #: its provenance), so which path a batch takes — and what it counts
+    #: — is a pure function of the class and the batch size.  A test or
+    #: bench forces the batch path by pinning ``batch_crossover = 1`` on
+    #: the instance.
+    batch_crossover: int = 1
 
     #: Observability wiring (see :attr:`obs`): unwired, a structure pays
     #: one predicate check per instrumented operation.
@@ -123,12 +121,6 @@ class RangeSumMethod(ABC):
         #: (shared-work machinery) or ``"scalar"`` (per-query fallback,
         #: chosen below :attr:`batch_crossover`).  Benchmarks record it.
         self.last_batch_path: str = "batch"
-        #: Per-instance crossover pin.  ``None`` defers to the class
-        #: policy (a literal threshold or the calibrated ``"auto"``
-        #: probe); an int forces that threshold — set it to 1 to force
-        #: the batch path, e.g. when auditing what the batch kernel
-        #: *would* do below the adaptive crossover.
-        self.batch_crossover_override: int | None = None
 
     @property
     def obs(self):
@@ -292,30 +284,11 @@ class RangeSumMethod(ABC):
         scalar loop (with an explanatory ``noqa: REP006``) when it
         returns False.
         """
-        use_batch = count >= self._effective_crossover()
+        use_batch = count >= self.batch_crossover
         self.last_batch_path = "batch" if use_batch else "scalar"
         if self._obs.enabled:
             self._obs_batch_path[self.last_batch_path].inc()
         return use_batch
-
-    def _effective_crossover(self) -> int:
-        """The batch/scalar threshold in force for this instance.
-
-        Resolution order: the per-instance
-        :attr:`batch_crossover_override` pin, then the class policy —
-        a literal int, or ``"auto"``, which defers to the one-shot
-        timing probe in :mod:`repro.methods.crossover` (measured once
-        per class and dimensionality, then cached).
-        """
-        override = self.batch_crossover_override
-        if override is not None:
-            return override
-        configured = type(self).batch_crossover
-        if configured == "auto":
-            from .crossover import calibrated_crossover
-
-            return calibrated_crossover(type(self), self.dims)
-        return int(configured)
 
     def prefix_sum_many(self, cells: Sequence) -> list:
         """Batch form of :meth:`prefix_sum`: one result per input cell.

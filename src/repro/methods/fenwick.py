@@ -43,9 +43,9 @@ class FenwickCube(RangeSumMethod):
     name = "fenwick"
     #: The per-level gather visits every level *combination* regardless
     #: of batch size — prod_i log2(n_i) vectorised reads — so small
-    #: batches are much cheaper as plain path walks; the probe measures
-    #: where the gather starts to win.
-    batch_crossover = "auto"
+    #: batches are much cheaper as plain path walks (docs/algorithms.md
+    #: §8 has where the gather starts to win).
+    batch_crossover = 41
 
     def __init__(self, shape: Sequence[int], dtype=np.int64) -> None:
         super().__init__(shape, dtype)
@@ -104,7 +104,7 @@ class FenwickCube(RangeSumMethod):
         if not normalized:
             return []
         if not self._use_batch_path(len(normalized)):
-            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — adaptive crossover: below batch_crossover the scalar path walks beat the full level-combination gather
+            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — below batch_crossover the scalar path walks beat the full level-combination gather
         count = len(normalized)
         coords = np.array(normalized, dtype=np.int64)
         axis_paths: list[tuple[np.ndarray, np.ndarray]] = []

@@ -24,8 +24,8 @@ class NaiveArray(RangeSumMethod):
     name = "naive"
     # The cumulative-pass batch path only amortizes its cube-wide cumsum
     # once the batch is big enough, regardless of what the logical cell
-    # cost model says — the probe measures where that happens here.
-    batch_crossover = "auto"
+    # cost model says (measured in docs/algorithms.md §8).
+    batch_crossover = 8
 
     def __init__(self, shape: Sequence[int], dtype=np.int64) -> None:
         super().__init__(shape, dtype)

@@ -26,8 +26,9 @@ class PrefixSumCube(RangeSumMethod):
     name = "ps"
     #: A scalar prefix query is one indexed read; the vectorised gather
     #: only wins once its numpy setup is spread over enough queries (a
-    #: scalar read is already near-free, so the measured bar is high).
-    batch_crossover = "auto"
+    #: scalar read is already near-free, so the measured bar is high;
+    #: docs/algorithms.md §8).
+    batch_crossover = 19
 
     def __init__(self, shape: Sequence[int], dtype=np.int64) -> None:
         super().__init__(shape, dtype)
@@ -55,7 +56,7 @@ class PrefixSumCube(RangeSumMethod):
         if not normalized:
             return []
         if not self._use_batch_path(len(normalized)):
-            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — adaptive crossover: a tiny batch of O(1) scalar reads beats the gather setup
+            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — below the crossover: a tiny batch of O(1) scalar reads beats the gather setup
         coords = np.array(normalized, dtype=np.intp)
         self.stats.cell_reads += len(normalized)
         # Iterating the gathered vector yields numpy scalars of the

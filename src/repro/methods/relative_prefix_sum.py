@@ -57,8 +57,8 @@ class RelativePrefixSumCube(RangeSumMethod):
 
     name = "rps"
     #: Each query needs 2^d component reads, so the gathers amortise
-    #: sooner than for the plain prefix-sum cube (the probe lands low).
-    batch_crossover = "auto"
+    #: sooner than for the plain prefix-sum cube (docs/algorithms.md §8).
+    batch_crossover = 4
 
     def __init__(
         self,
@@ -182,7 +182,7 @@ class RelativePrefixSumCube(RangeSumMethod):
         if not normalized:
             return []
         if not self._use_batch_path(len(normalized)):
-            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — adaptive crossover: below batch_crossover the 2^d scalar reads beat the gather setup
+            return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — below batch_crossover the 2^d scalar reads beat the gather setup
         coords = np.array(normalized, dtype=np.intp)
         blocks = coords // np.array(self.block_side, dtype=np.intp)
         gathered = self._local[tuple(coords.T)].astype(self.dtype, copy=True)

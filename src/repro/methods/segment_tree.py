@@ -57,8 +57,9 @@ class SegmentTreeCube(RangeSumMethod):
 
     name = "segtree"
     #: Like the Fenwick gather, the padded canonical-cover gather visits
-    #: every level combination regardless of batch size; calibrated.
-    batch_crossover = "auto"
+    #: every level combination regardless of batch size
+    #: (docs/algorithms.md §8).
+    batch_crossover = 53
 
     def __init__(self, shape: Sequence[int], dtype=np.int64) -> None:
         super().__init__(shape, dtype)
@@ -128,7 +129,7 @@ class SegmentTreeCube(RangeSumMethod):
         if not queries:
             return []
         if not self._use_batch_path(len(queries)):
-            return [self.range_sum(low, high) for low, high in queries]  # noqa: REP006 — adaptive crossover: below batch_crossover the scalar cover walks beat the padded gather
+            return [self.range_sum(low, high) for low, high in queries]  # noqa: REP006 — below batch_crossover the scalar cover walks beat the padded gather
         count = len(queries)
         axis_paths: list[tuple[np.ndarray, np.ndarray]] = []
         lengths = np.ones(count, dtype=np.int64)

@@ -45,12 +45,11 @@ class VectorSlabCube(RangeSumMethod):
     """
 
     name: ClassVar[str] = "vector"
-    #: Crossover resolved by the one-shot calibration probe (the batch
-    #: path's setup is a handful of small array ops, so the fit lands
-    #: low, ~10 — but the decision is measured, not asserted).  It is
+    #: The batch path's setup is a handful of small array ops, so it
+    #: wins from about a dozen queries (docs/algorithms.md §8).  It is
     #: measured on reads and also gates ``add_many``, whose batch path
     #: does no more work than the scalar loop at any size.
-    batch_crossover: ClassVar[int | str] = "auto"
+    batch_crossover = 12
 
     def __init__(
         self,

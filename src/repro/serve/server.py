@@ -88,10 +88,11 @@ MAX_BODY_BYTES = 8 << 20
 #: Request-line + headers ceiling.
 MAX_HEAD_BYTES = 32 << 10
 
-#: Items per engine call of a batch: at least every method's fitted
-#: batch crossover (clamped to at most 257), and small enough that the
-#: slowest chunk measured (``ddc`` 64³, see ``docs/serving.md``) keeps
-#: the loop answering ``/metrics`` inside a second.
+#: Items per engine call of a batch: at least every method's batch
+#: crossover (the largest class constant is ``ddc``'s 257), and small
+#: enough that the slowest chunk measured (``ddc`` 64³, see
+#: ``docs/serving.md``) keeps the loop answering ``/metrics`` inside a
+#: second.
 _CHUNK = 512
 
 #: Seconds a connection may hold a partial request (head or body).

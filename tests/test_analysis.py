@@ -379,6 +379,21 @@ class TestLintRules:
         findings = lint_source(source, "src/repro/engine/engine.py")
         assert "REP008" in {f.rule for f in findings}
 
+    def test_rep008_flags_a_private_clock_in_hot_paths(self):
+        # A clock built inside a kernel module is a direct clock read in
+        # disguise: it is how a wall-clock decision hid from REP008.
+        source = (
+            "__all__ = []\n"
+            "from ..obs.clock import MonotonicClock\n"
+            "from repro.obs import clock\n"
+            "_CLOCK = MonotonicClock()\n"
+            "def f():\n"
+            "    return clock.ManualClock()\n"
+        )
+        findings = lint_source(source, "src/repro/methods/crossover.py")
+        assert [(f.line, f.rule) for f in findings] == [(4, "REP008"), (6, "REP008")]
+        assert lint_source(source, "src/repro/serve/server.py") == []
+
     def test_rep008_allows_clock_calls_outside_hot_paths(self):
         source = (
             "__all__ = []\n"

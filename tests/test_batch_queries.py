@@ -18,6 +18,8 @@ from repro.core.bc_tree import BcTree
 from repro.core.keyed_bc_tree import KeyedBcTree
 from repro.exceptions import ConfigurationError
 from repro.methods import build_method, method_class
+from repro.obs import Observability
+from repro.obs.clock import ManualClock, MonotonicClock
 from repro.workloads import RangeQuery, clustered, dense_uniform, query_stream
 from repro.workloads import sparse_uniform
 
@@ -77,10 +79,10 @@ def test_range_sum_many_matches_scalar(method_name, workload):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("tree_method", ["ddc", "basic-ddc"])
 def test_prefix_sum_many_forced_batch_matches_scalar(tree_method, workload):
-    """The path-sharing traversal itself, whatever the probe picks."""
+    """The path-sharing traversal itself, below the class crossover too."""
     data = WORKLOADS[workload]()
     method = build_method(tree_method, data)
-    method.batch_crossover_override = 1
+    method.batch_crossover = 1
     cells = _query_cells(data.shape, 40, seed=10)
     batch = method.prefix_sum_many(cells)
     assert method.last_batch_path == "batch"
@@ -94,30 +96,52 @@ def test_range_sum_many_forced_batch_matches_scalar(tree_method, workload):
     data = WORKLOADS[workload]()
     ranges = _query_ranges(data.shape, 20, seed=11)
     method = build_method(tree_method, data)
-    method.batch_crossover_override = 1
+    method.batch_crossover = 1
     expected = [int(method.range_sum(low, high)) for low, high in ranges]
     assert [int(v) for v in method.range_sum_many(ranges)] == expected
     assert method.last_batch_path == "batch"
 
 
-@pytest.mark.parametrize("tree_method", ["ddc", "basic-ddc"])
-def test_dispatch_is_batch_exactly_from_the_crossover(tree_method):
+def test_dispatch_is_batch_exactly_from_the_crossover(method_name, monkeypatch):
+    """Which path a batch takes is a pure function of class and count.
+
+    The decision is read off ``repro_method_batch_path_total``, which
+    counts what the crossover chose (``naive`` may still answer a chosen
+    batch by direct region sums when they cost less than its prefix pass).
+    """
     data = WORKLOADS["dense"]()
-    method = build_method(tree_method, data)
+    method = build_method(method_name, data)
+    method.obs = obs = Observability(clock=ManualClock())
     cells = _query_cells(data.shape, 16, seed=15)
+
+    def dispatched(count):
+        counters = {
+            path: obs.batch_path_total.labels(method=method.name, path=path)
+            for path in ("batch", "scalar")
+        }
+        before = {path: counter.value for path, counter in counters.items()}
+        method.prefix_sum_many((cells * count)[:count])
+        moved = [path for path, counter in counters.items() if counter.value > before[path]]
+        assert len(moved) == 1, moved
+        return moved[0]
+
     for crossover in (1, 5, 9):
-        method.batch_crossover_override = crossover
-        assert method._effective_crossover() == crossover
+        method.batch_crossover = crossover
         for count in range(1, 12):
-            method.prefix_sum_many(cells[:count])
             expected = "batch" if count >= crossover else "scalar"
-            assert method.last_batch_path == expected, (crossover, count)
-    # Unpinned: the calibrated threshold decides, at its exact edge.
-    method.batch_crossover_override = None
-    threshold = method._effective_crossover()
-    for count in (threshold - 1, threshold):
-        method.prefix_sum_many((cells * threshold)[:count])
-        assert method.last_batch_path == ("batch" if count >= threshold else "scalar")
+            assert dispatched(count) == expected, (crossover, count)
+    # Unpinned: the committed class constant decides, at its exact edge,
+    # without reading the wall clock.
+    del method.batch_crossover
+    threshold = type(method).batch_crossover
+    assert isinstance(threshold, int) and threshold > 1
+
+    def no_clock():
+        raise AssertionError("batch dispatch read the wall clock")
+
+    monkeypatch.setattr(MonotonicClock, "now", staticmethod(no_clock))
+    assert dispatched(threshold - 1) == "scalar"
+    assert dispatched(threshold) == "batch"
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -172,12 +196,12 @@ def test_empty_batches(method_name):
 def test_ddc_clustered_batch_shares_node_visits():
     """256 clustered queries on a 256x256 cube: batch visits < scalar.
 
-    The crossover is pinned so the traversal under test runs whatever
-    the machine-local calibration probe would pick for this batch size.
+    The crossover is pinned so the traversal under test runs, although
+    ``ddc`` sends batches of up to 256 queries down scalar walks.
     """
     data = clustered((256, 256), clusters=4, points_per_cluster=100, seed=20)
     method = build_method("ddc", data)
-    method.batch_crossover_override = 1
+    method.batch_crossover = 1
     cells = query_stream((256, 256), 256, locality="zipf", seed=21)
     method.stats.reset()
     batch = method.prefix_sum_many(cells)
@@ -338,7 +362,7 @@ def test_lint_rep006_exemptions():
         f.rule == "REP006"
         for f in lint_source(_SCALAR_LOOP, "src/repro/olap/fixture.py")
     )
-    # An explanatory noqa suppresses adaptive crossovers.
+    # An explanatory noqa suppresses a deliberate scalar fallback.
     suppressed = _SCALAR_LOOP.replace(
         "for c in cells]", "for c in cells]  # noqa: REP006"
     )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.persist import load_cube, save_cube
-from repro import DynamicDataCube, GrowableCube
+from repro import GrowableCube
 
 
 @pytest.fixture
@@ -281,6 +281,15 @@ class TestParser:
     def test_subcommand_set(self):
         (subparsers,) = build_parser()._subparsers._group_actions
         assert set(subparsers.choices) == self.SUBCOMMANDS
+
+    def test_serve_defaults_to_the_measured_layout(self):
+        # `serve` runs the layout its benchmarks measure; the cube-file
+        # and replay commands keep the paper's structure.
+        parser = build_parser()
+        assert parser.parse_args(["serve"]).method == "vector"
+        assert parser.parse_args(["serve-stats"]).method == "ddc"
+        assert parser.parse_args(["chaos"]).method == "ddc"
+        assert parser.parse_args(["build", "in.csv", "out.npz"]).method == "ddc"
 
     @pytest.mark.parametrize("retired", ["batch", "engine", "descent"])
     def test_retired_bench_commands_exit_2(self, retired):

@@ -25,6 +25,7 @@ import pytest
 from repro.core.ddc import _Node
 from repro.methods import method_class
 from repro.storage.buffer import BufferPool, attach_pool
+from repro.workloads import clustered, query_stream
 
 _CHECKSUM_MOD = (1 << 61) - 1
 
@@ -33,12 +34,12 @@ def _run_mix(method, mirror: np.ndarray, rng: np.random.Generator, steps: int) -
     """Drive a seeded op mix through ``method``; returns an answer checksum.
 
     Every answer is checked exactly against the dense ``mirror``, which
-    receives the same updates.  Batch calls pin
-    ``batch_crossover_override = 1`` so the path-sharing traversal runs
-    regardless of the machine-local calibration probe.
+    receives the same updates.  Batch calls pin ``batch_crossover = 1``
+    so the path-sharing traversal runs for batches the class constant
+    sends down scalar walks.
     """
     shape = method.shape
-    method.batch_crossover_override = 1
+    method.batch_crossover = 1
 
     def cell():
         return tuple(int(rng.integers(0, size)) for size in shape)
@@ -151,6 +152,21 @@ def test_buffer_pool_touch_sequence_pinned():
         pool.stats.evictions,
         checksum,
     ) == (12635, 2798, 9837, 9789, 1898236109150912622)
+
+
+def test_default_dispatch_of_a_zipf_batch_pinned():
+    """A 256-query zipf batch on a 256x256 DDC, dispatched by the class
+    constant alone, runs as scalar walks: 1 361 node visits (against 58
+    on the path-sharing traversal, docs/algorithms.md §8) in every
+    process, because no runtime probe chooses the path."""
+    data = clustered((256, 256), clusters=4, points_per_cluster=100, seed=20)
+    method = method_class("ddc").from_array(data)
+    cells = query_stream((256, 256), 256, locality="zipf", seed=21)
+    method.stats.reset()
+    values = method.prefix_sum_many(cells)
+    assert method.last_batch_path == "scalar"
+    assert (method.stats.node_visits, method.stats.cell_reads) == (1361, 2446)
+    assert sum(int(value) for value in values) == 2122386
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,8 +279,8 @@ class TestVectorDifferentialFuzz:
         reference = DynamicDataCube.from_array(oracle.copy())
         oracle = np.array(oracle)
         # Exercise the batched kernels even for tiny fuzz batches.
-        vector.batch_crossover_override = 1
-        reference.batch_crossover_override = 1
+        vector.batch_crossover = 1
+        reference.batch_crossover = 1
 
         def cell():
             return tuple(int(rng.integers(0, n)) for n in shape)
@@ -367,7 +366,7 @@ class TestVectorDifferentialFuzz:
         rng = np.random.default_rng(seed)
         oracle = rng.integers(-9, 10, size=shape)
         vector = VectorSlabCube.from_array(oracle.copy(), branching=b)
-        vector.batch_crossover_override = 1
+        vector.batch_crossover = 1
         if plane != "by-volume":
             for level in vector.tree._levels:
                 level.plane_cost = 0 if plane == "always" else 2**62

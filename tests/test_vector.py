@@ -349,9 +349,9 @@ class TestVectorSlabCube:
             delta = int(rng.integers(-5, 6))
             batch.append((cell, delta))
             dense[cell] += delta
-        vector.batch_crossover_override = 1
+        vector.batch_crossover = 1
         vector.add_many(batch)
-        vector.batch_crossover_override = None
+        del vector.batch_crossover
         for query in random_ranges(shape, 25, seed=9):
             assert int(vector.range_sum(query.low, query.high)) == (
                 dense_range_sum(dense, query.low, query.high)
@@ -364,9 +364,9 @@ class TestVectorSlabCube:
             tuple(int(rng.integers(0, 20)) for _ in range(2))
             for _ in range(32)
         ]
-        vector.batch_crossover_override = 1
+        vector.batch_crossover = 1
         forced = vector.prefix_sum_many(cells)
-        vector.batch_crossover_override = None
+        del vector.batch_crossover
         scalar = [vector.prefix_sum(cell) for cell in cells]
         assert [int(v) for v in forced] == [int(v) for v in scalar]
 
@@ -384,16 +384,12 @@ class TestVectorSlabCube:
             for _ in range(24)
         ]
         vector.stats.reset()
-        vector.batch_crossover_override = 1
+        vector.batch_crossover = 1
         vector.prefix_sum_many(cells)
         batched = vector.stats.snapshot()
         vector.stats.reset()
-        vector.batch_crossover_override = None
         vector.batch_crossover = 10**9
-        try:
-            vector.prefix_sum_many(cells)
-        finally:
-            del vector.batch_crossover  # restore the class-level "auto"
+        vector.prefix_sum_many(cells)
         scalar = vector.stats.snapshot()
         assert batched.node_visits == scalar.node_visits
         assert batched.cell_reads == scalar.cell_reads
@@ -404,8 +400,8 @@ class TestVectorSlabCube:
         data = rng.integers(-9, 10, size=(37, 20))
         batched = build_method("vector", data)
         fallback = build_method("vector", data)
-        batched.batch_crossover_override = 1
-        fallback.batch_crossover_override = 10**9
+        batched.batch_crossover = 1
+        fallback.batch_crossover = 10**9
         updates = [
             ((int(rng.integers(0, 37)), int(rng.integers(0, 20))), int(delta))
             for delta in rng.integers(-5, 6, size=30)
@@ -432,10 +428,10 @@ class TestVectorSlabCube:
         ranges = [(q.low, q.high) for q in random_ranges((20, 20), 12, seed=3)]
         updates = [((int(i), int(i)), 1) for i in range(12)]
         reports = {}
-        for path, override in (("batch", 1), ("scalar", 10**9)):
+        for path, crossover in (("batch", 1), ("scalar", 10**9)):
             vector = build_method("vector", data)
             vector.obs = obs = Observability()
-            vector.batch_crossover_override = override
+            vector.batch_crossover = crossover
             vector.range_sum_many(ranges)
             vector.add_many(updates)
             assert vector.last_batch_path == path
@@ -456,7 +452,7 @@ class TestVectorSlabCube:
         vector.obs = obs
         vector.prefix_sum((3, 3))
         vector.add((1, 2), 4)
-        vector.batch_crossover_override = 1
+        vector.batch_crossover = 1
         vector.prefix_sum_many([(0, 0), (5, 5)])
         rendered = obs.metrics.render_prometheus()
         assert "descent_depth" in rendered and "slab-tree" in rendered, (
@@ -526,91 +522,3 @@ class TestVectorEngine:
                 assert [int(v) for v in values] == [
                     dense_range_sum(data, low, high) for low, high in ranges
                 ], (shape, count)
-
-
-class TestCalibration:
-    def test_auto_crossover_resolves_to_int(self, rng):
-        from repro.methods.crossover import reset_calibration
-
-        reset_calibration()
-        data = rng.integers(0, 5, size=(16, 16))
-        vector = build_method("vector", data)
-        crossover = vector._effective_crossover()
-        assert isinstance(crossover, int)
-        assert crossover >= 1
-
-    def test_env_pin_overrides_probe(self, monkeypatch, rng):
-        from repro.methods import crossover as crossover_module
-
-        monkeypatch.setenv("REPRO_BATCH_CROSSOVER", "7")
-        crossover_module.reset_calibration()
-        try:
-            data = rng.integers(0, 5, size=(16, 16))
-            vector = build_method("vector", data)
-            assert vector._effective_crossover() == 7
-        finally:
-            monkeypatch.delenv("REPRO_BATCH_CROSSOVER")
-            crossover_module.reset_calibration()
-
-    @staticmethod
-    def _scripted_probe(monkeypatch, batch_us, scalar_us, outlier=None):
-        """Run the probe on a clock that replays modelled durations.
-
-        Each timed region reads the clock twice; the script hands out one
-        duration per region in the probe's order (per rung: the batch
-        repetitions, then the scalar ones).  ``outlier`` multiplies one
-        region's duration by 50 — a preempted repetition.
-        """
-        from repro.methods import crossover as crossover_module
-
-        durations = []
-        for size in crossover_module.PROBE_BATCH_SIZES:
-            durations += [batch_us(size) * 1e-6] * crossover_module._REPS
-            durations += [scalar_us(size) * 1e-6] * crossover_module._REPS
-        if outlier is not None:
-            durations[outlier] *= 50
-
-        class ScriptedClock:
-            def __init__(self):
-                self.reading, self.script, self.open = 0.0, iter(durations), False
-
-            def now(self):
-                if self.open:
-                    self.reading += next(self.script)
-                self.open = not self.open
-                return self.reading
-
-        monkeypatch.delenv("REPRO_BATCH_CROSSOVER", raising=False)
-        monkeypatch.setattr(crossover_module, "_CLOCK", ScriptedClock())
-        crossover_module.reset_calibration()
-        try:
-            return crossover_module.calibrated_crossover(VectorSlabCube, 2)
-        finally:
-            crossover_module.reset_calibration()
-
-    def test_one_outlier_rep_does_not_move_the_crossover(self, monkeypatch):
-        from repro.methods.crossover import _REPS, PROBE_BATCH_SIZES
-
-        def batch(n):
-            return 40 + 0.8 * n  # setup + slope * n
-
-        def scalar(n):
-            return 4.0 * n
-
-        clean = self._scripted_probe(monkeypatch, batch, scalar)
-        assert clean == 13  # ceil(40 / (4.0 - 0.8))
-        regions = 2 * _REPS * len(PROBE_BATCH_SIZES)
-        for outlier in range(regions):
-            assert (
-                self._scripted_probe(monkeypatch, batch, scalar, outlier) == clean
-            ), f"timed region {outlier} moved the crossover"
-
-    def test_crossover_is_clamped_to_the_ladder(self, monkeypatch):
-        from repro.methods.crossover import PROBE_BATCH_SIZES
-
-        low, past = PROBE_BATCH_SIZES[0], PROBE_BATCH_SIZES[-1] + 1
-        probe = self._scripted_probe
-        # no setup to amortise / never amortises / amortises past the ladder
-        assert probe(monkeypatch, lambda n: 0.5 * n, lambda n: 4.0 * n) == low
-        assert probe(monkeypatch, lambda n: 40 + 5.0 * n, lambda n: 4.0 * n) == past
-        assert probe(monkeypatch, lambda n: 4000 + 0.8 * n, lambda n: 4.0 * n) == past
