@@ -157,7 +157,12 @@ class EpochLruCache:
 
     def log_cells(self, shard: int, epoch: int, cells: list) -> None:
         """Record that the batch moving ``shard`` to ``epoch`` touched
-        ``cells`` (global coordinates)."""
+        ``cells`` (global coordinates).  A one-cell batch is logged as
+        its cell, like :meth:`log_cell`: a served ``/update`` arrives as
+        one, and a bare cell is checked without a nested scan."""
+        if len(cells) == 1:
+            self.log_cell(shard, epoch, cells[0])
+            return
         log = self._logs.get(shard) or self._new_log(shard, epoch)
         if log is None:
             return

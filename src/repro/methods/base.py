@@ -315,6 +315,15 @@ class RangeSumMethod(ABC):
         ``prefix_sum_many`` provides.
         """
         queries = [self._query_bounds(item) for item in ranges]
+        corners, terms = self._corner_terms(queries)
+        values = self.prefix_sum_many(corners) if corners else []
+        return self._signed_sums(values, terms)
+
+    @staticmethod
+    def _corner_terms(queries: Sequence) -> tuple[list[Cell], list]:
+        """The distinct inclusion-exclusion corners of normalised
+        ``(low, high)`` queries, and per query its ``(sign, corner
+        position)`` terms."""
         corner_order: dict[Cell, int] = {}
         per_query_terms: list[list[tuple[int, int]]] = []
         for low_cell, high_cell in queries:
@@ -327,7 +336,10 @@ class RangeSumMethod(ABC):
                 position = corner_order.setdefault(corner, len(corner_order))
                 terms.append((sign, position))
             per_query_terms.append(terms)
-        values = self.prefix_sum_many(list(corner_order)) if corner_order else []
+        return list(corner_order), per_query_terms
+
+    def _signed_sums(self, values: Sequence, per_query_terms: list) -> list:
+        """Recombine corner prefix sums into one range sum per query."""
         results = []
         for terms in per_query_terms:
             acc = self._zero()

@@ -24,7 +24,8 @@ class NaiveArray(RangeSumMethod):
     name = "naive"
     # The cumulative-pass batch path only amortizes its cube-wide cumsum
     # once the batch is big enough, regardless of what the logical cell
-    # cost model says (measured in docs/algorithms.md §8).
+    # cost model says (measured in docs/algorithms.md §8).  The crossover
+    # alone picks the path, so the counter and last_batch_path agree.
     batch_crossover = 8
 
     def __init__(self, shape: Sequence[int], dtype=np.int64) -> None:
@@ -69,50 +70,39 @@ class NaiveArray(RangeSumMethod):
         return self.dtype.type(self._array[region].sum())
 
     def prefix_sum_many(self, cells: Sequence) -> list:
-        """Adaptive batch: one full prefix pass once it beats region sums.
+        """Batch path: one cube-wide cumulative pass, then O(1) gathers.
 
         A batch of k prefix queries costs the sum of its k prefix-region
-        sizes sequentially, but a single cube-wide cumulative pass plus k
-        O(1) gathers answers them all — the batch regime that makes even
-        the naive array competitive for read-mostly bursts.
+        sizes sequentially, but a single cumulative pass plus k gathers
+        answers them all — the batch regime that makes even the naive
+        array competitive for read-mostly bursts.  Below the crossover
+        the region sums run one by one.
         """
         normalized = [geometry.normalize_cell(cell, self.shape) for cell in cells]
-        if not normalized:
-            return []
-        origin = (0,) * self.dims
-        sequential_cost = sum(
-            geometry.range_cell_count(origin, cell) for cell in normalized
-        )
-        if (
-            not self._use_batch_path(len(normalized))
-            or sequential_cost <= self._array.size
-        ):
-            self.last_batch_path = "scalar"
+        if not self._use_batch_path(len(normalized)):
             return [self.prefix_sum(cell) for cell in normalized]  # noqa: REP006 — below the crossover, direct region sums win
-        self.last_batch_path = "batch"
+        return self._prefix_pass(normalized)
+
+    def range_sum_many(self, ranges: Sequence) -> list:
+        """Direct region sums below the crossover; at or above it, one
+        cumulative pass answers the batch's corners."""
+        queries = [self._query_bounds(item) for item in ranges]
+        if not self._use_batch_path(len(queries)):
+            return [self.range_sum(low, high) for low, high in queries]  # noqa: REP006 — below the crossover, direct region sums win
+        corners, terms = self._corner_terms(queries)
+        return self._signed_sums(self._prefix_pass(corners), terms)
+
+    def _prefix_pass(self, cells: list) -> list:
+        """Prefix sums of normalised ``cells`` off one cumulative pass."""
         prefix = self._array.astype(self.dtype, copy=True)
         for axis in range(prefix.ndim):
             np.cumsum(prefix, axis=axis, out=prefix)
         self.stats.cell_reads += self._array.size
         index = tuple(
-            np.array([cell[axis] for cell in normalized], dtype=np.intp)
+            np.array([cell[axis] for cell in cells], dtype=np.intp)
             for axis in range(self.dims)
         )
         return [self.dtype.type(value) for value in prefix[index]]
-
-    def range_sum_many(self, ranges: Sequence) -> list:
-        """Adaptive batch: direct region sums until the prefix pass wins."""
-        queries = [self._query_bounds(item) for item in ranges]
-        direct_cost = sum(
-            geometry.range_cell_count(low, high) for low, high in queries
-        )
-        if (
-            not self._use_batch_path(len(queries))
-            or direct_cost <= self._array.size
-        ):
-            self.last_batch_path = "scalar"
-            return [self.range_sum(low, high) for low, high in queries]  # noqa: REP006 — below the crossover, direct region sums win
-        return super().range_sum_many(queries)
 
     def memory_cells(self) -> int:
         return self._array.size

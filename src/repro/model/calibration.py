@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..exceptions import ConfigurationError, DimensionMismatchError
 
@@ -89,7 +88,15 @@ def fit_power_law(ns: Sequence[float], costs: Sequence[float]) -> PowerLawFit:
 
 
 def fit_polylog(ns: Sequence[float], costs: Sequence[float]) -> PolylogFit:
-    """Least-squares fit of ``c * (log2 n)^b`` via scipy curve fitting."""
+    """Least-squares fit of ``c * (log2 n)^b`` via scipy curve fitting.
+
+    scipy is imported here, not at module load: nothing else in the
+    package needs it, and importing it costs a served process about as
+    much start-up time as the rest of ``repro`` and numpy together
+    (``docs/serving.md``, "Cold start").
+    """
+    from scipy import optimize
+
     ns, costs = _validate_series(ns, costs)
 
     def curve(n, coefficient, exponent):

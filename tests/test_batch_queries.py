@@ -106,8 +106,7 @@ def test_dispatch_is_batch_exactly_from_the_crossover(method_name, monkeypatch):
     """Which path a batch takes is a pure function of class and count.
 
     The decision is read off ``repro_method_batch_path_total``, which
-    counts what the crossover chose (``naive`` may still answer a chosen
-    batch by direct region sums when they cost less than its prefix pass).
+    counts the path that ran (``last_batch_path`` reports the same).
     """
     data = WORKLOADS["dense"]()
     method = build_method(method_name, data)
@@ -142,6 +141,26 @@ def test_dispatch_is_batch_exactly_from_the_crossover(method_name, monkeypatch):
     monkeypatch.setattr(MonotonicClock, "now", staticmethod(no_clock))
     assert dispatched(threshold - 1) == "scalar"
     assert dispatched(threshold) == "batch"
+
+
+@pytest.mark.parametrize("op", ["prefix_sum_many", "range_sum_many"])
+def test_naive_counts_the_path_it_reports(op):
+    """One decision per call: the counter's label is ``last_batch_path``,
+    even for a one-cell batch whose region sum reads fewer cells than
+    the cumulative pass."""
+    data = WORKLOADS["dense"]()
+    method = build_method("naive", data)
+    method.obs = obs = Observability(clock=ManualClock())
+    method.batch_crossover = 1
+    item = (1, 1) if op == "prefix_sum_many" else ((0, 0), (1, 1))
+    (value,) = getattr(method, op)([item])
+    assert int(value) == int(data[:2, :2].sum())
+    counted = {
+        path: obs.batch_path_total.labels(method="naive", path=path).value
+        for path in ("batch", "scalar")
+    }
+    assert counted == {"batch": 1, "scalar": 0}
+    assert method.last_batch_path == "batch"
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

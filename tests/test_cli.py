@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.persist import load_cube, save_cube
 from repro import GrowableCube
@@ -312,3 +318,33 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestImportGraph:
+    """Only curve fitting needs scipy: the CLI and `repro serve` load none."""
+
+    PROBE = """
+import runpy, sys
+sys.modules["scipy"] = None  # blocked: any scipy import now raises
+import repro.cli
+sys.argv = ["repro", "serve", "--help"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    assert exit_.code == 0, exit_.code
+assert sys.modules["scipy"] is None
+loaded = [name for name in sys.modules if name.startswith("scipy.")]
+assert not loaded, loaded
+"""
+
+    def test_cli_and_serve_help_import_no_scipy(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: repro serve" in done.stdout

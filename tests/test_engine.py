@@ -453,6 +453,31 @@ class TestExactInvalidation:
             info = engine.cache_info()
             assert info["invalidations"] == 1 and info["revalidations"] == 2
 
+    def test_a_one_cell_batch_caches_like_a_point_update(self):
+        # A served /update reaches the engine as add_many([(cell, delta)]).
+        shape = (16, 8)
+        data = clustered(shape, seed=29)
+        dense = data.astype(np.int64).copy()
+        events = read_write_stream(shape, 400, mix=0.7, locality="zipf", seed=30)
+        with ShardedEngine.from_array(data, shards=4) as point, \
+                ShardedEngine.from_array(data, shards=4) as batch:
+            for event in events:
+                if isinstance(event, RangeQuery):
+                    lo, hi = event.low, event.high
+                    expected = int(dense[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1].sum())
+                    assert int(point.range_sum(lo, hi)) == expected
+                    assert int(batch.range_sum(lo, hi)) == expected
+                else:
+                    point.add(event.cell, event.delta)
+                    batch.add_many([(event.cell, event.delta)])
+                    dense[event.cell] += event.delta
+            info = batch.cache_info()
+            assert info["revalidations"] > 0 and info["invalidations"] > 0
+            for key in ("hits", "misses", "revalidations", "invalidations"):
+                assert info[key] == point.cache_info()[key], key
+            for log in batch._cache._logs.values():
+                assert all(type(record) is tuple for record in log.records)
+
 
 class TestEngineIntrospection:
     def test_shard_report_and_aggregate_stats(self):
