@@ -12,8 +12,8 @@ that can escape it:
 
 * a ``raise Name(...)`` contributes its name **unless** an enclosing
   ``try`` catches it — matching is hierarchy-aware (the class map built
-  from :mod:`repro.exceptions` knows ``DeadlineExceededError`` is caught
-  by ``except ResilienceError`` *and* by ``except TimeoutError``);
+  from :mod:`repro.exceptions` knows ``OutOfBoundsError`` is caught
+  by ``except ReproError`` *and* by ``except IndexError``);
 * a ``self.method()`` call imports the callee's escaping set (filtered
   through the same enclosing handlers) — resolved per class and iterated
   to a fixed point, so chains of private helpers propagate;

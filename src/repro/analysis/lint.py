@@ -49,8 +49,8 @@ Rules (suppress a line with ``# noqa: REPxxx``):
   re-introduces timing cost on paths that are supposed to be free when
   observability is disabled; a private clock is the same read in
   disguise (it is how a wall-clock decision could hide inside a
-  kernel); a direct sleep (retry backoff, injected latency) would turn
-  every deterministic virtual-time chaos test into a real-time one.
+  kernel); a direct sleep would turn a virtual-time test into a
+  real-time one.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """One schema for every JSON artifact the CLI writes.
 
-``repro chaos --json`` upserts soak rows into one, ``repro analyze``
-writes its findings and its committed baseline
-(``benchmarks/baselines/analyze.json``) as others.  This module is the
-single definition of the document shape they share::
+``repro analyze`` writes its findings and its committed baseline
+(``benchmarks/baselines/analyze.json``) as artifacts.  This module is
+the single definition of the document shape they share::
 
     {
       "schema_version": 1,
@@ -28,7 +27,6 @@ __all__ = [
     "make_document",
     "load_document",
     "write_document",
-    "upsert_row",
 ]
 
 #: Current artifact layout version.  Bump when the document shape (not
@@ -57,7 +55,7 @@ def load_document(path: str | Path, experiment: str) -> dict:
     """Load an artifact, tolerating absent, corrupt, or legacy files.
 
     Anything unreadable or shapeless degrades to a fresh empty document
-    (a CLI upsert must never crash on a hand-edited file); a legacy
+    (a load must never crash on a hand-edited file); a legacy
     document without ``schema_version`` is accepted as-is and stamped by
     the next :func:`write_document`.
     """
@@ -87,19 +85,3 @@ def write_document(path: str | Path, document: dict) -> Path:
     path = Path(path)
     path.write_text(json.dumps(document, indent=2) + "\n")
     return path
-
-
-def upsert_row(document: dict, row: dict, key_fields: tuple[str, ...]) -> dict:
-    """Replace-or-append ``row`` keyed by its ``key_fields`` values.
-
-    Rows agreeing with ``row`` on every key field are dropped before the
-    append, so repeated runs refresh a configuration's row instead of
-    duplicating it.  Returns ``document`` for chaining.
-    """
-    key = tuple(row[field] for field in key_fields)
-    document["rows"] = [
-        existing
-        for existing in document["rows"]
-        if tuple(existing.get(field) for field in key_fields) != key
-    ] + [row]
-    return document

@@ -44,20 +44,10 @@ Examples::
     # /healthz) until SIGINT/SIGTERM
     python -m repro serve --shape 256 256 --port 8734
 
-    # deterministic fault-injection soak: inject transient faults into
-    # >= 20% of shard sub-operations and cross-check every answer
-    # against the unsharded reference (non-zero exit on any mismatch)
-    python -m repro chaos --events 400 --fault-rate 0.25 --mode fallback
-
-    # soak the worker-process pool, SIGKILLing real workers mid-query;
-    # recovery must stay exact (slabs + ledger replay survive the kill),
-    # and a seed replays the same injections run after run
-    python -m repro chaos --executor process --kill-rate 0.05
-
     # flow analyses (REP011-REP012) against the committed baseline
     python -m repro analyze src/ --baseline benchmarks/baselines/analyze.json
 
-Those are all fifteen subcommands.  None of them measures performance:
+Those are all fourteen subcommands.  None of them measures performance:
 the one benchmark command is ``python benchmarks/e2e/run.py`` (declared
 in ``BENCHMARK.json``).
 """
@@ -196,24 +186,6 @@ def _command_audit(args) -> int:
     report = audit(cube, raise_on_failure=False)
     print(report.render())
     return 0 if report.ok else 1
-
-
-def _merge_artifact_row(
-    path: Path, experiment: str, row: dict, key_fields: tuple[str, ...]
-) -> None:
-    """Upsert ``row`` into a shared-schema JSON artifact.
-
-    Rows agreeing with ``row`` on every ``key_fields`` entry are
-    replaced, so repeated CLI runs refresh instead of duplicating.  The
-    document shape (and its ``schema_version``) comes from
-    :mod:`repro.artifacts`.
-    """
-    from .artifacts import load_document, upsert_row, write_document
-
-    document = load_document(path, experiment)
-    upsert_row(document, row, key_fields)
-    write_document(path, document)
-    print(f"wrote {path}")
 
 
 def _run_serving_stream(engine, events) -> None:
@@ -498,9 +470,9 @@ def _command_top(args) -> int:
             _run_serving_stream(engine, events)
             if engine.process_pool is not None:
                 engine.process_pool.flush()
-            # The same verdict path /healthz serves (SLO rules + open
-            # breakers) decides this command's exit code.
-            verdict = evaluate_health(watchdog, engine)
+            # The same verdict path /healthz serves decides this
+            # command's exit code.
+            verdict = evaluate_health(watchdog)
             print(_render_top_frame(obs, engine, watchdog, frame))
             if frame < frames:
                 print()
@@ -518,10 +490,9 @@ def _command_serve(args) -> int:
     Builds a clustered cube from ``--shape``/``--seed`` — the load
     generator can rebuild the same cube locally and verify responses
     exactly — and serves it with per-tenant token buckets, one engine
-    turn, and pressure-driven load shedding (see ``docs/serving.md``).  The
-    engine always carries a strict resilience policy so the shedding
-    path has a degradation axis to move along.  Prints one
-    ``listening on http://host:port`` line once the socket is bound.
+    turn, and a bound on the demand waiting for it (see
+    ``docs/serving.md``).  Prints one ``listening on http://host:port``
+    line once the socket is bound.
     """
     import asyncio
     import signal
@@ -529,7 +500,6 @@ def _command_serve(args) -> int:
     import numpy as np
 
     from .engine import ShardedEngine
-    from .engine.resilience import ResiliencePolicy
     from .obs import Observability
     from .serve import AdmissionPolicy, CubeServer
     from .workloads import clustered
@@ -547,14 +517,12 @@ def _command_serve(args) -> int:
         executor=args.executor,
         cache_size=args.cache,
         obs=obs,
-        resilience=ResiliencePolicy(degradation="strict"),
     )
     policy = AdmissionPolicy(
         tenant_rate=args.tenant_rate,
         tenant_burst=args.tenant_burst,
         max_concurrency=args.max_concurrency,
         max_queue=args.max_queue,
-        shed_watermark=args.shed_watermark,
     )
 
     async def _run() -> None:
@@ -585,11 +553,10 @@ def _command_serve(args) -> int:
 
 
 def _serve_summary(stats: dict) -> str:
-    """The drain line: 503 refusals are ``rejected``, degraded 200s ``shed``."""
+    """The drain line: 429 refusals are ``throttled``, 503s ``rejected``."""
     return (
         f"served: throttled {stats['throttled']}, "
-        f"rejected {stats['overflow_rejected']}, "
-        f"shed {stats['shed_responses']}"
+        f"rejected {stats['overflow_rejected']}"
     )
 
 
@@ -664,221 +631,6 @@ def _command_analyze(args) -> int:
             handle.write("## repro analyze\n\n")
             handle.write(render_markdown_table(findings))
     return 1 if findings else 0
-
-
-def _quantile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank quantile of an ascending list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[rank]
-
-
-def _command_chaos(args) -> int:
-    """Seeded fault-injection soak with correctness cross-checking.
-
-    Runs entirely on a :class:`~repro.obs.clock.ManualClock`, so latency
-    spikes, stuck-shard hangs, and retry backoff all burn *virtual* time
-    — the soak is deterministic and instant, yet the deadline budget and
-    the tail-latency report behave as they would on a wall clock.
-    Exit codes: 1 on any un-marked answer mismatch against the
-    unsharded reference, 0 on a clean soak.
-    """
-    from .engine import (
-        FaultInjector,
-        ResiliencePolicy,
-        ShardedEngine,
-        is_partial,
-    )
-    from .exceptions import ResilienceError
-    from .methods.registry import build_method
-    from .obs import ManualClock, Observability
-    from .workloads import (
-        PointUpdate,
-        RangeQuery,
-        clustered,
-        interleaved,
-        random_updates,
-        straddling_ranges,
-    )
-
-    shape = tuple(args.shape)
-    data = clustered(shape, seed=args.seed)
-    read_count = max(1, int(round(args.events * args.mix)))
-    write_count = max(0, args.events - read_count)
-    reads = straddling_ranges(
-        shape, read_count, shards=args.shards, seed=args.seed + 1
-    )
-    writes = random_updates(shape, write_count, seed=args.seed + 2)
-    events = list(
-        interleaved(reads, writes, query_fraction=args.mix, seed=args.seed + 3)
-    )
-
-    # The unsharded reference: replay the identical stream first so every
-    # read has a ground-truth answer at its exact position in the stream.
-    baseline = build_method(args.method, data)
-    expected: list = []
-    for event in events:
-        if isinstance(event, RangeQuery):
-            expected.append(baseline.range_sum(event.low, event.high))
-        else:
-            baseline.add(event.cell, event.delta)
-            expected.append(None)
-
-    clock = ManualClock()
-    obs = Observability(clock=clock)
-    policy = ResiliencePolicy(
-        deadline_seconds=args.deadline_ms / 1e3 if args.deadline_ms else None,
-        max_retries=args.retries,
-        retry_seed=args.seed,
-        breaker_window=args.breaker_window,
-        breaker_cooldown_seconds=args.breaker_cooldown_ms / 1e3,
-        degradation=args.mode,
-    )
-    # With --executor process the injector's kills SIGKILL live pool
-    # workers, with shipped writes in flight.
-    injector = FaultInjector(
-        clock=clock,
-        seed=args.seed,
-        fault_rate=args.fault_rate,
-        latency_rate=args.latency_rate,
-        latency_seconds=args.latency_ms / 1e3,
-        hang_rate=args.hang_rate,
-        hang_seconds=args.hang_ms / 1e3,
-        kill_rate=args.kill_rate,
-    )
-    engine = ShardedEngine.from_array(
-        data,
-        shards=args.shards,
-        method=args.method,
-        cache_size=args.cache,
-        obs=obs,
-        resilience=policy,
-        executor=args.executor,
-        faults=injector,
-    )
-
-    exact = degraded = mismatches = request_errors = 0
-    latencies: list[float] = []
-    for event, want in zip(events, expected):
-        if isinstance(event, PointUpdate):
-            engine.add(event.cell, event.delta)
-            continue
-        start = clock.now()
-        try:
-            got = engine.range_sum(event.low, event.high)
-        except ResilienceError:
-            request_errors += 1
-            latencies.append(clock.now() - start)
-            continue
-        latencies.append(clock.now() - start)
-        if is_partial(got):
-            degraded += 1
-            if not got.missing_shards:
-                mismatches += 1  # a degraded answer must name its gaps
-        elif int(got) == int(want):
-            exact += 1
-        else:
-            mismatches += 1
-    resilience = engine.resilience_info()
-    pool = engine.pool_info()
-    engine.close()
-
-    def counter_total(name: str, labels: tuple = ()) -> int:
-        family = obs.metrics.counter(name, "", labels=labels)
-        return int(sum(child.value for _, child in family.samples()))
-
-    injection = injector.report()
-    retries = counter_total("repro_engine_retries_total", labels=("shard",))
-    timeouts = counter_total("repro_engine_timeouts_total")
-    transitions = counter_total(
-        "repro_engine_breaker_transitions_total", labels=("shard", "to")
-    )
-    latencies.sort()
-    p50, p95, p99 = (
-        _quantile(latencies, q) * 1e3 for q in (0.5, 0.95, 0.99)
-    )
-
-    print(f"engine:     {engine!r} mode={args.mode}")
-    print(
-        f"stream:     {len(events)} events ({len(reads)} straddling reads, "
-        f"{len(writes)} writes), seed {args.seed}"
-    )
-    print(
-        f"injected:   {injection['injected_total']}/{injection['calls']} "
-        f"sub-operations perturbed ({injection['injected_rate']:.1%}: "
-        f"{injection['injected_fault']} faults, "
-        f"{injection['injected_latency']} latency, "
-        f"{injection['injected_hang']} hangs, "
-        f"{injection['injected_kill']} kills)"
-    )
-    if pool is not None:
-        print(
-            f"pool:       {pool['alive']}/{pool['workers']} worker(s) alive, "
-            f"{pool['restarts']} respawn(s) across the soak"
-        )
-    print(
-        f"resilience: {retries} retries, {timeouts} timeouts, "
-        f"{transitions} breaker transitions"
-    )
-    print(
-        f"answers:    {exact} exact, {degraded} degraded (marked), "
-        f"{request_errors} request errors, {mismatches} MISMATCHES"
-    )
-    print(
-        f"latency:    p50 {p50:.2f}ms p95 {p95:.2f}ms p99 {p99:.2f}ms "
-        f"(virtual clock)"
-    )
-    for breaker in resilience["breakers"]:
-        if breaker["state"] != "closed" or breaker["failure_rate"] > 0:
-            print(
-                f"breaker:    shard {breaker['shard']} {breaker['state']} "
-                f"(failure rate {breaker['failure_rate']:.2f})"
-            )
-
-    row = {
-        "shape": list(shape),
-        "method": args.method,
-        "shards": args.shards,
-        "mode": args.mode,
-        "executor": args.executor,
-        "seed": args.seed,
-        "events": len(events),
-        "reads": len(latencies),
-        "fault_rate": args.fault_rate,
-        "latency_rate": args.latency_rate,
-        "hang_rate": args.hang_rate,
-        "kill_rate": args.kill_rate,
-        "worker_restarts": pool["restarts"] if pool is not None else 0,
-        "deadline_ms": args.deadline_ms,
-        "retries_allowed": args.retries,
-        "injected_rate": injection["injected_rate"],
-        "injected_total": injection["injected_total"],
-        "exact": exact,
-        "degraded": degraded,
-        "request_errors": request_errors,
-        "mismatches": mismatches,
-        "retries": retries,
-        "timeouts": timeouts,
-        "breaker_transitions": transitions,
-        "p50_ms": p50,
-        "p95_ms": p95,
-        "p99_ms": p99,
-    }
-    if args.json:
-        _merge_artifact_row(
-            Path(args.json),
-            "chaos_soak",
-            row,
-            ("shape", "method", "shards", "mode", "executor", "seed", "events"),
-        )
-    if mismatches:
-        print(
-            f"FAIL: {mismatches} non-degraded answers disagree with the "
-            f"unsharded reference",
-            file=sys.stderr,
-        )
-    return 1 if mismatches else 0
 
 
 def _command_table1(args) -> int:
@@ -1037,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="serve a cube over HTTP: /query /update /metrics /healthz "
-        "with admission control and load shedding",
+        "with admission control",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -1095,127 +847,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="demand allowed beyond --max-concurrency (beyond: 503)",
     )
     serve.add_argument(
-        "--shed-watermark",
-        type=float,
-        default=0.75,
-        dest="shed_watermark",
-        help="gate pressure at which strict degrades to partial",
-    )
-    serve.add_argument(
         "--duration",
         type=float,
         default=0.0,
         help="stop after this many seconds (0 = run until signalled)",
     )
     serve.set_defaults(handler=_command_serve)
-
-    chaos = commands.add_parser(
-        "chaos",
-        help="run a deterministic fault-injection soak and cross-check "
-        "every answer against the unsharded reference",
-    )
-    chaos.add_argument("--method", default="ddc", choices=method_names())
-    chaos.add_argument(
-        "--shape", type=int, nargs="+", default=[128, 128], help="cube shape"
-    )
-    chaos.add_argument("--shards", type=int, default=4, help="shard count")
-    chaos.add_argument(
-        "--events", type=int, default=400, help="stream length"
-    )
-    chaos.add_argument(
-        "--mix", type=float, default=0.8, help="fraction of events that read"
-    )
-    chaos.add_argument(
-        "--cache", type=int, default=256, help="result-cache capacity"
-    )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.25,
-        dest="fault_rate",
-        help="probability a shard sub-operation raises a transient fault",
-    )
-    chaos.add_argument(
-        "--latency-rate",
-        type=float,
-        default=0.1,
-        dest="latency_rate",
-        help="probability of an injected latency spike",
-    )
-    chaos.add_argument(
-        "--latency-ms",
-        type=float,
-        default=5.0,
-        dest="latency_ms",
-        help="injected latency spike duration (virtual milliseconds)",
-    )
-    chaos.add_argument(
-        "--hang-rate",
-        type=float,
-        default=0.02,
-        dest="hang_rate",
-        help="probability a sub-operation hangs then fails",
-    )
-    chaos.add_argument(
-        "--hang-ms",
-        type=float,
-        default=50.0,
-        dest="hang_ms",
-        help="injected hang duration (virtual milliseconds)",
-    )
-    chaos.add_argument(
-        "--executor",
-        default="serial",
-        choices=("serial", "process"),
-        help="'process' soaks the worker-process pool (shared-memory "
-        "slabs, shipped write batches) so injected kills hit real workers",
-    )
-    chaos.add_argument(
-        "--kill-rate",
-        type=float,
-        default=0.0,
-        dest="kill_rate",
-        help="probability a sub-operation SIGKILLs the owning pool "
-        "worker (process executor; elsewhere the crash is simulated)",
-    )
-    chaos.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=0.0,
-        dest="deadline_ms",
-        help="per-request deadline budget in virtual ms (0 = unlimited)",
-    )
-    chaos.add_argument(
-        "--retries", type=int, default=3, help="retry rounds per failed shard"
-    )
-    chaos.add_argument(
-        "--mode",
-        default="fallback",
-        choices=("strict", "partial", "fallback"),
-        help="graceful-degradation policy for permanently-failed shards",
-    )
-    chaos.add_argument(
-        "--breaker-window",
-        type=int,
-        default=8,
-        dest="breaker_window",
-        help="circuit-breaker outcome window per shard (0 disables)",
-    )
-    chaos.add_argument(
-        "--breaker-cooldown-ms",
-        type=float,
-        default=1000.0,
-        dest="breaker_cooldown_ms",
-        help="open-breaker cooldown before a half-open probe (virtual ms)",
-    )
-    chaos.add_argument(
-        "--json",
-        default=None,
-        help="also merge the soak row into this JSON artifact "
-        "(rows keyed per configuration)",
-    )
-    chaos.set_defaults(handler=_command_chaos)
 
     analyze = commands.add_parser(
         "analyze",

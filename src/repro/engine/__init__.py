@@ -6,36 +6,24 @@ owners, decompose queries into per-shard sub-ranges read in turn on the
 calling thread, and serve repeat reads from an LRU cache whose entries
 are validated against per-shard write epochs.  See ``docs/engine.md``.
 
-Fault tolerance (``docs/resilience.md``): attach a
-:class:`~repro.engine.resilience.ResiliencePolicy` to run every read
-fan-out with deadline budgets, retry-with-backoff, per-shard circuit
-breakers, and graceful degradation; test it all deterministically by
-passing a :class:`~repro.engine.resilience.FaultInjector` as
-``faults=``, which the fan-out consults before every shard read.
+Errors (``docs/engine.md``): an answer is exact or an error.  A shard
+read's error propagates unchanged to the caller; nothing retries,
+degrades or answers with part of a sum.
 
 Process parallelism (``docs/engine.md``): construct the engine with
 ``executor="process"`` to serve every shard from a shared-memory
 prefix-sum slab (:class:`~repro.engine.shm.ShardSlabStore`) whose
 writes a persistent worker-process pool
 (:class:`~repro.engine.process.ProcessExecutor`) applies; reads take
-the same fan-out, so resilience and chaos tooling compose as-is.
+the same fan-out.  A worker that dies mid-apply leaves its shard
+failed: every later call on it raises
+:class:`~repro.exceptions.WorkerCrashedError`.
 """
 
 from .cache import MISS, EpochLruCache
 from .engine import ShardedEngine
 from .process import ProcessExecutor, ShmShardReplica
-from .resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-    Deadline,
-    FaultInjector,
-    FaultScript,
-    PartialResult,
-    ResiliencePolicy,
-    is_partial,
-)
+from .resilience import is_partial
 from .sharding import ShardPlan, ShardSpan
 from .shm import ShardSlabStore
 
@@ -48,14 +36,5 @@ __all__ = [
     "ProcessExecutor",
     "ShmShardReplica",
     "ShardSlabStore",
-    "ResiliencePolicy",
-    "Deadline",
-    "CircuitBreaker",
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "PartialResult",
     "is_partial",
-    "FaultInjector",
-    "FaultScript",
 ]

@@ -14,8 +14,7 @@ shards (each one any registered method, DDC by default), and serves:
   shared-memory slabs whose writes a pool of worker processes applies),
   and summing the partial results — correct because the slabs are
   disjoint.  A one-range miss is a batch of one: every read takes the
-  same fan-out, and a resilience policy and a fault injector act inside
-  it, per shard;
+  same fan-out, and a shard's error propagates from it unchanged;
 * **batches** by grouping all sub-queries / updates per shard first, so
   each shard answers its whole share through one ``range_sum_many`` /
   ``add_many`` call and the per-shard path-sharing machinery keeps
@@ -34,30 +33,17 @@ loop is that owner for a served engine.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 import numpy as np
 
 from .. import geometry
 from ..counters import OpCounter
-from ..exceptions import (
-    CircuitOpenError,
-    ConfigurationError,
-    DeadlineExceededError,
-    ShardFailedError,
-)
+from ..exceptions import ConfigurationError
 from ..methods.base import RangeSumMethod
 from ..methods.registry import method_class
 from ..obs import NULL_OBS
 from .cache import MISS, EpochLruCache
-from .resilience import (
-    BREAKER_CLOSED,
-    CircuitBreaker,
-    Deadline,
-    PartialResult,
-    ResiliencePolicy,
-)
 from .sharding import ShardPlan
 
 __all__ = ["ShardedEngine"]
@@ -101,13 +87,10 @@ class ShardedEngine(RangeSumMethod):
             log.  The engine is the instrumented layer: its shards carry
             no facade.  Defaults to the shared disabled facade, under
             which a cache hit reads no clock and opens no span.
-        resilience: optional
-            :class:`~repro.engine.resilience.ResiliencePolicy`.  When
-            set, every read fan-out runs with deadline budgets,
-            retry-with-backoff, per-shard circuit breakers, and the
-            policy's graceful-degradation mode (see
-            ``docs/resilience.md``).  ``None`` (the default) reads every
-            shard once and lets an error propagate.
+        resilience: accepted and ignored, because ``benchmarks/e2e/``
+            still passes it (:mod:`repro.engine.resilience`; ROADMAP
+            item 8(i) deletes it).  Every shard is read once and its
+            error propagates (``docs/engine.md``, "Errors").
         executor: ``"serial"`` or ``"process"``; ``None`` (the default)
             means ``"serial"``.  Either way the shards are read in turn
             on the calling thread.  ``"process"`` replaces the
@@ -118,10 +101,6 @@ class ShardedEngine(RangeSumMethod):
             a persistent worker-process pool applies (``method`` then
             only labels reports; the slab layout and its read kernel are
             fixed).
-        faults: optional :class:`~repro.engine.resilience.FaultInjector`.
-            The fan-out calls its ``perturb(shard, process_pool)`` before
-            every shard read, retries included, so a test or the chaos
-            CLI can make shards fail, stall or lose their worker.
     """
 
     name = "engine"
@@ -136,9 +115,8 @@ class ShardedEngine(RangeSumMethod):
         dtype=np.int64,
         method_kwargs: dict | None = None,
         obs=None,
-        resilience: ResiliencePolicy | None = None,
+        resilience=None,
         executor: str | None = None,
-        faults=None,
     ) -> None:
         super().__init__(shape, dtype=dtype)
         self.plan = ShardPlan(self.shape, shards)
@@ -158,7 +136,6 @@ class ShardedEngine(RangeSumMethod):
                 f'executor="process"; the in-process executor is serial'
             )
         self.executor_kind = executor_kind
-        self._faults = faults
         shard_cls = method_class(method)
         self._store = None
         self._process_pool = None
@@ -190,15 +167,6 @@ class ShardedEngine(RangeSumMethod):
             ]
         self._epochs = [0] * self.plan.count
         self._cache = EpochLruCache(cache_size)
-        self.policy = resilience
-        self._breakers: list[CircuitBreaker] | None = (
-            [CircuitBreaker(resilience) for _ in range(self.plan.count)]
-            if resilience is not None
-            else None
-        )
-        self._retry_rng = random.Random(
-            resilience.retry_seed if resilience is not None else 0
-        )
         # Shard-span attributes: the shard index and, in process mode, the
         # pool lane that owns it, so slow-query records and Chrome traces
         # can attribute work to shards and workers.
@@ -210,7 +178,7 @@ class ShardedEngine(RangeSumMethod):
         ]
 
     def _bind_instruments(self, obs) -> None:
-        """Register the engine's families and bind every child a healthy
+        """Register the engine's families and bind every child a
         request uses, so a request makes no ``labels()`` lookup (a
         disabled facade hands out the no-op instrument for all)."""
         metrics = obs.metrics
@@ -259,38 +227,6 @@ class ShardedEngine(RangeSumMethod):
             labels=("shard",),
         )
         self._obs_shard_epoch = [shard_epoch.labels(shard=shard) for shard in shards]
-        # These fire only on a failing or degraded fan-out.
-        self._obs_retries = metrics.counter(
-            "repro_engine_retries_total",
-            "Shard sub-operations re-attempted after a failure.",
-            labels=("shard",),
-        )
-        self._obs_timeouts = metrics.counter(
-            "repro_engine_timeouts_total",
-            "Shard sub-operations abandoned because the request deadline "
-            "budget ran out.",
-        )
-        self._obs_breaker_transitions = metrics.counter(
-            "repro_engine_breaker_transitions_total",
-            "Circuit-breaker state transitions per shard.",
-            labels=("shard", "to"),
-        )
-        self._obs_breaker_state = metrics.gauge(
-            "repro_engine_breaker_state",
-            "Circuit-breaker state per shard "
-            "(0 = closed, 1 = half-open, 2 = open).",
-            labels=("shard",),
-        )
-        self._obs_degraded = metrics.counter(
-            "repro_engine_degraded_total",
-            "Degraded responses by mode: partial (marked, missing shards "
-            "omitted) or fallback (exact, recomputed off the fan-out path).",
-            labels=("mode",),
-        )
-        self._obs_backoff = metrics.histogram(
-            "repro_engine_backoff_seconds",
-            "Retry backoff sleeps between fan-out rounds.",
-        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -556,10 +492,9 @@ class ShardedEngine(RangeSumMethod):
         spans name it as their parent, and its being ``None`` is what
         skips the per-shard timing.  Returns ``(values, ops)``: one value
         per key, in order, each cached stamped with the epoch snapshot
-        taken before any shard work started — except a degraded one, a
-        :class:`~repro.engine.resilience.PartialResult` that is never
-        cached — and, with obs on, the summed OpCounter deltas of the
-        shards that computed.
+        taken before any shard work started, and, with obs on, the
+        summed OpCounter deltas of the shards that computed.  A shard's
+        error propagates and caches nothing.
         """
         epochs = tuple(self._epochs)
         if len(keys) == 1:
@@ -586,21 +521,12 @@ class ShardedEngine(RangeSumMethod):
         timed = parent is not None and len(work) > 1
         fanout_start = obs.clock.now() if timed else 0.0
         totals = [self._zero()] * len(keys)
-        ops, failed = self._fan_out(work, parent, totals)
-        missing_by_key = (
-            self._degrade(failed, work, dependencies, totals) if failed else None
-        )
+        ops = self._fan_out(work, parent, totals)
         if timed:
             self._obs_fanout_wait.observe(obs.clock.now() - fanout_start)
         out: list = []
         for key_index, key in enumerate(keys):
             value = self.dtype.type(totals[key_index])
-            if missing_by_key and key_index in missing_by_key:
-                # Degraded: explicitly marked, and never cached — the
-                # next lookup must recompute rather than resurrect a
-                # partial sum as if it were exact.
-                out.append(PartialResult(value, missing_by_key[key_index]))
-                continue
             self._cache.put(key, value, dependencies[key_index], epochs)
             out.append(value)
         if parent is not None:
@@ -611,8 +537,7 @@ class ShardedEngine(RangeSumMethod):
         self, index: int, sub_queries: Sequence, parent, totals: list
     ) -> OpCounter | None:
         """Answer one shard's ``(key index, local low, local high)``
-        sub-queries into ``totals`` once the fault injector, if any, has
-        had its say.
+        sub-queries into ``totals``.
 
         With a ``parent`` span the read runs under a ``shard.range_sum``
         child span and feeds the shard's latency histogram, and the
@@ -620,8 +545,6 @@ class ShardedEngine(RangeSumMethod):
         summed into the request's slow-log record; untraced, the read
         returns ``None``.
         """
-        if self._faults is not None:
-            self._faults.perturb(index, self._process_pool)
         shard = self._shards[index]
         self.stats.touch(shard)
         if parent is None:
@@ -640,174 +563,24 @@ class ShardedEngine(RangeSumMethod):
         self._obs_shard_read_seconds[index].observe(obs.clock.now() - start)
         return ops
 
-    # ------------------------------------------------------------------
-    # The fan-out (deadlines, retries, breakers, degradation)
-    # ------------------------------------------------------------------
-
-    def _fan_out(self, work: list, parent, totals: list) -> tuple:
+    def _fan_out(self, work: list, parent, totals: list) -> OpCounter | None:
         """Read every ``(shard index, sub-queries)`` item of ``work`` in
         turn, on the calling thread, adding each answer into its key's
         entry of ``totals``.
 
-        Returns ``(ops, failed)``: the summed OpCounter deltas of the
-        shards that answered (``None`` untraced), and each shard that
-        did not mapped to its final exception.  Without a policy a shard's error
-        propagates.  Under one, round 0 reads every shard once: a shard
-        whose turn comes after the deadline is spent is not started, and
-        an open breaker fails its shard fast without touching it.  Each
-        later round re-reads only the shards that raised, after an
-        exponential seeded-jitter backoff slept on the injected clock,
-        until they answer or run out of retries or budget.  A failure
-        once the budget is spent is a :class:`DeadlineExceededError`
-        chained to the shard's error.  Every attempt lands in its
-        shard's breaker; breakers admit at the round's start time and
-        record failures at its end time.
+        Returns the summed OpCounter deltas of the shards (``None``
+        untraced).  A shard's error propagates unchanged: the answer is
+        exact or there is none.
         """
-        policy = self.policy
-        breakers = self._breakers
-        clock = self._obs.clock
-        deadline = (
-            None if policy is None
-            else Deadline.after(clock, policy.deadline_seconds)
-        )
         ops = None
-        failed: dict[int, Exception] = {}
-        round_index = 0
-        while work:
-            now = 0.0 if breakers is None else clock.now()
-            errors: list[tuple] = []
-            for index, sub_queries in work:
-                if deadline is not None and deadline.expired(clock):
-                    failed[index] = DeadlineExceededError(
-                        f"request deadline of {policy.deadline_seconds}s "
-                        f"spent before shard {index} was attempted"
-                    )
-                    self._obs_timeouts.inc()
-                    continue
-                breaker = None if breakers is None else breakers[index]
-                if breaker is not None and breaker.state != BREAKER_CLOSED:
-                    state_before = breaker.state
-                    allowed = breaker.allow(now)
-                    self._note_breaker(index, state_before, breaker.state)
-                    if not allowed:
-                        failed[index] = CircuitOpenError(
-                            f"shard {index} circuit breaker is open "
-                            f"(failure rate {breaker.failure_rate():.2f})"
-                        )
-                        continue
-                try:
-                    delta = self._read(index, sub_queries, parent, totals)
-                except Exception as error:  # noqa: BLE001 — isolated per shard
-                    if policy is None:
-                        raise
-                    errors.append((index, sub_queries, error))
-                    continue
-                if delta is not None:
-                    if ops is None:
-                        ops = delta
-                    else:
-                        ops.merge(delta)
-                if breaker is not None:
-                    state_before = breaker.state
-                    breaker.record_success(now)
-                    self._note_breaker(index, state_before, breaker.state)
-            if not errors:
-                break
-            now = clock.now()
-            work = []
-            for index, sub_queries, error in errors:
-                breaker = breakers[index]
-                state_before = breaker.state
-                breaker.record_failure(now)
-                self._note_breaker(index, state_before, breaker.state)
-                if deadline is not None and deadline.expired(clock):
-                    timeout = DeadlineExceededError(
-                        f"request deadline of {policy.deadline_seconds}s "
-                        f"spent; shard {index} failed: {error}"
-                    )
-                    timeout.__cause__ = error
-                    self._obs_timeouts.inc()
-                    failed[index] = timeout
-                elif round_index >= policy.max_retries:
-                    failed[index] = error
+        for index, sub_queries in work:
+            delta = self._read(index, sub_queries, parent, totals)
+            if delta is not None:
+                if ops is None:
+                    ops = delta
                 else:
-                    self._obs_retries.labels(shard=str(index)).inc()
-                    work.append((index, sub_queries))
-            if work:
-                backoff = policy.backoff(round_index, self._retry_rng)
-                if deadline is not None:
-                    backoff = min(backoff, deadline.remaining(clock))
-                if backoff > 0:
-                    self._obs_backoff.observe(backoff)
-                    clock.sleep(backoff)
-            round_index += 1
-        return ops, failed
-
-    def _degrade(
-        self,
-        failed: dict[int, Exception],
-        work: list,
-        dependencies: list[list[int]],
-        totals: list,
-    ) -> dict[int, set[int]]:
-        """Apply the degradation policy to permanently-failed shards.
-
-        * ``strict`` — raise: the lowest failed shard's
-          :class:`DeadlineExceededError` when the budget ran out, else
-          :class:`ShardFailedError` naming every failed shard (chained
-          to the lowest one's error).
-        * ``fallback`` — read each failed shard's sub-queries once more,
-          outside the fan-out (no fault injector, no breaker), add the
-          exact answers into ``totals``, and return no missing keys.
-          An error there propagates.
-        * ``partial`` — return ``{key_index: missing shard set}`` so
-          the caller wraps affected answers in
-          :class:`~repro.engine.resilience.PartialResult`.
-        """
-        policy = self.policy
-        if policy.degradation == "strict":
-            errors = [error for _, error in sorted(failed.items())]
-            timeouts = [
-                error for error in errors if isinstance(error, DeadlineExceededError)
-            ]
-            if timeouts:
-                raise timeouts[0]
-            raise ShardFailedError(
-                "shard sub-operations failed after retries: "
-                + ", ".join(
-                    f"shard {index}: {error}" for index, error in sorted(failed.items())
-                )
-            ) from errors[0]
-        if policy.degradation == "fallback":
-            sub_queries_of = dict(work)
-            for index in sorted(failed):
-                sub_queries = sub_queries_of[index]
-                shard = self._shards[index]
-                self.stats.touch(shard)
-                with self._obs.span("shard.fallback", shard=index):
-                    _add_answers(shard, sub_queries, totals)
-                self._obs_degraded.labels(mode="fallback").inc()
-            return {}
-        # partial: name the missing shards per affected key
-        missing_by_key: dict[int, set[int]] = {}
-        failed_shards = set(failed)
-        for key_index, touched in enumerate(dependencies):
-            gone = failed_shards.intersection(touched)
-            if gone:
-                missing_by_key[key_index] = gone
-                self._obs_degraded.labels(mode="partial").inc()
-        return missing_by_key
-
-    def _note_breaker(self, shard_index: int, before: str, after: str) -> None:
-        """Emit breaker transition/state instruments on a state change."""
-        if before == after or not self._obs.enabled:
-            return
-        self._obs_breaker_transitions.labels(
-            shard=str(shard_index), to=after
-        ).inc()
-        self._obs_breaker_state.labels(shard=str(shard_index)).set(
-            self._breakers[shard_index].gauge_value
-        )
+                    ops.merge(delta)
+        return ops
 
     # ------------------------------------------------------------------
     # Introspection
@@ -897,50 +670,11 @@ class ShardedEngine(RangeSumMethod):
         """Stored cells across all shards (the cache is not counted)."""
         return sum(shard.memory_cells() for shard in self._shards)
 
-    def set_degradation(self, mode: str) -> str:
-        """Swap the resilience policy's degradation mode at runtime.
-
-        The serving front-end's load shedder flips ``strict`` →
-        ``partial`` when admission pressure crosses its watermark and
-        back when it subsides, so slow shards stop holding answers
-        hostage exactly when capacity is scarce.  Returns the previous
-        mode.  The swap happens between requests on the owner's thread,
-        so an in-flight read finishes under the policy it started with
-        and the next read sees the new mode.
-        """
-        if self.policy is None:
-            raise ConfigurationError(
-                "engine has no resilience policy to degrade"
-            )
-        from dataclasses import replace
-
-        previous = self.policy.degradation
-        if mode != previous:
-            # replace() re-runs ResiliencePolicy.__post_init__, so an
-            # unknown mode raises ConfigurationError here.
-            self.policy = replace(self.policy, degradation=mode)
-        return previous
-
-    def resilience_info(self) -> dict | None:
-        """Policy summary plus live per-shard breaker state (None when
-        no policy is attached)."""
-        if self.policy is None:
-            return None
-        breakers = [
-            {
-                "shard": index,
-                "state": breaker.state,
-                "failure_rate": breaker.failure_rate(),
-            }
-            for index, breaker in enumerate(self._breakers)
-        ]
-        return {
-            "deadline_seconds": self.policy.deadline_seconds,
-            "max_retries": self.policy.max_retries,
-            "degradation": self.policy.degradation,
-            "breaker_window": self.policy.breaker_window,
-            "breakers": breakers,
-        }
+    def resilience_info(self) -> None:
+        """Always ``None``: the engine has no failure policy.  Kept for
+        ``benchmarks/e2e/inproc.py`` until ROADMAP item 8(i) drops the
+        read."""
+        return None
 
     # ------------------------------------------------------------------
     # Lifecycle

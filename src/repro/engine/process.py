@@ -11,9 +11,7 @@ reads straight off shared memory:
   :class:`~repro.engine.shm.ShardSlabStore` at startup — zero-copy,
   built once at plan time;
 * the engine reads every shard on the caller's thread through the
-  same fan-out as in serial mode, because no read waits on a worker, so
-  ``ResiliencePolicy`` deadlines, retries, circuit breakers, and the
-  ``FaultInjector`` compose completely unchanged;
+  same fan-out as in serial mode, because no read waits on a worker;
 * writes ship as compact ``(cell, delta)`` tuples over the owning
   worker's pipe and are applied as suffix rectangles on the shared
   slab — the worker is the single writer for its shards, so deltas
@@ -42,15 +40,15 @@ reads straight off shared memory:
   window is a kill *mid-apply*: the seqlock's odd count marks the
   slab as holding a torn batch, and that loss surfaces as
   :class:`~repro.exceptions.WorkerCrashedError` instead of serving
-  wrong sums.
+  wrong sums.  The shard stays failed: every later read, write or
+  fence on it raises the same error.
 
-Failure semantics: a dead pipe surfaces as
-:class:`~repro.exceptions.WorkerCrashedError`, which the engine's
-fan-out treats like any other shard failure — retried within
-the deadline budget, recorded by the shard's breaker, degraded per
-policy.  Worker-side *operation* errors (a malformed op) come back as
+Failure semantics: a torn batch or a pipe that breaks while accepting
+a write surfaces as :class:`~repro.exceptions.WorkerCrashedError`,
+which propagates through the engine's fan-out to the caller unchanged.
+Worker-side *operation* errors (a malformed op) come back as
 :class:`~repro.exceptions.StructureError` replies without killing the
-worker — they indicate a library bug, not a flaky shard.
+worker — they indicate a library bug.
 """
 
 from __future__ import annotations
@@ -194,6 +192,13 @@ def _fold_pending(values: list, queries: Sequence[tuple], batches) -> list:
     return values
 
 
+def _torn_message(shards: Sequence[int]) -> str:
+    return (
+        f"shard(s) {', '.join(map(str, shards))}: a worker died mid-apply "
+        f"and left a write batch torn beyond replay"
+    )
+
+
 class _Lane:
     """One worker process plus its command pipe."""
 
@@ -214,8 +219,8 @@ class ProcessExecutor:
 
     Exposes :meth:`write` / :meth:`read_many` (the slab traffic of
     :class:`ShmShardReplica`; a read is a seqlock gather on the caller's
-    thread), :meth:`fence` / :meth:`flush`, :meth:`kill_worker` (the
-    chaos harness's SIGKILL hook), :meth:`pool_info`, :meth:`harvest`
+    thread), :meth:`fence` / :meth:`flush`, :meth:`kill_worker` (a
+    test's SIGKILL hook), :meth:`pool_info`, :meth:`harvest`
     and :meth:`shutdown`.  One thread owns the pool, as it owns the
     engine above it.
 
@@ -283,6 +288,8 @@ class ProcessExecutor:
         #: never left the parent, so a worker crash cannot lose them —
         #: the respawned worker receives them with the next shipment.
         self._buffers: list[list] = [[] for _ in range(store.count)]
+        #: Shards whose slab holds a batch a worker died applying.
+        self._torn: set[int] = set()
         #: Per-worker telemetry segments + parent-side merge state.  The
         #: harvester owns the segments (workers only attach), so a
         #: SIGKILLed worker's last-published slots stay harvestable and
@@ -438,13 +445,10 @@ class ProcessExecutor:
                 message = self._receive(lane)
                 status, reply = message[0], message[1]
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as error:
-                lost = self._abandon(lane)
+                torn = self._abandon(lane)
                 self._mark_dead(lane)
-                if lost:
-                    raise WorkerCrashedError(
-                        f"worker {lane.worker_index} died mid-apply; "
-                        f"{lost} delta batch(es) torn beyond replay"
-                    ) from error
+                if torn:
+                    raise WorkerCrashedError(_torn_message(torn)) from error
                 # Every outstanding batch was replayed into the slab by
                 # the abandon — the fence this drain was serving is
                 # semantically satisfied, so the death stays silent
@@ -457,10 +461,9 @@ class ProcessExecutor:
                     f"failed: {reply}"
                 )
 
-    def _abandon(self, lane: _Lane) -> int:
+    def _abandon(self, lane: _Lane) -> list[int]:
         """Reconcile the write ledgers after losing ``lane`` mid-flight.
-        Returns the number of delta batches that could *not* be
-        recovered.
+        Returns the owned shards whose slab the death tore.
 
         Each owned shard's ``applied`` header is ground truth for what
         reached the slab, and the dead worker was the shard's only
@@ -468,21 +471,23 @@ class ProcessExecutor:
         ledger suffix into the slab itself, making recovery **exact**
         whenever the seq header is even.  A seq left odd means the
         worker died *mid-apply*: the slab holds a torn batch, replay
-        cannot be trusted, and every outstanding batch for that shard
-        counts as lost (the seq is bumped even so zero-copy readers
-        stop treating the slab as in-flux; callers surface the loss as
-        :class:`~repro.exceptions.WorkerCrashedError`).
+        cannot be trusted, and the shard joins ``_torn`` for good, its
+        unshipped deltas dropped with it (the seq is bumped even so
+        zero-copy readers stop treating the slab as in-flux; callers
+        surface the loss as :class:`~repro.exceptions.WorkerCrashedError`).
         """
         lane.pending = 0
-        lost = 0
+        torn = []
         for index in lane.owned:
             header = self.store.header(index)
             ledger = self._ledgers[index]
             applied = int(header[shm.HEADER_APPLIED])
             if int(header[shm.HEADER_SEQ]) & 1:
                 header[shm.HEADER_SEQ] += 1
-                lost += sum(1 for number, _ in ledger if number > applied)
                 self._posted[index] = applied
+                self._buffers[index].clear()
+                self._torn.add(index)
+                torn.append(index)
             elif applied < self._posted[index]:
                 # Replay under the same seqlock discipline the worker
                 # used, so the slab header stays the one source of truth.
@@ -495,7 +500,7 @@ class ProcessExecutor:
                 header[shm.HEADER_SEQ] += 1
                 self._posted[index] = applied
             ledger.clear()
-        return lost
+        return torn
 
     def _respawn_if_dead(self, lane: _Lane) -> None:
         """Respawn a dead ``lane``.
@@ -508,14 +513,17 @@ class ProcessExecutor:
         """
         if lane.process is not None and lane.process.is_alive():
             return
-        lost = self._abandon(lane)
+        torn = self._abandon(lane)
         self._mark_dead(lane)
         self._spawn(lane)
-        if lost:
-            raise WorkerCrashedError(
-                f"worker {lane.worker_index} died mid-apply; "
-                f"{lost} delta batch(es) torn beyond replay"
-            )
+        if torn:
+            raise WorkerCrashedError(_torn_message(torn))
+
+    def _refuse_torn(self, shard_index: int) -> None:
+        """Raise for a shard in ``_torn``: its slab is wrong, and no
+        later read, write or fence may pretend otherwise."""
+        if shard_index in self._torn:
+            raise WorkerCrashedError(_torn_message([shard_index]))
 
     # ------------------------------------------------------------------
     # Slab traffic
@@ -573,6 +581,7 @@ class ProcessExecutor:
         """
         if not updates:
             return
+        self._refuse_torn(shard_index)
         buffer = self._buffers[shard_index]
         buffer.extend(updates)
         if len(buffer) >= self.ship_threshold:
@@ -596,6 +605,7 @@ class ProcessExecutor:
     def fence(self, shard_index: int) -> None:
         """Make ``shard_index``'s slab current: ship buffered deltas,
         then wait for every pipelined write on its lane."""
+        self._refuse_torn(shard_index)
         self._ship(shard_index)
         lane = self._lanes[shard_index % self.workers]
         if not lane.pending:
@@ -621,8 +631,9 @@ class ProcessExecutor:
         them.  Only a gather that keeps colliding with an in-progress
         apply falls back to one fence, after four torn gathers: the one
         pipe wait a read can take, and it waits for an apply that is
-        already running.
+        already running.  A torn shard raises instead.
         """
+        self._refuse_torn(shard_index)
         store = self.store
         header = store.header(shard_index)
         ledger = self._ledgers[shard_index]
@@ -681,7 +692,7 @@ class ProcessExecutor:
                 self._drain(lane)
 
     def kill_worker(self, shard_index: int) -> bool:
-        """SIGKILL the worker owning ``shard_index`` (chaos hook).
+        """SIGKILL the worker owning ``shard_index`` (test hook).
 
         Joins the corpse before returning so the very next call
         deterministically observes the death.  Returns False when the

@@ -17,12 +17,7 @@ __all__ = [
     "UnknownMethodError",
     "SchemaError",
     "StructureError",
-    "ResilienceError",
-    "DeadlineExceededError",
-    "CircuitOpenError",
-    "ShardFailedError",
     "WorkerCrashedError",
-    "InjectedFaultError",
     "ServeError",
     "BadRequestError",
     "UnsupportedMediaTypeError",
@@ -73,43 +68,15 @@ class StructureError(ReproError, AssertionError):
     """
 
 
-class ResilienceError(ReproError, RuntimeError):
-    """Base class for serving-resilience failures (see ``repro.engine``)."""
-
-
-class DeadlineExceededError(ResilienceError, TimeoutError):
-    """A request's deadline budget ran out before every shard answered.
-
-    Subclasses :class:`TimeoutError` so generic timeout handling in
-    callers keeps working.
-    """
-
-
-class CircuitOpenError(ResilienceError):
-    """A shard's circuit breaker is open and the call was not attempted."""
-
-
-class ShardFailedError(ResilienceError):
-    """A shard sub-operation failed after exhausting its retry budget."""
-
-
-class WorkerCrashedError(ResilienceError):
-    """A shard-pool worker process died during (or before) a sub-operation.
+class WorkerCrashedError(ReproError, RuntimeError):
+    """A shard-pool worker process died in a way the caller must see.
 
     Raised parent-side by :class:`~repro.engine.process.ProcessExecutor`
-    when the owning worker's pipe breaks mid-call.  The shard's state
-    lives in the shared-memory slab store, so the failure is transient:
-    the next attempt respawns the worker, which reattaches and answers
-    exactly — which is why the resilient fan-out treats this like any
-    other retryable shard failure.
-    """
-
-
-class InjectedFaultError(ResilienceError):
-    """A deterministic fault raised by the test/chaos FaultInjector.
-
-    Never raised by production code paths; exists so resilience tests
-    can distinguish injected faults from genuine shard failures.
+    when a worker died mid-apply and left its shard's slab holding a
+    torn batch (the seqlock left odd), or when a worker's pipe broke
+    while it accepted a write.  A torn batch cannot be replayed, so that
+    shard stays failed: every later read, write or fence on it raises
+    this again rather than serve a wrong sum.
     """
 
 

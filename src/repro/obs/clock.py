@@ -35,17 +35,6 @@ class MonotonicClock:
     #: to the C function, so a read on the hot path costs no Python frame.
     now = staticmethod(time.perf_counter)
 
-    def sleep(self, seconds: float) -> None:
-        """Block the calling thread for ``seconds`` (no-op when <= 0).
-
-        Retry backoff in the serving engine sleeps through the injected
-        clock — never through a direct ``time.sleep`` — so a
-        :class:`ManualClock` test advances virtual time instead of
-        stalling the suite (lint rule REP008 enforces the inversion).
-        """
-        if seconds > 0:
-            time.sleep(seconds)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "MonotonicClock()"
 
@@ -73,16 +62,6 @@ class ManualClock:
                 f"a monotonic clock cannot go backwards (advance {seconds})"
             )
         self._now += seconds
-
-    def sleep(self, seconds: float) -> None:
-        """Virtual sleep: advance the reading, return immediately.
-
-        This is what makes retry backoff and injected latency spikes
-        deterministic — a chaos soak "sleeps" through thousands of
-        seconds of virtual time in microseconds of wall time.
-        """
-        if seconds > 0:
-            self.advance(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ManualClock(now={self._now})"

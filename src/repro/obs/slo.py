@@ -162,22 +162,14 @@ class ErrorBudgetSlo:
         return SloStatus(self.name, ok, ratio, self.budget, detail)
 
 
-def default_slo_rules(
-    p99_seconds: float = 0.05, error_budget: float = 0.01
-) -> list:
-    """The engine's stock rules: request p99 and degraded-reply budget."""
+def default_slo_rules(p99_seconds: float = 0.05) -> list:
+    """The engine's stock rule: request p99."""
     return [
         LatencySlo(
             "request_latency_p99",
             "repro_engine_request_seconds",
             0.99,
             p99_seconds,
-        ),
-        ErrorBudgetSlo(
-            "degraded_reply_budget",
-            "repro_engine_degraded_total",
-            "repro_engine_request_seconds",
-            error_budget,
         ),
     ]
 
@@ -257,32 +249,18 @@ def engine_watchdog(obs, engine, rules: Sequence | None = None) -> SloWatchdog:
     return SloWatchdog(obs, rules=rules, harvest=engine.harvest_worker_metrics)
 
 
-def evaluate_health(watchdog: SloWatchdog, engine) -> dict:
+def evaluate_health(watchdog: SloWatchdog) -> dict:
     """Run one health evaluation and return the full health document.
 
     This is the *single* verdict path shared by ``repro top --once``
     (exit code) and the serve ``/healthz`` endpoint (status code +
     body), so the two surfaces cannot drift: one ``watchdog.check()``
-    over the shared rules, then the engine's live circuit-breaker
-    states folded in — any open breaker degrades the verdict even when
-    every SLO rule passes, because an open breaker means a shard is
-    being shed right now.
+    over the shared rules.
 
     Returns the document a health endpoint serialises; ``healthy`` is
     the boolean verdict, ``status`` is ``"ok"`` or ``"degraded"``.
     """
     watchdog.check()
     document = watchdog.healthz()
-    info = engine.resilience_info()
-    if info is not None:
-        document["breakers"] = info["breakers"]
-        open_shards = sorted(
-            breaker["shard"]
-            for breaker in info["breakers"]
-            if breaker["state"] != "closed"
-        )
-        if open_shards:
-            document["status"] = "degraded"
-            document["open_breakers"] = open_shards
     document["healthy"] = document["status"] == "ok"
     return document

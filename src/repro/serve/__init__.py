@@ -3,9 +3,8 @@
 The roadmap's serving layer: :class:`CubeServer` speaks HTTP/1.1 JSON
 (and msgpack when the package is installed) over a
 :class:`~repro.engine.ShardedEngine` from one event-loop thread, with
-per-tenant token-bucket admission, one engine turn that every engine
-call holds, and pressure-driven load shedding that degrades strict
-answers to partial ones before refusing work outright.
+per-tenant token-bucket admission (429), one engine turn that every
+engine call holds, and a bound on the demand waiting for it (503).
 :class:`ServeClient` is the matching client used by the load
 generator, the CI smoke job, and the tests.
 

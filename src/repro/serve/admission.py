@@ -15,12 +15,9 @@ Two independent gates stand between a parsed request and the engine:
 * **The engine turn** (:class:`ConcurrencyGate`) — one request at a
   time runs engine calls; the rest wait for the turn.  Requests holding
   or waiting for it count as demand: beyond ``max_concurrency +
-  max_queue`` of them the server refuses with HTTP 503, and their
-  *pressure* (demand / ``max_concurrency``) drives graceful
-  degradation: above ``shed_watermark`` the server flips the engine
-  from strict to partial mode (see ``server.py``) so slow or failed
-  shards stop holding answers hostage exactly when capacity is
-  scarcest.
+  max_queue`` of them the server refuses with HTTP 503.  Their
+  *pressure* (demand / ``max_concurrency``) is reported, not acted on:
+  an admitted request is answered exactly or fails.
 
 Everything here is event-loop-local state — mutated only from the
 server's single loop thread, so no locks.
@@ -48,11 +45,7 @@ class AdmissionPolicy:
         max_concurrency: demand (requests holding or waiting for the
             engine turn) counted as full pressure.
         max_queue: demand allowed beyond ``max_concurrency``;
-            arrivals beyond that are shed with 503.
-        shed_watermark: gate pressure (demand / ``max_concurrency``)
-            at which the server degrades strict → partial.
-            ``>= 1 + max_queue/max_concurrency`` never sheds; ``0``
-            sheds always (useful in tests).
+            arrivals beyond that are refused with 503.
         retry_after_seconds: ``Retry-After`` floor for 503 responses
             (429 computes the exact token-accrual wait instead).
         max_tenants: bound on the bucket table (LRU-evicted beyond).
@@ -63,7 +56,6 @@ class AdmissionPolicy:
     tenant_burst: int = 8
     max_concurrency: int = 64
     max_queue: int = 1024
-    shed_watermark: float = 0.75
     retry_after_seconds: float = 1.0
     max_tenants: int = 4096
     drain_seconds: float = 5.0
@@ -77,8 +69,6 @@ class AdmissionPolicy:
             raise ConfigurationError("max_concurrency must be >= 1")
         if self.max_queue < 0:
             raise ConfigurationError("max_queue must be >= 0")
-        if self.shed_watermark < 0:
-            raise ConfigurationError("shed_watermark must be >= 0")
         if self.retry_after_seconds <= 0:
             raise ConfigurationError("retry_after_seconds must be positive")
         if self.max_tenants < 1:
@@ -151,8 +141,8 @@ class ConcurrencyGate:
 
     Loop-local; callers ``await acquire()`` / ``release()`` around their
     engine calls, or take a free turn synchronously with
-    :meth:`try_acquire`.  ``pressure`` counts waiters too, so shedding
-    reacts to demand, not just to occupancy.
+    :meth:`try_acquire`.  ``pressure`` counts waiters too, so
+    ``peak_pressure`` records demand, not just occupancy.
     """
 
     def __init__(self, policy: AdmissionPolicy) -> None:
@@ -171,7 +161,7 @@ class ConcurrencyGate:
         return (self.inflight + self.waiting) / self.policy.max_concurrency
 
     def would_overflow(self) -> bool:
-        """True when one more arrival must be shed with 503."""
+        """True when one more arrival must be refused with 503."""
         occupied = self.inflight + self.waiting
         if occupied + 1 > self.policy.max_concurrency + self.policy.max_queue:
             self.rejected += 1

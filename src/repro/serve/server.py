@@ -31,12 +31,10 @@ applies nothing.  A partial request (head or body) older than
 ``_REQUEST_TIMEOUT_S`` gets 408 and the connection closes; an idle
 keep-alive connection is never timed out.
 
-**Load shedding** watches the gate's pressure: above
-``AdmissionPolicy.shed_watermark`` the server flips the engine's
-resilience degradation from strict to partial (via
-``engine.set_degradation``) so stragglers stop holding answers hostage
-exactly when capacity is scarcest, and flips it back when pressure
-subsides.  Responses served during a shed window carry ``shed: true``.
+An engine answer is exact or an error.  Any exception the engine call
+raises — a library error or a bug — answers 500 (or 400 / 415 for the
+request's own fault), and the connection stays open for the next
+request.
 
 ``/healthz`` reports the same verdict as ``repro top --once`` — both go
 through :func:`repro.obs.slo.evaluate_health`, so the CLI and the
@@ -56,12 +54,9 @@ import numpy as np
 
 from ..exceptions import (
     BadRequestError,
-    CircuitOpenError,
-    DeadlineExceededError,
     DimensionMismatchError,
     InvalidRangeError,
     OutOfBoundsError,
-    ReproError,
     ServeError,
     UnsupportedMediaTypeError,
 )
@@ -367,11 +362,7 @@ class CubeServer:
         self._integer_deltas = np.dtype(engine.dtype).kind in "iu"
         self.buckets = TenantBuckets(self.policy)
         self.gate = ConcurrencyGate(self.policy)
-        self.shedding = False
-        self.shed_entries = 0
-        self.shed_responses = 0
         self.drained = 0
-        self._saved_degradation: str | None = None
         self._server: asyncio.base_events.Server | None = None
         self._draining = False
         self._busy = 0
@@ -395,8 +386,7 @@ class CubeServer:
         self._route_instruments: dict[tuple[str, int], tuple] = {}
         self._admission_total = metrics.counter(
             "repro_serve_admission_total",
-            "Admission decisions: throttled (429), overflow (503), "
-            "shed-mode entries.",
+            "Admission decisions: throttled (429), overflow (503).",
             labels=("action",),
         )
         self._inflight_gauge = metrics.gauge(
@@ -467,42 +457,19 @@ class CubeServer:
     def stats(self) -> dict:
         """Server-side counters the bench and tests assert against."""
         return {
-            # Constant since single-flight coalescing was removed; kept
-            # because benchmarks/e2e/served.py reads both keys.
+            # Constant since single-flight coalescing and load shedding
+            # were removed; kept because benchmarks/e2e/served.py reads
+            # them, until ROADMAP item 8(g)/(i) retires them.
             "coalesce_leaders": 0,
             "coalesce_followers": 0,
+            "shed_responses": 0,
             "inflight": self.gate.inflight,
             "waiting": self.gate.waiting,
             "peak_pressure": self.gate.peak_pressure,
             "overflow_rejected": self.gate.rejected,
             "throttled": self.buckets.throttled,
-            "shedding": self.shedding,
-            "shed_entries": self.shed_entries,
-            "shed_responses": self.shed_responses,
             "tenants": len(self.buckets),
         }
-
-    # ------------------------------------------------------------------
-    # Load shedding
-    # ------------------------------------------------------------------
-
-    def _update_shed(self) -> None:
-        """Flip strict → partial (and back) on gate pressure.
-
-        Only meaningful when the engine carries a resilience policy —
-        without one there is no degradation axis to move along.
-        """
-        if self.engine.policy is None:
-            return
-        pressure = self.gate.pressure
-        if not self.shedding and pressure >= self.policy.shed_watermark:
-            self._saved_degradation = self.engine.set_degradation("partial")
-            self.shedding = True
-            self.shed_entries += 1
-            self._admission_total.labels(action="shed_enter").inc()
-        elif self.shedding and pressure < self.policy.shed_watermark:
-            self.engine.set_degradation(self._saved_degradation or "strict")
-            self.shedding = False
 
     # ------------------------------------------------------------------
     # Answering
@@ -525,7 +492,7 @@ class CubeServer:
                         self._answer_later(conn, request, codec, start, outcome)
                     )
                 outcome = outcome.finish(self._run_now(outcome))
-        except ReproError as exc:
+        except Exception as exc:
             outcome = self._failure(exc)
         except BaseException:
             self._settle()
@@ -536,7 +503,7 @@ class CubeServer:
     async def _answer_later(self, conn, request, codec, start, work: _Work) -> None:
         try:
             outcome = work.finish(await self._gated(work.call, work.items))
-        except ReproError as exc:
+        except Exception as exc:
             outcome = self._failure(exc)
         except BaseException:  # cancelled: no answer, no longer in flight
             self._settle()
@@ -563,15 +530,15 @@ class CubeServer:
         self._busy -= 1
         self._inflight_gauge.set(self._busy)
 
-    def _failure(self, exc: ReproError) -> tuple:
-        """The response an error raised while answering maps to."""
+    @staticmethod
+    def _failure(exc: Exception) -> tuple:
+        """The response an error raised while answering maps to: any
+        error that is not the request's fault is a 500."""
         if isinstance(exc, _CLIENT_ERRORS):
             return 400, error_body(400, str(exc)), {}
         if isinstance(exc, UnsupportedMediaTypeError):
             return 415, error_body(415, str(exc)), {}
-        if isinstance(exc, (CircuitOpenError, DeadlineExceededError)):
-            return 503, error_body(503, str(exc)), {"Retry-After": self._retry_after()}
-        return 500, error_body(500, str(exc)), {}
+        return 500, error_body(500, f"{type(exc).__name__}: {exc}"), {}
 
     def _route(self, request: _HttpRequest, codec: Codec):
         """A response ``(status, body, extra)``, or the :class:`_Work`
@@ -594,9 +561,6 @@ class CubeServer:
                 return 405, error_body(405, "GET required"), {}
             return self._handle_metrics(request)
         return 404, error_body(404, f"no route {path!r}"), {}
-
-    def _retry_after(self) -> str:
-        return f"{self.policy.retry_after_seconds:g}"
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -626,15 +590,9 @@ class CubeServer:
         ((low, high),) = ranges
         return [self.engine.range_sum(low, high)]
 
-    def _query_answered(self, batch: bool, parts: list) -> tuple:
-        body = query_response(
-            [value for part in parts for value in part],
-            batch=batch,
-            coalesced=False,
-            shed=self.shedding,
-        )
-        if body["shed"]:
-            self.shed_responses += 1
+    @staticmethod
+    def _query_answered(batch: bool, parts: list) -> tuple:
+        body = query_response([value for part in parts for value in part], batch=batch)
         return 200, body, {}
 
     def _handle_update(self, request: _HttpRequest, codec: Codec):
@@ -656,7 +614,7 @@ class CubeServer:
         return _Work(self.engine.add_many, updates, lambda _: response)
 
     def _handle_healthz(self):
-        document = evaluate_health(self.watchdog, self.engine)
+        document = evaluate_health(self.watchdog)
         return (200 if document["healthy"] else 503), document, {}
 
     def _handle_metrics(self, request: _HttpRequest):
@@ -689,17 +647,15 @@ class CubeServer:
         return (
             503,
             error_body(503, "server at capacity"),
-            {"Retry-After": self._retry_after()},
+            {"Retry-After": f"{self.policy.retry_after_seconds:g}"},
         )
 
     def _run_now(self, work: _Work) -> list:
         """Run a one-chunk request under a turn ``try_acquire`` took."""
-        self._update_shed()
         try:
             return [work.call(work.items)]
         finally:
             self.gate.release()
-            self._update_shed()
 
     async def _gated(self, call, items: tuple) -> list:
         """Run ``call`` over ``items`` on the loop under the engine turn.
@@ -708,10 +664,9 @@ class CubeServer:
         between calls; the turn is held from the first call to the last,
         so no other engine call interleaves with a batch.  Returns each
         call's result in order.  While the request holds or waits for
-        the turn, pressure, ``peak_pressure`` and shedding count it.
+        the turn, pressure and ``peak_pressure`` count it.
         """
         await self.gate.acquire()
-        self._update_shed()
         try:
             parts = [call(items[:_CHUNK])]
             for start in range(_CHUNK, len(items), _CHUNK):
@@ -720,4 +675,3 @@ class CubeServer:
             return parts
         finally:
             self.gate.release()
-            self._update_shed()

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..engine.resilience import is_partial
 from ..exceptions import BadRequestError, UnsupportedMediaTypeError
 
 __all__ = [
@@ -301,39 +300,25 @@ def _delta(value: Any, integer: bool) -> float:
 
 def _plain(value: Any) -> Any:
     """Unwrap one engine answer into a JSON-safe scalar."""
-    if is_partial(value):
-        value = value.value
     value = getattr(value, "item", lambda: value)()
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
 
 
-def _result_entry(value: Any) -> dict:
-    entry: dict[str, Any] = {"value": _plain(value)}
-    if is_partial(value):
-        entry["partial"] = True
-        entry["missing_shards"] = sorted(value.missing_shards)
-    return entry
-
-
 def query_response(
-    results: Sequence[Any], *, batch: bool, coalesced: bool, shed: bool
+    results: Sequence[Any], *, batch: bool, coalesced: bool = False, shed: bool = False
 ) -> dict:
     """The ``/query`` response document.
 
-    ``partial: true`` marks any answer the engine degraded (missing
-    shards are named); ``shed: true`` marks a request served while the
-    server was load-shedding.  ``coalesced`` is always false now that
-    no request joins another's engine call; the field stays on the wire.
+    An answer is exact or the request failed, so the document carries
+    values only.  The ``coalesced`` and ``shed`` fields read a constant
+    false from the server; they stay on the wire, and as keywords here,
+    because ``benchmarks/e2e/served.py`` passes both, until ROADMAP
+    item 8(g) retires them.
     """
-    entries = [_result_entry(value) for value in results]
-    partial = any(entry.get("partial") for entry in entries)
-    if batch:
-        body: dict[str, Any] = {"results": entries}
-    else:
-        body = dict(entries[0])
-    body["partial"] = partial
+    entries = [{"value": _plain(value)} for value in results]
+    body: dict[str, Any] = {"results": entries} if batch else entries[0]
     body["coalesced"] = coalesced
     body["shed"] = shed
     return body

@@ -302,12 +302,11 @@ def straddling_ranges(
 ) -> list[RangeQuery]:
     """Ranges guaranteed to cross at least one shard-slab boundary.
 
-    The adversarial read workload for fault-injection testing: a range
-    confined to one slab exercises none of the fan-out machinery, so a
-    chaos run over single-shard ranges would under-test exactly the
-    paths (multi-shard retry, partial degradation, per-shard deadline
-    accounting) it exists to cover.  Boundaries follow the engine's
-    ``floor(i·n/K)`` slab rule, so every returned range overlaps at
+    The adversarial read workload for the engine's fan-out: a range
+    confined to one slab reads one shard, so a test over single-shard
+    ranges would never exercise the decomposition into per-shard
+    sub-ranges and the summing of their answers.  Boundaries follow the
+    engine's ``floor(i·n/K)`` slab rule, so every returned range overlaps at
     least two shards of a K-shard engine over ``shape``.
     """
     shape = normalize_shape(shape)

@@ -368,8 +368,8 @@ class TestLintRules:
         assert [f.rule for f in findings] == ["REP008", "REP008"]
 
     def test_rep008_flags_real_sleep_in_hot_paths(self):
-        # Real sleeps in the fan-out would make chaos tests wall-clock
-        # slow and nondeterministic; backoff must use the injected clock.
+        # Real sleeps in the fan-out would make virtual-time tests
+        # wall-clock slow and nondeterministic; sleep on the injected clock.
         source = (
             "__all__ = []\n"
             "import time\n"

@@ -10,7 +10,6 @@ from repro.artifacts import (
     SCHEMA_VERSION,
     load_document,
     make_document,
-    upsert_row,
     write_document,
 )
 from repro.exceptions import ConfigurationError
@@ -81,21 +80,3 @@ class TestWriteDocument:
             write_document(path, {"rows": "not-a-list", "experiment": "d"})
         with pytest.raises(ConfigurationError):
             write_document(path, {"rows": []})  # no experiment
-
-
-class TestUpsertRow:
-    def test_replaces_matching_row(self):
-        document = make_document("demo", [{"k": 1, "v": "old"}, {"k": 2, "v": "b"}])
-        upsert_row(document, {"k": 1, "v": "new"}, ("k",))
-        assert document["rows"] == [{"k": 2, "v": "b"}, {"k": 1, "v": "new"}]
-
-    def test_appends_new_key(self):
-        document = make_document("demo")
-        upsert_row(document, {"k": 1}, ("k",))
-        upsert_row(document, {"k": 2}, ("k",))
-        assert [row["k"] for row in document["rows"]] == [1, 2]
-
-    def test_composite_keys(self):
-        document = make_document("demo", [{"a": 1, "b": 1, "v": 0}])
-        upsert_row(document, {"a": 1, "b": 2, "v": 9}, ("a", "b"))
-        assert len(document["rows"]) == 2

@@ -179,90 +179,8 @@ class TestObservabilityCommands:
         assert "slow-query log:" in out
 
 
-class TestChaosCommand:
-    ARGS = ["--shape", "32", "32", "--shards", "4", "--events", "60", "--seed", "1"]
-
-    def test_fallback_soak_is_exact_and_exits_zero(self, tmp_path, capsys):
-        artifact = tmp_path / "chaos.json"
-        assert main([
-            "chaos", *self.ARGS,
-            "--fault-rate", "0.3", "--mode", "fallback",
-            "--json", str(artifact),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "sub-operations perturbed" in out
-        assert "0 MISMATCHES" in out
-        import json
-
-        document = json.loads(artifact.read_text())
-        assert document["experiment"] == "chaos_soak"
-        (row,) = document["rows"]
-        assert row["mode"] == "fallback"
-        assert row["mismatches"] == 0
-        assert row["injected_rate"] > 0
-
-    def test_partial_soak_marks_degraded_answers(self, tmp_path, capsys):
-        import json
-
-        artifact = tmp_path / "chaos.json"
-        assert main([
-            "chaos", *self.ARGS,
-            "--fault-rate", "0.4", "--retries", "0", "--mode", "partial",
-            "--json", str(artifact),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "degraded (marked)" in out
-        (row,) = json.loads(artifact.read_text())["rows"]
-        assert row["degraded"] > 0
-        assert row["mismatches"] == 0
-
-    def test_process_soak_replays_exactly(self, tmp_path, capsys):
-        """Real SIGKILLs against the worker pool, twice with one seed:
-        the same injections land on the same sub-operations, and every
-        answer stays exact.  Half the events write, so every shard ships
-        write batches and a kill finds writes in flight for the ledger
-        replay to recover."""
-        import json
-
-        rows = []
-        for run in range(2):
-            artifact = tmp_path / f"chaos{run}.json"
-            assert main([
-                "chaos", "--shape", "32", "32", "--shards", "4",
-                "--events", "200", "--executor", "process",
-                "--kill-rate", "0.05", "--fault-rate", "0.1", "--seed", "3",
-                "--mix", "0.5", "--json", str(artifact),
-            ]) == 0
-            (row,) = json.loads(artifact.read_text())["rows"]
-            rows.append(row)
-            out = capsys.readouterr().out
-            assert "0 MISMATCHES" in out
-            assert " kills)" in out
-        first, second = rows
-        assert first["injected_total"] > 0
-        for key in (
-            "injected_total", "injected_rate", "exact", "degraded",
-            "request_errors", "mismatches", "retries", "worker_restarts",
-        ):
-            assert first[key] == second[key], key
-        assert first["mismatches"] == 0
-        assert first["worker_restarts"] >= 1
-
-    def test_without_json_leaves_cwd_clean(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["chaos", *self.ARGS]) == 0
-        assert "wrote" not in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []
-
-    def test_rejects_bad_rate(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(["chaos", "--fault-rate", "1.5"])
-
-
 class TestServeCommand:
-    def test_drain_summary_names_rejections_and_sheds_apart(self, capsys):
+    def test_drain_summary_names_throttles_and_rejections_apart(self, capsys):
         from repro.cli import _serve_summary
 
         assert main([
@@ -270,10 +188,10 @@ class TestServeCommand:
             "--port", "0", "--duration", "0.2",
         ]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "served: throttled 0, rejected 0, shed 0"
+            "served: throttled 0, rejected 0"
         )
-        stats = {"throttled": 3, "overflow_rejected": 4, "shed_responses": 5}
-        assert _serve_summary(stats) == "served: throttled 3, rejected 4, shed 5"
+        stats = {"throttled": 3, "overflow_rejected": 4}
+        assert _serve_summary(stats) == "served: throttled 3, rejected 4"
 
 
 class TestParser:
@@ -281,7 +199,7 @@ class TestParser:
         "build", "query", "update", "info", "audit",
         "table1", "table2", "figure1",
         "serve-stats", "metrics", "trace", "top",
-        "serve", "chaos", "analyze",
+        "serve", "analyze",
     }
 
     def test_subcommand_set(self):
@@ -294,7 +212,6 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["serve"]).method == "vector"
         assert parser.parse_args(["serve-stats"]).method == "ddc"
-        assert parser.parse_args(["chaos"]).method == "ddc"
         assert parser.parse_args(["build", "in.csv", "out.npz"]).method == "ddc"
 
     @pytest.mark.parametrize("retired", ["batch", "engine", "descent"])
@@ -304,7 +221,7 @@ class TestParser:
         assert exit_info.value.code == 2
 
     @pytest.mark.parametrize(
-        "command", ["serve", "serve-stats", "metrics", "trace", "top", "chaos"]
+        "command", ["serve", "serve-stats", "metrics", "trace", "top"]
     )
     def test_thread_executor_choice_exits_2(self, command):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,4 +1,5 @@
-"""Pinned per-layer op counts of the end-to-end benchmark's smoke runs.
+"""Pinned per-layer op counts of the end-to-end benchmark's smoke runs,
+and a clean smoke run of every other workload.
 
 The paper's cost unit (``OpCounter`` cells and node visits) is the one
 benchmark figure that does not depend on the machine.  Each case runs
@@ -49,3 +50,19 @@ def test_smoke_counts_pinned(workload):
     assert document["correct"] and document["failed"] == 0
     metrics = document["metrics"]
     assert tuple(metrics[name]["value"] for name in COUNTS) == PINNED[workload]
+
+
+@pytest.mark.parametrize("workload", ["process_mixed", "serve_closed", "serve_open"])
+def test_smoke_harness_contract(workload):
+    """The workloads without pinned counts still run clean: these are
+    the only runs that import ``served.py``, so a name it reads from
+    the program that goes missing fails here, not in a benchmark run."""
+    done = subprocess.run(
+        [sys.executable, str(RUN), "--smoke", "--workload", workload,
+         "--seed", "0", "--trace", "1", "--allow-env"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    document = json.loads(done.stdout.strip().splitlines()[-1])
+    assert document["correct"] is True
+    assert document["failed"] == 0

@@ -180,12 +180,9 @@ class TestExecutors:
             ShardedEngine((8, 8), executor="thread")
 
     def test_an_executor_object_is_refused(self):
-        """``executor`` names a kind; faults come in through ``faults=``."""
-        from repro.engine import FaultInjector
-        from repro.obs import ManualClock
-
+        """``executor`` names a kind, not an object to call."""
         with pytest.raises(ConfigurationError, match="'serial' or 'process'"):
-            ShardedEngine((8, 8), executor=FaultInjector(ManualClock()))
+            ShardedEngine((8, 8), executor=object())
 
     @pytest.mark.parametrize("executor", [None, "serial"])
     def test_workers_need_the_process_executor(self, executor):
@@ -511,81 +508,51 @@ class TestEngineIntrospection:
             assert engine.memory_cells() > 0
 
 
-class TestScalarMissUnderPolicy:
-    """A one-range miss under a resilience policy is a batch of one in
-    the engine's one fan-out: every touched shard's outcome lands in its
-    breaker, and only a shard that raised is read again."""
+class TestShardErrors:
+    """An answer is exact or an error: a shard read's error propagates
+    unchanged, the shards after it are not read, and nothing is cached."""
 
     SHAPE = (16, 8)
 
-    def _engine(self, faults=None, **policy):
-        from repro.engine import ResiliencePolicy
-        from repro.obs import ManualClock, Observability
-
+    @pytest.mark.parametrize("many", [False, True])
+    def test_a_raising_shard_propagates_unchanged(self, many, monkeypatch):
         data = clustered(self.SHAPE, seed=41)
-        engine = ShardedEngine.from_array(
-            data,
-            shards=4,
-            obs=Observability(clock=ManualClock()),
-            resilience=ResiliencePolicy(**policy),
-            faults=faults,
-        )
-        return engine, data
+        error = IndexError("shard bug")
 
-    @staticmethod
-    def _raise_once(shard):
-        from repro.exceptions import InjectedFaultError
+        def broken(*args):
+            raise error
 
-        read = shard.range_sum
-        raised = []
+        with ShardedEngine.from_array(data, shards=4) as engine:
+            monkeypatch.setattr(engine._shards[1], "range_sum", broken)
+            monkeypatch.setattr(engine._shards[1], "range_sum_many", broken)
+            after = engine._shards[2]
+            ops = after.stats.total_cell_ops
+            with pytest.raises(IndexError) as caught:
+                if many:
+                    engine.range_sum_many([((1, 0), (14, 7)), ((0, 0), (3, 7))])
+                else:
+                    engine.range_sum((1, 0), (14, 7))
+            assert caught.value is error
+            assert after.stats.total_cell_ops == ops  # the fan-out stopped
+            assert engine.cache_info()["size"] == 0
+            monkeypatch.undo()
+            assert engine.range_sum((1, 0), (14, 7)) == int(data[1:15].sum())
 
-        def flaky(low, high):
-            if not raised:
-                raised.append(True)
-                raise InjectedFaultError("shard double: first read fails")
-            return read(low, high)
+    def test_strict_policy_shim_changes_nothing(self):
+        from repro.engine import is_partial
+        from repro.engine.resilience import ResiliencePolicy
+        from repro.workloads import straddling_ranges
 
-        shard.range_sum = flaky
-
-    def test_a_healthy_miss_lands_in_every_touched_breaker(self):
-        engine, data = self._engine()
-        assert engine.range_sum((1, 0), (14, 7)) == int(data[1:15].sum())
-        assert [breaker._outcomes for breaker in engine._breakers] == [[False]] * 4
-        engine.close()
-
-    @pytest.mark.parametrize("reason", ["deadline", "executor", "breaker"])
-    def test_a_miss_takes_the_guarded_fanout_when_it_must(self, reason):
-        """A deadline, a fault injector and a breaker that is not closed
-        each act inside the one fan-out, and the answer stays exact."""
-        from repro.engine import FaultInjector
-        from repro.obs import ManualClock
-
-        faults = FaultInjector(ManualClock()) if reason == "executor" else None
-        engine, data = self._engine(
-            faults=faults,
-            deadline_seconds=1.0 if reason == "deadline" else None,
-        )
-        if reason == "breaker":
-            engine._breakers[2].state = "half-open"
-        assert engine.range_sum((1, 0), (14, 7)) == int(data[1:15].sum())
-        if reason == "executor":
-            assert faults.calls == 4  # one perturb per touched shard
-        # The half-open breaker's probe succeeded and closed it.
-        assert [breaker.state for breaker in engine._breakers] == ["closed"] * 4
-        timeouts = engine.obs.metrics.get("repro_engine_timeouts_total")
-        assert timeouts.labels().value == 0
-        engine.close()
-
-    def test_a_raising_shard_records_what_the_guarded_fanout_records(self):
-        """Shard 1 raises once: it alone is retried, once, and its
-        breaker holds the failure and the success; shard 3, untouched,
-        holds nothing."""
-        engine, data = self._engine(max_retries=2)
-        self._raise_once(engine._shards[1])
-        assert engine.range_sum((1, 0), (10, 7)) == int(data[1:11].sum())
-        retries = engine.obs.metrics.get("repro_engine_retries_total")
-        assert retries.labels(shard="1").value == 1
-        assert [breaker._outcomes for breaker in engine._breakers] == [
-            [False], [True, False], [False], [],
-        ]
-        engine.close()
+        with pytest.raises(ConfigurationError, match="'strict'"):
+            ResiliencePolicy(degradation="partial")
+        data = clustered((24, 24), seed=8)
+        reference = build_method("ddc", data)
+        with ShardedEngine.from_array(
+            data, shards=3, cache_size=32,
+            resilience=ResiliencePolicy(degradation="strict"),
+        ) as engine:
+            assert engine.resilience_info() is None
+            for query in straddling_ranges((24, 24), 30, shards=3, seed=11):
+                got = engine.range_sum(query.low, query.high)
+                assert not is_partial(got)
+                assert int(got) == int(reference.range_sum(query.low, query.high))

@@ -6,7 +6,7 @@ validating every internal invariant and cross-checking results against a
 dense oracle — the closest thing to fault injection a deterministic
 structure admits.
 
-Example counts are sized for the PR path; the nightly chaos job sets
+Example counts are sized for the PR path; the nightly deep-fuzz job sets
 ``REPRO_FUZZ_SCALE`` (an integer multiplier, default 1) to run the same
 programs at soak depth.  The multiplier must live in the per-test
 ``@settings`` decorators — they override any registered hypothesis

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ResiliencePolicy, ShardedEngine
+from repro.engine import ShardedEngine
 from repro.exceptions import ConfigurationError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -605,14 +605,13 @@ class TestEngineAcceptance:
 
 def _served_engine(obs: Observability) -> ShardedEngine:
     """A small engine built the way ``repro serve`` builds its own:
-    float cube, ``vector`` shards, strict resilience, obs on."""
+    float cube, ``vector`` shards, obs on."""
     data = np.random.default_rng(11).random((32, 32))
     return ShardedEngine.from_array(
         data,
         shards=4,
         method="vector",
         obs=obs,
-        resilience=ResiliencePolicy(degradation="strict"),
     )
 
 

@@ -231,7 +231,7 @@ class TestDisabledObsStaysDark:
                 *engine._obs_cache_lookups.values(),
                 *engine._obs_shard_read_seconds,
                 *engine._obs_shard_epoch,
-                engine._obs_degraded,
+                engine._obs_fanout_wait,
             ]
             assert all(handle is NULL_INSTRUMENT for handle in bound)
             # Nothing registered: the shared registry holds no

@@ -9,38 +9,26 @@ The load-bearing properties:
   pipelined ship/ack window, and the zero-copy seqlock read path;
 * SIGKILLing a worker never corrupts an answer: state lives in the
   shared slabs plus the parent's ledger, so recovery is exact, and the
-  one unrecoverable window (death mid-apply) surfaces loudly instead
-  of serving wrong sums;
-* the engine runs on its caller's thread alone: a hung shard under a
-  deadline degrades per policy without starting or abandoning a thread,
-  and ``close()`` leaves no worker process and no shared-memory segment.
+  one unrecoverable window (death mid-apply) leaves its shard failed —
+  every later read, write and fence raises instead of serving a wrong
+  sum;
+* ``close()`` leaves no worker process and no shared-memory segment.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import threading
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    FaultInjector,
-    ResiliencePolicy,
-    ShardedEngine,
-    ShardPlan,
-    ShardSlabStore,
-    is_partial,
-)
+from repro.engine import ShardedEngine, ShardPlan, ShardSlabStore
 from repro.engine.shm import HEADER_APPLIED, HEADER_SEQ
-from repro.exceptions import (
-    ConfigurationError,
-    DeadlineExceededError,
-    InjectedFaultError,
-    WorkerCrashedError,
-)
+from repro.exceptions import ConfigurationError, WorkerCrashedError
 from repro.methods import build_method
-from repro.obs import ManualClock, Observability
 from repro.workloads import RangeQuery, clustered, read_write_stream
 
 from .test_engine_stateful import _shm_entries
@@ -201,50 +189,81 @@ class TestKillRecovery:
             lane.pending = 1
             with pytest.raises(WorkerCrashedError):
                 pool.fence(0)
-            # The abandon repaired the seqlock and resynced the ledger,
-            # so subsequent reads serve (and the next op respawns).
+            # The abandon evened the seqlock and dropped the ledger, but
+            # the slab misses the torn batch: the shard stays failed.
             assert int(header[HEADER_SEQ]) % 2 == 0
             assert not pool._ledgers[0]
-            assert int(engine.range_sum((0, 0), (0, 0))) == int(data[0, 0]) + 7
+            with pytest.raises(WorkerCrashedError):
+                engine.range_sum((0, 0), (0, 0))
 
-    def test_injected_kills_trip_breaker_and_stay_exact(self):
-        """FaultInjector kills against the real pool: every kill SIGKILLs
-        a live worker, the shard breakers trip, and fallback degradation
-        keeps every answer exact off the parent's slab mapping."""
-        data = clustered(SHAPE, seed=34)
-        baseline = build_method("ddc", data)
-        clock = ManualClock()
-        policy = ResiliencePolicy(
-            max_retries=1,
-            breaker_window=4,
-            breaker_cooldown_seconds=60.0,
-            degradation="fallback",
-        )
-        injector = FaultInjector(clock=clock, seed=35, kill_rate=1.0)
-        engine = _process_engine(data, 4, resilience=policy, faults=injector)
-        try:
+    def test_torn_batch_is_sticky(self):
+        """A worker SIGKILLed inside ``slab_apply_deltas``: stopped with
+        a shipped batch in its pipe, its shard's seqlock forced odd, then
+        killed.  The next call on the shard raises, and so does every
+        later read, write and fence on it, where a gather would miss the
+        torn batch and answer a wrong sum as if it were exact.  The other
+        shard keeps answering exactly."""
+        data = np.ones((8, 8), dtype=np.int64)
+        with _process_engine(data, 2, workers=2, cache_size=0) as engine:
             pool = engine.process_pool
-            queries = [
-                ((0, 0), (17, 8)),
-                ((1, 1), (16, 7)),
-                ((4, 0), (13, 8)),
-                ((0, 2), (17, 6)),
-            ]
-            for low, high in queries:
-                assert int(engine.range_sum(low, high)) == int(
-                    baseline.range_sum(low, high)
-                )
-            info = engine.resilience_info()
-            assert any(
-                breaker["state"] != "closed" for breaker in info["breakers"]
-            )
-            assert injector.injected["kill"] > 0
-            # The kills were real SIGKILLs — and with the breaker open,
-            # nothing routes to the pool, so no op respawned the corpse.
-            info = pool.pool_info()
-            assert info["alive"] < info["workers"]
-        finally:
-            engine.close()
+            pid = pool.pool_info()["lanes"][0]["pid"]
+            os.kill(pid, signal.SIGSTOP)
+            _wait_stopped(pid)
+            for step in range(pool.ship_threshold):  # one shipped batch
+                engine.add((step % 4, step // 4), 1)
+            assert pool.pool_info()["lanes"][0]["pending_acks"] == 1
+            pool.store.header(0)[HEADER_SEQ] += 1  # the apply had begun
+            assert pool.kill_worker(0)
+            for _ in range(2):
+                with pytest.raises(WorkerCrashedError, match="torn"):
+                    engine.range_sum((0, 0), (7, 7))
+            with pytest.raises(WorkerCrashedError, match="torn"):
+                engine.range_sum_many([((0, 0), (3, 7)), ((0, 0), (0, 0))])
+            with pytest.raises(WorkerCrashedError, match="torn"):
+                engine.add((1, 1), 1)
+            with pytest.raises(WorkerCrashedError, match="torn"):
+                pool.fence(0)
+            assert engine.range_sum((4, 0), (7, 7)) == 32
+            engine.add((5, 5), 2)
+            assert engine.range_sum((4, 0), (7, 7)) == 34
+
+    def test_kills_between_reads_stay_exact(self):
+        """A SIGKILL before every read and between writes: reads gather
+        off the parent's slab mapping without the worker, the next write
+        respawns it, and every answer stays exact."""
+        data = clustered(SHAPE, seed=34)
+        reference = data.astype(np.int64).copy()
+        queries = [
+            ((0, 0), (17, 8)),
+            ((1, 1), (16, 7)),
+            ((4, 0), (13, 8)),
+            ((0, 2), (17, 6)),
+        ]
+        with _process_engine(data, 4, workers=4) as engine:
+            pool = engine.process_pool
+            for step, (low, high) in enumerate(queries * 3):
+                shard = step % 4
+                assert pool.kill_worker(shard)
+                box = tuple(slice(a, b + 1) for a, b in zip(low, high))
+                assert int(engine.range_sum(low, high)) == int(reference[box].sum())
+                # One shipped batch on the dead lane respawns its worker.
+                row = engine.plan.spans[shard].start
+                for write in range(pool.ship_threshold):
+                    cell = (row, write % SHAPE[1])
+                    engine.add(cell, step + 1)
+                    reference[cell] += step + 1
+            assert pool.pool_info()["restarts"] == 12
+
+
+def _wait_stopped(pid: int) -> None:
+    """Return once ``pid`` is in the stopped state (Linux ``/proc``)."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/stat") as handle:
+            if handle.read().rsplit(")", 1)[1].split()[0] == "T":
+                return
+        time.sleep(0.001)
+    raise AssertionError(f"worker {pid} did not stop")
 
 
 class TestSlabStore:
@@ -311,85 +330,17 @@ class TestPoolIntrospection:
             assert engine.pool_info() is None
 
 
-class _HangOnce(FaultInjector):
-    """A ``FaultInjector`` hang script for one shard: its first read
-    burns ``seconds`` of the injected clock, then fails; every later
-    read runs clean.  Records the live thread count while it hangs."""
-
-    def __init__(self, clock, shard: int, seconds: float) -> None:
-        super().__init__(clock, hang_rate=1.0, hang_seconds=seconds)
-        self.shard = shard
-        self.threads_while_hung: list[int] = []
-
-    def perturb(self, shard, pool=None) -> None:
-        if shard != self.shard or self.threads_while_hung:
-            self.calls += 1
-            return
-        self.threads_while_hung.append(threading.active_count())
-        super().perturb(shard, pool)
-
-
 class TestOneThread:
-    """Nothing in the engine runs off the caller's thread."""
+    """The pool's processes and segments end with the engine: after
+    ``close()`` no worker and no shared-memory segment is left."""
 
-    @pytest.mark.parametrize("mode", ["strict", "partial", "fallback"])
-    def test_hung_shard_degrades_and_next_call_is_exact(self, mode):
-        """A deadline on the injected clock cuts the hung shard off per
-        policy; the next call on the same lane is exact, waits for
-        nothing, and no thread is started or abandoned at any point."""
-        threads_before = threading.active_count()
-        data = clustered(SHAPE, seed=37)
-        baseline = build_method("ddc", data)
-        clock = ManualClock()
-        policy = ResiliencePolicy(
-            deadline_seconds=0.05, max_retries=2, degradation=mode
-        )
-        injector = _HangOnce(clock, shard=1, seconds=0.2)
-        engine = _process_engine(
-            data, 2, resilience=policy, obs=Observability(clock=clock),
-            faults=injector,
-        )
-        try:
-            low, high = (0, 0), (17, 8)
-            want = int(baseline.range_sum(low, high))
-            if mode == "strict":
-                # The shard failed after the budget was spent: a timeout,
-                # chained to the shard's own error.
-                with pytest.raises(DeadlineExceededError) as excinfo:
-                    engine.range_sum(low, high)
-                assert isinstance(excinfo.value.__cause__, InjectedFaultError)
-            else:
-                got = engine.range_sum(low, high)
-                if mode == "partial":
-                    assert is_partial(got)
-                    assert got.missing_shards == (1,)
-                    assert int(got) == int(baseline.range_sum((0, 0), (8, 8)))
-                else:
-                    assert not is_partial(got)
-                    assert int(got) == want
-            assert injector.injected["hang"] == 1
-            timeouts = engine.obs.metrics.counter("repro_engine_timeouts_total", "")
-            assert timeouts.value == 1
-            start = clock.now()
-            again = engine.range_sum(low, high)
-            assert not is_partial(again)
-            assert int(again) == want
-            assert clock.now() == start  # no hang, no backoff, no wait
-            assert injector.threads_while_hung == [threads_before]
-            assert threading.active_count() == threads_before
-        finally:
-            engine.close()
-        assert threading.active_count() == threads_before
-
-    @pytest.mark.parametrize("wrapped", [False, True])
-    def test_close_leaves_no_worker_and_no_segment(self, wrapped):
+    def test_close_leaves_no_worker_and_no_segment(self):
         """Writes, a SIGKILL, a respawn, then ``close()``: no
         ``repro-shard-worker-*`` child and no new ``/dev/shm`` entry
-        survive, with or without a ``FaultInjector``."""
+        survive."""
         shm_before = _shm_entries()
         data = clustered(SHAPE, seed=38)
-        faults = FaultInjector(clock=ManualClock(), seed=39) if wrapped else None
-        engine = _process_engine(data, 4, workers=2, faults=faults)
+        engine = _process_engine(data, 4, workers=2)
         try:
             pool = engine.process_pool
             for step in range(40):

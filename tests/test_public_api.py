@@ -64,11 +64,6 @@ def test_top_level_exports():
             [
                 "ShardedEngine",
                 "ShardPlan",
-                "ResiliencePolicy",
-                "CircuitBreaker",
-                "FaultInjector",
-                "FaultScript",
-                "PartialResult",
                 "is_partial",
             ],
         ),
@@ -102,7 +97,7 @@ def test_top_level_exports():
                 "default_codec",
             ],
         ),
-        ("repro.artifacts", ["make_document", "load_document", "write_document", "upsert_row"]),
+        ("repro.artifacts", ["make_document", "load_document", "write_document"]),
         ("repro.cli", ["main", "build_parser"]),
     ],
 )

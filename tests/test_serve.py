@@ -1,4 +1,4 @@
-"""The HTTP serving front-end: wire format, admission, shedding, the
+"""The HTTP serving front-end: wire format, admission, errors, the
 engine turn, and graceful shutdown.
 
 Every async scenario runs through ``asyncio.run`` inside a plain sync
@@ -22,8 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import FaultInjector, ShardedEngine
-from repro.engine.resilience import ResiliencePolicy
+from repro.engine import ShardedEngine
 from repro.exceptions import (
     BadRequestError,
     ConfigurationError,
@@ -93,9 +92,9 @@ class CountingEngine(ShardedEngine):
         self._enter("add_many")
         return super().add_many(updates)
 
-    def resilience_info(self):
+    def harvest_worker_metrics(self):
         self._enter("healthz")
-        return super().resilience_info()
+        return super().harvest_worker_metrics()
 
 
 def counting_engine():
@@ -240,7 +239,7 @@ class TestEndToEnd:
                 response = await client.query([2, 3], [10, 12])
                 assert response.status == 200
                 assert response.body["value"] == int(data[2:11, 3:13].sum())
-                assert response.body["partial"] is False
+                assert "partial" not in response.body
                 response = await client.update([5, 5], 7)
                 assert response.status == 200
                 assert response.body == {"ok": True, "applied": 1}
@@ -486,7 +485,7 @@ class TestAdmission:
         with pytest.raises(ConfigurationError):
             AdmissionPolicy(max_concurrency=0)
         with pytest.raises(ConfigurationError):
-            AdmissionPolicy(shed_watermark=-0.1)
+            AdmissionPolicy(max_queue=-1)
 
     def test_token_bucket_refills_on_clock(self):
         bucket = TokenBucket(rate=2.0, burst=2, now=0.0)
@@ -557,61 +556,40 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
-# Load shedding: strict -> partial under pressure
+# Errors: a failed engine call is a 500, and the connection lives on
 # ----------------------------------------------------------------------
 
 
-class TestShedding:
-    def _faulty_engine(self):
-        clock = ManualClock()
-        obs = Observability(clock=clock)
-        injector = FaultInjector(clock=clock, fault_rate=1.0)
-        engine = ShardedEngine.from_array(
-            clustered(SHAPE, seed=3),
-            shards=4,
-            obs=obs,
-            resilience=ResiliencePolicy(
-                degradation="strict", max_retries=0, breaker_window=0
-            ),
-            faults=injector,
-        )
-        return engine, obs
+class TestErrors:
+    def test_a_shard_bug_surfaces_as_500(self, monkeypatch):
+        """A shard raising a plain ``IndexError`` (not a library error):
+        the request answers 500, the same connection then gets an exact
+        answer, and the failed read cached nothing."""
+        engine, data = make_engine()
 
-    def test_under_pressure_strict_degrades_to_partial(self):
-        engine, obs = self._faulty_engine()
-        policy = AdmissionPolicy(shed_watermark=0.0)  # always shedding
+        def broken(*args):
+            raise IndexError("shard bug")
+
+        monkeypatch.setattr(engine.shards[1], "range_sum", broken)
 
         async def scenario():
-            server = await serving(engine, policy=policy, obs=obs)
-            async with ServeClient("127.0.0.1", server.port) as client:
-                response = await client.query([0, 0], [20, 20])
-                assert response.status == 200
-                assert response.body["partial"] is True
-                assert response.body["shed"] is True
-                assert response.body["missing_shards"]
-            assert server.shedding
-            assert server.shed_entries >= 1
-            await server.stop()
-
-        run(scenario())
-        assert engine.policy.degradation == "partial"
-        engine.close()
-
-    def test_without_pressure_strict_failures_surface_as_500(self):
-        engine, obs = self._faulty_engine()
-        policy = AdmissionPolicy(shed_watermark=100.0)  # never sheds
-
-        async def scenario():
-            server = await serving(engine, policy=policy, obs=obs)
+            server = await serving(engine)
             async with ServeClient("127.0.0.1", server.port) as client:
                 response = await client.query([0, 0], [20, 20])
                 assert response.status == 500
-                assert "shard" in response.body["error"]
-            assert not server.shedding
+                assert response.body["error"] == "IndexError: shard bug"
+                assert response.headers["connection"] == "keep-alive"
+                assert engine.cache_info()["size"] == 0
+                connection = client._writer
+                monkeypatch.undo()
+                response = await client.query([0, 0], [20, 20])
+                assert client._writer is connection  # no reconnect
+                assert response.status == 200
+                assert response.body["value"] == range_total(data, (0, 0), (20, 20))
+            assert server.stats()["shed_responses"] == 0
             await server.stop()
 
         run(scenario())
-        assert engine.policy.degradation == "strict"
         engine.close()
 
 
@@ -635,7 +613,7 @@ class TestHealthz:
                 assert response.body["status"] == "ok"
                 assert response.body["rules"]
             # The CLI-side evaluation over the same watchdog agrees.
-            document = evaluate_health(server.watchdog, engine)
+            document = evaluate_health(server.watchdog)
             assert document["healthy"] is True
             await server.stop()
 
@@ -646,7 +624,7 @@ class TestHealthz:
         obs = Observability()
         engine, _ = make_engine(obs=obs)
         watchdog = engine_watchdog(obs, engine)
-        document = evaluate_health(watchdog, engine)
+        document = evaluate_health(watchdog)
         assert document["healthy"] is True
         assert watchdog.checks == 1
         engine.close()
